@@ -33,7 +33,6 @@ from .domains import (
     write_domain_csv,
 )
 from .engine import (
-    CheckpointRecord,
     RunConfig,
     TaskLog,
     TeacherModel,

@@ -15,12 +15,15 @@ import argparse
 import csv
 import io
 import json
+import multiprocessing
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .nn_core import forward, softmax_t
 
 SCHEMA_VERSION = 1
 THREAD_CAP_ENV = "CD_BENCH_THREADS"
+BLAS_THREAD_ENVS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 RESULT_COLUMNS = ("seed", "method", "task", "teacher", "domain", "accuracy", "elapsed_seconds")
 
@@ -66,7 +70,6 @@ _RUN_KEYS = {
     "temperature": (int, float),
     "seeds": list,
     "eval_every_epoch": bool,
-    "cache_teacher_logits": bool,
     "teacher_epochs": int,
     "teacher_learning_rate": (int, float, type(None)),
     "teacher_hidden": list,
@@ -85,7 +88,6 @@ _RUN_DEFAULTS = {
     "temperature": 10.0,
     "seeds": [1, 2, 3],
     "eval_every_epoch": False,
-    "cache_teacher_logits": False,
     "teacher_epochs": 50,
     "teacher_learning_rate": None,
     "teacher_hidden": [32, 32],
@@ -196,7 +198,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             temperature=float(run_raw["temperature"]),
             seeds=tuple(int(s) for s in run_raw["seeds"]),
             eval_every_epoch=run_raw["eval_every_epoch"],
-            cache_teacher_logits=run_raw["cache_teacher_logits"],
             teacher_epochs=run_raw["teacher_epochs"],
             teacher_learning_rate=(
                 None
@@ -438,6 +439,22 @@ def _max_jobs(requested: int) -> int:
     return jobs
 
 
+@contextmanager
+def _single_threaded_blas() -> Iterator[None]:
+    """Default each BLAS thread variable to 1 for processes started in the block.
+
+    Values already set are kept; the defaults are removed again on exit.
+    """
+    added = [name for name in BLAS_THREAD_ENVS if name not in os.environ]
+    for name in added:
+        os.environ[name] = "1"
+    try:
+        yield
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
+
+
 def _format_float(x: float) -> str:
     return repr(float(x))
 
@@ -475,7 +492,12 @@ def cmd_run(config: ExperimentConfig, jobs: int = 1) -> Path:
     results: list[tuple] = []
     curves: list[tuple] = []
     if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Grid cells already run in parallel, so each worker takes a
+        # single-threaded BLAS; spawned workers import numpy afresh under it
+        # instead of inheriting the parent's thread pool as forked ones would.
+        with _single_threaded_blas(), ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
             for _, _, rows, curve_rows in pool.map(_run_cell, cells):
                 results.extend(rows)
                 curves.extend(curve_rows)
@@ -833,36 +855,8 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
             raise ConfigError(f"--seeds must be a comma-separated integer list, got {args.seeds!r}")
         if not seeds:
             raise ConfigError("--seeds must name at least one seed")
-        config = ExperimentConfig(
-            config.scenario,
-            config.methods,
-            RunConfig(**{**_run_config_kwargs(config.run), "seeds": seeds}),
-            config.run_extras,
-            config.output_dir,
-            config.sweep_ratios,
-        )
+        config = replace(config, run=replace(config.run, seeds=seeds))
     return config
-
-
-def _run_config_kwargs(run: RunConfig) -> dict:
-    return {
-        "epochs": run.epochs,
-        "batch_size": run.batch_size,
-        "optimizer": run.optimizer,
-        "learning_rate": run.learning_rate,
-        "adam_beta1": run.adam_beta1,
-        "adam_beta2": run.adam_beta2,
-        "adam_eps": run.adam_eps,
-        "temperature": run.temperature,
-        "seeds": run.seeds,
-        "eval_every_epoch": run.eval_every_epoch,
-        "cache_teacher_logits": run.cache_teacher_logits,
-        "teacher_epochs": run.teacher_epochs,
-        "teacher_learning_rate": run.teacher_learning_rate,
-        "teacher_hidden": run.teacher_hidden,
-        "student_hidden": run.student_hidden,
-        "teacher_accuracy_floor": run.teacher_accuracy_floor,
-    }
 
 
 def main(argv: list[str] | None = None) -> int:

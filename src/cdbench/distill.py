@@ -4,6 +4,9 @@ Every loss returns the scalar value together with its gradient with
 respect to the student logits; teacher and checkpoint logits are always
 treated as constants. KL-family losses follow the tempered convention
 loss = T^2 * mean_batch KL(p_teacher || p_student) with p = softmax(z / T).
+Each KL-family loss also has a `*_from_targets` form that takes those
+constants as precomputed SoftTargets, so a caller whose teacher is frozen
+can compute them once and gather rows per batch.
 """
 
 from __future__ import annotations
@@ -66,26 +69,64 @@ def _check_same_shape(a: Matrix, b: Matrix, what: str) -> None:
         raise ShapeError(f"{what}: shapes {a.shape} and {b.shape} differ")
 
 
+def _checked(
+    student_logits: Matrix, other_logits: Matrix, temperature: float, what: str
+) -> tuple[Matrix, Matrix]:
+    """Both logit matrices as float arrays of one shape, with a valid temperature."""
+    student_logits = np.asarray(student_logits, dtype=float)
+    other_logits = np.asarray(other_logits, dtype=float)
+    _check_same_shape(student_logits, other_logits, what)
+    if temperature <= 0:
+        raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
+    return student_logits, other_logits
+
+
+@dataclass(frozen=True)
+class SoftTargets:
+    """Tempered log-probabilities of constant logits and their exponentials.
+
+    Indexing gathers rows, so targets computed once over a whole set serve
+    every batch drawn from it.
+    """
+
+    log_p: Matrix
+    p: Matrix
+
+    def __getitem__(self, rows) -> "SoftTargets":
+        return SoftTargets(self.log_p[rows], self.p[rows])
+
+
+def soft_targets(logits: Matrix, temperature: float) -> SoftTargets:
+    """Row-wise tempered log-softmax of constant logits, with its probabilities."""
+    log_p = log_softmax_t(logits, temperature)
+    return SoftTargets(log_p, np.exp(log_p))
+
+
+def kl_kd_from_targets(
+    student_logits: Matrix, targets: SoftTargets, temperature: float
+) -> LossResult:
+    """kl_kd_loss against precomputed teacher targets."""
+    n = student_logits.shape[0]
+    if n == 0:
+        return LossResult(0.0, np.zeros_like(student_logits))
+    log_q = log_softmax_t(student_logits, temperature)
+    loss = temperature**2 * float((targets.p * (targets.log_p - log_q)).sum(axis=1).mean())
+    dlogits = temperature * (np.exp(log_q) - targets.p) / n
+    return LossResult(loss, dlogits)
+
+
 def kl_kd_loss(student_logits: Matrix, teacher_logits: Matrix, temperature: float) -> LossResult:
     """Tempered KL divergence from the teacher to the student distribution.
 
     Zero exactly when the tempered rows match; an empty batch contributes
     zero loss and an empty gradient.
     """
-    student_logits = np.asarray(student_logits, dtype=float)
-    teacher_logits = np.asarray(teacher_logits, dtype=float)
-    _check_same_shape(student_logits, teacher_logits, "kl_kd_loss")
-    if temperature <= 0:
-        raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
-    n = student_logits.shape[0]
-    if n == 0:
-        return LossResult(0.0, np.zeros_like(student_logits))
-    log_q = log_softmax_t(student_logits, temperature)
-    log_p = log_softmax_t(teacher_logits, temperature)
-    p = np.exp(log_p)
-    loss = temperature**2 * float((p * (log_p - log_q)).sum(axis=1).mean())
-    dlogits = temperature * (np.exp(log_q) - p) / n
-    return LossResult(loss, dlogits)
+    student_logits, teacher_logits = _checked(
+        student_logits, teacher_logits, temperature, "kl_kd_loss"
+    )
+    return kl_kd_from_targets(
+        student_logits, soft_targets(teacher_logits, temperature), temperature
+    )
 
 
 def logit_standardize(logits: Matrix) -> Matrix:
@@ -113,15 +154,27 @@ def _standardize_backward(logits: Matrix, grad_out: Matrix) -> Matrix:
     return term1 - term2
 
 
+def ls_targets(teacher_logits: Matrix, temperature: float) -> SoftTargets:
+    """Teacher targets of ls_kd_loss: the soft targets of the z-scored logits."""
+    return soft_targets(logit_standardize(teacher_logits), temperature)
+
+
+def ls_kd_from_targets(
+    student_logits: Matrix, targets: SoftTargets, temperature: float
+) -> LossResult:
+    """ls_kd_loss against precomputed ls_targets."""
+    inner = kl_kd_from_targets(logit_standardize(student_logits), targets, temperature)
+    return LossResult(inner.loss, _standardize_backward(student_logits, inner.dlogits))
+
+
 def ls_kd_loss(student_logits: Matrix, teacher_logits: Matrix, temperature: float) -> LossResult:
     """KL distillation on row-standardized logits (both sides z-scored)."""
-    student_logits = np.asarray(student_logits, dtype=float)
-    teacher_logits = np.asarray(teacher_logits, dtype=float)
-    _check_same_shape(student_logits, teacher_logits, "ls_kd_loss")
-    inner = kl_kd_loss(
-        logit_standardize(student_logits), logit_standardize(teacher_logits), temperature
+    student_logits, teacher_logits = _checked(
+        student_logits, teacher_logits, temperature, "ls_kd_loss"
     )
-    return LossResult(inner.loss, _standardize_backward(student_logits, inner.dlogits))
+    return ls_kd_from_targets(
+        student_logits, ls_targets(teacher_logits, temperature), temperature
+    )
 
 
 def _masked_log_softmax(scaled_logits: Matrix, target_mask: Matrix) -> Matrix:
@@ -216,21 +269,40 @@ def entropy(prob_row: np.ndarray) -> float:
     return float(batch_entropy(np.atleast_2d(prob_row))[0])
 
 
+def teacher_entropy(teacher_logits: Matrix, temperature: float) -> np.ndarray:
+    """Per-row entropy of the tempered teacher softmax, the score mds_filter ranks."""
+    return batch_entropy(softmax_t(teacher_logits, temperature))
+
+
 def mds_filter(
-    teacher_logits: Matrix, low_q: float, high_q: float, temperature: float
+    teacher_logits: Matrix,
+    low_q: float,
+    high_q: float,
+    temperature: float,
+    *,
+    entropies: np.ndarray | None = None,
 ) -> np.ndarray:
     """Keep-mask for samples of medium difficulty by teacher entropy.
 
     Samples whose tempered-softmax entropy falls within the [low_q, high_q]
     empirical quantile band of the batch are kept; boundary ties are kept,
-    and at least one sample always survives.
+    and at least one sample always survives. `entropies`, when given, are
+    the rows' precomputed teacher_entropy values and replace recomputing
+    them from `teacher_logits`.
     """
     teacher_logits = np.asarray(teacher_logits, dtype=float)
     if teacher_logits.shape[0] == 0:
         raise InvalidArgumentError("cannot filter an empty batch")
     if not (0.0 <= low_q < high_q <= 1.0):
         raise InvalidArgumentError(f"need 0 <= low < high <= 1, got [{low_q}, {high_q}]")
-    ent = batch_entropy(softmax_t(teacher_logits, temperature))
+    if entropies is None:
+        ent = teacher_entropy(teacher_logits, temperature)
+    else:
+        ent = np.asarray(entropies, dtype=float)
+        if ent.shape != teacher_logits.shape[:1]:
+            raise ShapeError(
+                f"mds_filter: {ent.shape} entropies for {teacher_logits.shape[0]} rows"
+            )
     lo = np.quantile(ent, low_q)
     hi = np.quantile(ent, high_q)
     keep = (ent >= lo) & (ent <= hi)
@@ -241,6 +313,15 @@ def mds_filter(
     return keep
 
 
+def self_distill_from_targets(
+    student_logits: Matrix, teacher: SoftTargets, prev: SoftTargets, temperature: float
+) -> LossResult:
+    """self_distill_loss against precomputed teacher and checkpoint targets."""
+    teacher_term = kl_kd_from_targets(student_logits, teacher, temperature)
+    prev_term = kl_kd_from_targets(student_logits, prev, temperature)
+    return LossResult(teacher_term.loss + prev_term.loss, teacher_term.dlogits + prev_term.dlogits)
+
+
 def self_distill_loss(
     student_logits: Matrix,
     teacher_logits: Matrix,
@@ -248,9 +329,33 @@ def self_distill_loss(
     temperature: float,
 ) -> LossResult:
     """Teacher KL plus previous-checkpoint KL, both over the same batch."""
-    teacher_term = kl_kd_loss(student_logits, teacher_logits, temperature)
-    prev_term = kl_kd_loss(student_logits, prev_student_logits, temperature)
-    return LossResult(teacher_term.loss + prev_term.loss, teacher_term.dlogits + prev_term.dlogits)
+    student_logits, teacher_logits = _checked(
+        student_logits, teacher_logits, temperature, "self_distill_loss"
+    )
+    _, prev_student_logits = _checked(
+        student_logits, prev_student_logits, temperature, "self_distill_loss"
+    )
+    return self_distill_from_targets(
+        student_logits,
+        soft_targets(teacher_logits, temperature),
+        soft_targets(prev_student_logits, temperature),
+        temperature,
+    )
+
+
+def se2d_from_targets(
+    student_logits_all: Matrix,
+    teacher_all: SoftTargets,
+    student_logits_ext: Matrix,
+    prev_ext: SoftTargets,
+    temperature: float,
+) -> PairedLossResult:
+    """se2d_loss against precomputed teacher and checkpoint targets."""
+    teacher_term = kl_kd_from_targets(student_logits_all, teacher_all, temperature)
+    ext_term = kl_kd_from_targets(student_logits_ext, prev_ext, temperature)
+    return PairedLossResult(
+        teacher_term.loss + ext_term.loss, teacher_term.dlogits, ext_term.dlogits
+    )
 
 
 def se2d_loss(
@@ -265,8 +370,16 @@ def se2d_loss(
     The two terms are added unweighted. An empty external batch reduces the
     loss to the teacher term alone.
     """
-    teacher_term = kl_kd_loss(student_logits_all, teacher_logits_all, temperature)
-    ext_term = kl_kd_loss(student_logits_ext, prev_student_logits_ext, temperature)
-    return PairedLossResult(
-        teacher_term.loss + ext_term.loss, teacher_term.dlogits, ext_term.dlogits
+    student_logits_all, teacher_logits_all = _checked(
+        student_logits_all, teacher_logits_all, temperature, "se2d_loss"
+    )
+    student_logits_ext, prev_student_logits_ext = _checked(
+        student_logits_ext, prev_student_logits_ext, temperature, "se2d_loss"
+    )
+    return se2d_from_targets(
+        student_logits_all,
+        soft_targets(teacher_logits_all, temperature),
+        student_logits_ext,
+        soft_targets(prev_student_logits_ext, temperature),
+        temperature,
     )

@@ -388,21 +388,18 @@ def build_scenario(spec: ScenarioSpec) -> CdScenario:
     )
 
 
-def balance_pair_stream(
-    internal_features: Matrix, external_features: Matrix, batch_size: int, seed
-):
-    """Yield (internal, external) feature batches for one balanced epoch.
+def balance_pair_stream(n_internal: int, n_external: int, batch_size: int, seed):
+    """Yield (internal, external) row-index batches for one balanced epoch.
 
-    The smaller pool is oversampled uniformly with replacement to the size
-    of the larger; the larger pool is visited in a seeded shuffle.
+    Indices point into the internal and external pools. The smaller pool is
+    oversampled uniformly with replacement to the size of the larger; the
+    larger pool is visited in a seeded shuffle.
     """
-    internal_features = np.asarray(internal_features, dtype=float)
-    external_features = np.asarray(external_features, dtype=float)
-    if len(internal_features) == 0 or len(external_features) == 0:
+    if n_internal <= 0 or n_external <= 0:
         raise InvalidArgumentError("both pools must be non-empty")
     if batch_size < 1:
         raise InvalidArgumentError(f"batch_size must be >= 1, got {batch_size}")
-    n = max(len(internal_features), len(external_features))
+    n = max(n_internal, n_external)
     rng = np.random.default_rng(seed)
 
     def order(pool_size: int) -> np.ndarray:
@@ -410,11 +407,11 @@ def balance_pair_stream(
             return rng.permutation(pool_size)
         return rng.integers(0, pool_size, size=n)
 
-    order_i = order(len(internal_features))
-    order_e = order(len(external_features))
+    order_i = order(n_internal)
+    order_e = order(n_external)
     for start in range(0, n, batch_size):
         stop = start + batch_size
-        yield internal_features[order_i[start:stop]], external_features[order_e[start:stop]]
+        yield order_i[start:stop], order_e[start:stop]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ earlier teacher.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,17 +18,22 @@ import numpy as np
 
 from .distill import (
     MethodConfig,
+    SoftTargets,
     dkd_loss,
-    kl_kd_loss,
-    ls_kd_loss,
+    kl_kd_from_targets,
+    ls_kd_from_targets,
+    ls_targets,
     mds_filter,
-    se2d_loss,
-    self_distill_loss,
+    se2d_from_targets,
+    self_distill_from_targets,
+    soft_targets,
+    teacher_entropy,
 )
 from .domains import CdScenario, DistillSet, DomainDataset, LabeledSet, balance_pair_stream
 from .errors import FormatError, InvalidArgumentError
 from .nn_core import (
     Layer,
+    Matrix,
     MlpModel,
     backward,
     cross_entropy,
@@ -67,7 +71,6 @@ class RunConfig:
     temperature: float = 10.0
     seeds: tuple[int, ...] = (1, 2, 3)
     eval_every_epoch: bool = False
-    cache_teacher_logits: bool = False
     teacher_epochs: int = 50
     teacher_learning_rate: float | None = None
     teacher_hidden: tuple[int, ...] = (32, 32)
@@ -106,17 +109,6 @@ class TaskLog:
     accuracies: dict[int, float]  # domain id -> accuracy after this task
     epoch_losses: list[float]
     epoch_accuracies: list[dict[int, float]] | None = None
-
-
-@dataclass
-class CheckpointRecord:
-    payload: bytes
-    task_index: int
-    config_hash: str
-
-
-def config_hash(method: MethodConfig, config: RunConfig) -> str:
-    return hashlib.sha256(repr((method, config)).encode()).hexdigest()[:16]
 
 
 def serialize_model(model: MlpModel) -> bytes:
@@ -221,30 +213,66 @@ def train_teacher(
     return TeacherModel(model, frozenset(int(d.domain_id) for d in domains))
 
 
+def _frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
+    """Logits of a frozen model over every row, `chunk` rows per forward pass.
+
+    Each pass's ForwardCache is dropped at once, so memory beyond the result
+    stays at one chunk's activations.
+    """
+    out = np.empty((len(features), model.num_classes))
+    for start in range(0, len(features), chunk):
+        out[start : start + chunk], _ = forward(model, features[start : start + chunk])
+    return out
+
+
+@dataclass
+class _FrozenTargets:
+    """What a task's losses need from its frozen models, computed once per task.
+
+    Row i of `teacher_logits`, `teacher` and `entropy` belongs to distillation
+    row i. `teacher` holds the method's teacher targets (dkd works from the
+    logits instead) and `entropy`, for mds only, the teacher entropies it
+    ranks. `prev` holds the checkpoint's targets: over every row, or over the
+    external rows on the paired se2d path; it is None without a checkpoint term.
+    """
+
+    teacher_logits: Matrix
+    teacher: SoftTargets
+    entropy: np.ndarray | None
+    prev: SoftTargets | None
+
+
 def _batch_loss(
-    method: MethodConfig,
-    student_logits: np.ndarray,
-    teacher_logits: np.ndarray,
-    prev_logits: np.ndarray | None,
-) -> tuple[float, np.ndarray]:
-    """Loss and student-logit gradient for one batch on the unpaired path."""
+    method: MethodConfig, student_logits: Matrix, frozen: _FrozenTargets, idx: np.ndarray
+) -> tuple[float, Matrix]:
+    """Loss and student-logit gradient for distillation rows `idx` on the unpaired path."""
     t = method.temperature
+    if method.method == "dkd":
+        res = dkd_loss(
+            student_logits, frozen.teacher_logits[idx], t, method.dkd_alpha, method.dkd_beta
+        )
+        return res.loss, res.dlogits
+    teacher = frozen.teacher[idx]
     if method.method == "ls":
-        res = ls_kd_loss(student_logits, teacher_logits, t)
-    elif method.method == "dkd":
-        res = dkd_loss(student_logits, teacher_logits, t, method.dkd_alpha, method.dkd_beta)
+        res = ls_kd_from_targets(student_logits, teacher, t)
     elif method.method == "mds":
-        keep = mds_filter(teacher_logits, method.mds_low_q, method.mds_high_q, t)
-        kept = kl_kd_loss(student_logits[keep], teacher_logits[keep], t)
+        keep = mds_filter(
+            frozen.teacher_logits[idx],
+            method.mds_low_q,
+            method.mds_high_q,
+            t,
+            entropies=frozen.entropy[idx],
+        )
+        kept = kl_kd_from_targets(student_logits[keep], teacher[keep], t)
         dlogits = np.zeros_like(student_logits)
         dlogits[keep] = kept.dlogits
         return kept.loss, dlogits
-    elif method.method in ("self_distill", "se2d") and prev_logits is not None:
-        # se2d only reaches this branch when the distillation set has no
-        # internal part, where its data scope coincides with self-distillation.
-        res = self_distill_loss(student_logits, teacher_logits, prev_logits, t)
+    elif frozen.prev is not None:
+        # se2d only gets a checkpoint term here when the distillation set has
+        # no internal part, where its data scope coincides with self-distillation.
+        res = self_distill_from_targets(student_logits, teacher, frozen.prev[idx], t)
     else:
-        res = kl_kd_loss(student_logits, teacher_logits, t)
+        res = kl_kd_from_targets(student_logits, teacher, t)
     return res.loss, res.dlogits
 
 
@@ -262,7 +290,8 @@ def distill_task(
 ) -> tuple[MlpModel, TaskLog]:
     """Distill one teacher into the student over the fixed distillation set.
 
-    Teacher (and checkpoint) logits are computed without gradients; only the
+    Teacher and checkpoint targets are computed once per task, since both
+    models are frozen within it; each step gathers its rows. Only the
     student is updated. For the paired method the teacher term sees the
     concatenation of one internal and one external batch per step while the
     checkpoint term sees only the external batch.
@@ -276,13 +305,31 @@ def distill_task(
 
     features = distill_set.features
     ext_mask = distill_set.external_mask
-    internal_feats = features[~ext_mask]
-    external_feats = features[ext_mask]
+    internal_rows = np.flatnonzero(~ext_mask)
+    external_rows = np.flatnonzero(ext_mask)
+    has_prev = method.method in ("self_distill", "se2d") and prev_student is not None
     paired = (
-        method.method == "se2d"
-        and prev_student is not None
-        and len(internal_feats) > 0
-        and len(external_feats) > 0
+        has_prev
+        and method.method == "se2d"
+        and len(internal_rows) > 0
+        and len(external_rows) > 0
+    )
+    if paired:
+        prev_features = features[external_rows]
+    elif has_prev and (method.method == "self_distill" or len(internal_rows) == 0):
+        prev_features = features
+    else:
+        prev_features = None
+
+    t = method.temperature
+    teacher_logits = _frozen_logits(teacher.model, features, config.batch_size)
+    frozen = _FrozenTargets(
+        teacher_logits,
+        (ls_targets if method.method == "ls" else soft_targets)(teacher_logits, t),
+        teacher_entropy(teacher_logits, t) if method.method == "mds" else None,
+        None
+        if prev_features is None
+        else soft_targets(_frozen_logits(prev_student, prev_features, config.batch_size), t),
     )
 
     opt = make_optimizer(
@@ -293,10 +340,6 @@ def distill_task(
         config.adam_beta2,
         config.adam_eps,
     )
-    cached_teacher = None
-    if config.cache_teacher_logits and not paired:
-        cached_teacher, _ = forward(teacher.model, features)
-
     epoch_losses: list[float] = []
     epoch_accuracies: list[dict[int, float]] | None = [] if config.eval_every_epoch else None
     for epoch in range(config.epochs):
@@ -304,45 +347,29 @@ def distill_task(
         losses: list[float] = []
         if paired:
             stream = balance_pair_stream(
-                internal_feats, external_feats, config.batch_size, shuffle_seed
+                len(internal_rows), len(external_rows), config.batch_size, shuffle_seed
             )
-            for x_int, x_ext in stream:
-                x_all = np.concatenate([x_int, x_ext])
-                teacher_logits, _ = forward(teacher.model, x_all)
-                student_logits, cache = forward(student, x_all)
-                prev_logits_ext, _ = forward(prev_student, x_ext)
-                res = se2d_loss(
+            for pos_int, pos_ext in stream:
+                idx = np.concatenate([internal_rows[pos_int], external_rows[pos_ext]])
+                student_logits, cache = forward(student, features[idx])
+                res = se2d_from_targets(
                     student_logits,
-                    teacher_logits,
-                    student_logits[len(x_int) :],
-                    prev_logits_ext,
-                    method.temperature,
+                    frozen.teacher[idx],
+                    student_logits[len(pos_int) :],
+                    frozen.prev[pos_ext],
+                    t,
                 )
                 dlogits = res.dlogits_all
-                dlogits[len(x_int) :] += res.dlogits_ext
+                dlogits[len(pos_int) :] += res.dlogits_ext
                 student, opt = optimizer_step(student, backward(student, cache, dlogits), opt)
                 losses.append(res.loss)
         else:
             rng = np.random.default_rng(shuffle_seed)
             order = rng.permutation(len(features))
-            prev_needed = (
-                method.method in ("self_distill", "se2d") and prev_student is not None
-            )
-            use_prev_on_batch = prev_needed and (
-                method.method == "self_distill" or len(internal_feats) == 0
-            )
             for start in range(0, len(order), config.batch_size):
                 idx = order[start : start + config.batch_size]
-                x = features[idx]
-                if cached_teacher is not None:
-                    teacher_logits = cached_teacher[idx]
-                else:
-                    teacher_logits, _ = forward(teacher.model, x)
-                student_logits, cache = forward(student, x)
-                prev_logits = None
-                if use_prev_on_batch:
-                    prev_logits, _ = forward(prev_student, x)
-                loss, dlogits = _batch_loss(method, student_logits, teacher_logits, prev_logits)
+                student_logits, cache = forward(student, features[idx])
+                loss, dlogits = _batch_loss(method, student_logits, frozen, idx)
                 student, opt = optimizer_step(student, backward(student, cache, dlogits), opt)
                 losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
@@ -374,12 +401,11 @@ def run_sequence(
     the next task.
     """
     needs_checkpoint = method.method in ("se2d", "self_distill")
-    chash = config_hash(method, config)
     teacher_stream: Iterator[TeacherModel] = iter(teachers)
     logs: list[TaskLog] = []
-    record: CheckpointRecord | None = None
+    checkpoint: bytes | None = None
     for t, teacher in enumerate(teacher_stream):
-        prev_model = deserialize_model(record.payload) if record is not None else None
+        prev_model = deserialize_model(checkpoint) if checkpoint is not None else None
         student, log = distill_task(
             student,
             teacher,
@@ -392,7 +418,7 @@ def run_sequence(
             test_sets=scenario.test_sets,
         )
         if needs_checkpoint:
-            record = CheckpointRecord(serialize_model(student), t, chash)
+            checkpoint = serialize_model(student)
         logs.append(log)
     if not logs:
         raise InvalidArgumentError("teacher sequence is empty")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 
 from cdbench.cli import (
+    BLAS_THREAD_ENVS,
     ExperimentConfig,
+    _apply_overrides,
     _atomic_write,
     _max_jobs,
+    _single_threaded_blas,
     cmd_analyze,
     cmd_gen,
     cmd_run,
@@ -263,6 +267,18 @@ class TestRun:
         with pytest.raises(ConfigError):
             _max_jobs(8)
 
+    def test_workers_default_to_single_threaded_blas(self, monkeypatch):
+        for name in BLAS_THREAD_ENVS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        with _single_threaded_blas():
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+            assert os.environ["OMP_NUM_THREADS"] == "1"
+            assert os.environ["MKL_NUM_THREADS"] == "3"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert os.environ["MKL_NUM_THREADS"] == "3"
+
     def test_atomic_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         target = tmp_path / "x" / "summary.json"
 
@@ -298,6 +314,13 @@ class TestExternalEntropyFilter:
         cmd_teachers(config)
         cmd_run(config)
         assert (tmp_path / "out" / "results.csv").exists()
+
+    def test_seeds_override_keeps_threshold(self, tmp_path):
+        config = parse_config(base_config(tmp_path / "out", external_entropy_max=0.5))
+        args = argparse.Namespace(out=None, seeds="4,5")
+        config = _apply_overrides(config, args)
+        assert config.run.seeds == (4, 5)
+        assert config.external_entropy_max == 0.5
 
     def test_invalid_threshold_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="external_entropy_max"):

@@ -17,7 +17,7 @@ from cdbench import (
     self_distill_loss,
     softmax_t,
 )
-from cdbench.distill import batch_entropy
+from cdbench.distill import batch_entropy, teacher_entropy
 
 from conftest import finite_difference_logits, max_relative_error
 
@@ -204,6 +204,30 @@ class TestMdsFilter:
     def test_invalid_band(self):
         with pytest.raises(InvalidArgumentError):
             mds_filter(np.zeros((2, 2)), 0.75, 0.25, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 40),
+        st.integers(2, 6),
+        st.sampled_from([(0.0, 1.0), (0.25, 0.75), (0.4, 0.45), (0.1, 0.3)]),
+        st.sampled_from([1.0, 3.0, 10.0]),
+    )
+    def test_precomputed_entropies_give_identical_mask(self, seed, rows, classes, band, temp):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0, 4.0, size=(64, classes))
+        # repeated rows make entropy ties, which the band keeps
+        logits[32:] = logits[rng.integers(0, 32, size=32)]
+        idx = rng.integers(0, 64, size=rows)
+        ent = teacher_entropy(logits, temp)
+        direct = mds_filter(logits[idx], *band, temp)
+        cached = mds_filter(logits[idx], *band, temp, entropies=ent[idx])
+        assert np.array_equal(cached, direct)
+
+    def test_entropies_must_match_rows(self):
+        z = np.zeros((3, 2))
+        with pytest.raises(ShapeError):
+            mds_filter(z, 0.25, 0.75, 1.0, entropies=np.zeros(2))
 
 
 class TestCompositeLosses:

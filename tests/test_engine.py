@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from cdbench import engine
 from cdbench import (
     FormatError,
     InvalidArgumentError,
@@ -18,9 +21,26 @@ from cdbench import (
     save_checkpoint,
     train_teacher,
 )
-from cdbench.domains import LabeledSet
+from cdbench.distill import (
+    METHODS,
+    dkd_loss,
+    kl_kd_loss,
+    ls_kd_loss,
+    mds_filter,
+    se2d_loss,
+    self_distill_loss,
+)
+from cdbench.domains import LabeledSet, balance_pair_stream
 from cdbench.engine import deserialize_model, serialize_model
-from cdbench.nn_core import Layer, MlpModel, init_mlp
+from cdbench.nn_core import (
+    Layer,
+    MlpModel,
+    backward,
+    forward,
+    init_mlp,
+    make_optimizer,
+    optimizer_step,
+)
 
 
 def model_params_equal(a, b):
@@ -57,6 +77,59 @@ def tiny_config():
         teacher_hidden=(16, 16),
         student_hidden=(16, 16),
     )
+
+
+def per_batch_distill(student, teacher, distill_set, method, config, seed, prev_student):
+    """Reference for distill_task (task 0): forwards the frozen models on every
+    batch and calls the public losses on their logits."""
+    features, ext = distill_set.features, distill_set.external_mask
+    internal, external = features[~ext], features[ext]
+    t = method.temperature
+    opt = make_optimizer(student, config.optimizer, config.learning_rate)
+    paired = method.method == "se2d" and prev_student is not None and len(internal) and len(external)
+    losses = []
+    for epoch in range(config.epochs):
+        shuffle_seed = [engine._SEED_SHUFFLE, seed, 0, epoch]
+        if paired:
+            batches = [
+                (internal[i], external[e])
+                for i, e in balance_pair_stream(len(internal), len(external), config.batch_size, shuffle_seed)
+            ]
+        else:
+            order = np.random.default_rng(shuffle_seed).permutation(len(features))
+            batches = [
+                (features[order[s : s + config.batch_size]], None)
+                for s in range(0, len(order), config.batch_size)
+            ]
+        for x, x_ext in batches:
+            x_all = x if x_ext is None else np.concatenate([x, x_ext])
+            zt, _ = forward(teacher.model, x_all)
+            zs, cache = forward(student, x_all)
+            if paired:
+                zp, _ = forward(prev_student, x_ext)
+                res = se2d_loss(zs, zt, zs[len(x) :], zp, t)
+                loss, dlogits = res.loss, res.dlogits_all
+                dlogits[len(x) :] += res.dlogits_ext
+            elif method.method == "ls":
+                res = ls_kd_loss(zs, zt, t)
+                loss, dlogits = res.loss, res.dlogits
+            elif method.method == "dkd":
+                res = dkd_loss(zs, zt, t, method.dkd_alpha, method.dkd_beta)
+                loss, dlogits = res.loss, res.dlogits
+            elif method.method == "mds":
+                keep = mds_filter(zt, method.mds_low_q, method.mds_high_q, t)
+                res = kl_kd_loss(zs[keep], zt[keep], t)
+                loss, dlogits = res.loss, np.zeros_like(zs)
+                dlogits[keep] = res.dlogits
+            elif prev_student is not None and method.method == "self_distill":
+                res = self_distill_loss(zs, zt, forward(prev_student, x_all)[0], t)
+                loss, dlogits = res.loss, res.dlogits
+            else:
+                res = kl_kd_loss(zs, zt, t)
+                loss, dlogits = res.loss, res.dlogits
+            student, opt = optimizer_step(student, backward(student, cache, dlogits), opt)
+            losses.append(loss)
+    return student, losses
 
 
 @pytest.fixture(scope="module")
@@ -172,26 +245,56 @@ class TestDistillTask:
                 MethodConfig("kl"), tiny_config,
             )
 
-    def test_cached_teacher_logits_equivalent(self, tiny_scenario, tiny_config, tiny_teachers):
-        cached_cfg = RunConfig(
-            epochs=2,
-            batch_size=16,
-            learning_rate=0.01,
-            temperature=3.0,
-            teacher_hidden=(16, 16),
-            student_hidden=(16, 16),
-            cache_teacher_logits=True,
+    @pytest.mark.parametrize("method", METHODS)
+    def test_frozen_targets_match_per_batch_forwards(
+        self, method, tiny_scenario, tiny_config, tiny_teachers
+    ):
+        cfg = RunConfig(**{**tiny_config.__dict__, "epochs": 2})
+        prev = new_student(6, 3, cfg, seed=5)
+        mc = MethodConfig(method, temperature=3.0)
+        ref, ref_losses = per_batch_distill(
+            new_student(6, 3, cfg, seed=6), tiny_teachers[0], tiny_scenario.distill_set,
+            mc, cfg, seed=6, prev_student=prev,
         )
-        outs = []
-        for cfg in (tiny_config, cached_cfg):
-            student = new_student(6, 3, cfg, seed=6)
-            cfg2 = RunConfig(**{**cfg.__dict__, "epochs": 2})
-            student, log = distill_task(
-                student, tiny_teachers[0], tiny_scenario.distill_set,
-                MethodConfig("kl", temperature=3.0), cfg2, task_index=0, seed=6,
-            )
-            outs.append((student, log.epoch_losses))
-        assert np.allclose(outs[0][1], outs[1][1], atol=1e-9)
+        got, log = distill_task(
+            new_student(6, 3, cfg, seed=6), tiny_teachers[0], tiny_scenario.distill_set,
+            mc, cfg, task_index=0, seed=6, prev_student=prev,
+        )
+        # Gathering precomputed rows replaces a forward pass over a batch; the
+        # row arithmetic is the same, so only the matrix product's blocking
+        # could move the last bits.
+        ref_epochs = np.reshape(ref_losses, (cfg.epochs, -1)).mean(axis=1)
+        assert np.allclose(log.epoch_losses, ref_epochs, rtol=1e-12, atol=1e-12)
+        for a, b in zip(got.layers, ref.layers):
+            assert np.allclose(a.weight, b.weight, rtol=1e-9, atol=1e-12)
+            assert np.allclose(a.bias, b.bias, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_frozen_models_forwarded_once_per_task(
+        self, method, epochs, monkeypatch, tiny_scenario, tiny_config, tiny_teachers
+    ):
+        cfg = RunConfig(**{**tiny_config.__dict__, "epochs": epochs})
+        teacher = tiny_teachers[0]
+        prev = new_student(6, 3, cfg, seed=2)
+        calls = {id(teacher.model): 0, id(prev): 0}
+
+        def counting_forward(model, batch):
+            if id(model) in calls:
+                calls[id(model)] += 1
+            return forward(model, batch)
+
+        monkeypatch.setattr(engine, "forward", counting_forward)
+        distill_task(
+            new_student(6, 3, cfg, seed=2), teacher, tiny_scenario.distill_set,
+            MethodConfig(method, temperature=3.0), cfg, prev_student=prev,
+        )
+        distill_set = tiny_scenario.distill_set
+        n_ext = int(distill_set.external_mask.sum())
+        assert 0 < n_ext < len(distill_set)  # se2d takes the paired path
+        prev_rows = {"self_distill": len(distill_set), "se2d": n_ext}.get(method, 0)
+        assert calls[id(teacher.model)] == math.ceil(len(distill_set) / cfg.batch_size)
+        assert calls[id(prev)] == math.ceil(prev_rows / cfg.batch_size)
 
     def test_per_epoch_evaluation_trace(self, tiny_scenario, tiny_teachers):
         cfg = RunConfig(
