@@ -21,7 +21,6 @@ from .domains import (
     CsvSchema,
     DistillSet,
     DomainDataset,
-    LabeledSample,
     LabeledSet,
     ScenarioSpec,
     balance_pair_stream,

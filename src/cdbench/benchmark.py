@@ -51,13 +51,15 @@ def benchmark_teacher_datasets(spec: ScenarioSpec, teacher_index: int) -> list[D
     ]
 
 
+def train_benchmark_teacher(spec: ScenarioSpec, config: RunConfig, t: int) -> TeacherModel:
+    """Teacher t of the scenario; its seed derives from the scenario seed."""
+    return train_teacher(
+        benchmark_teacher_datasets(spec, t),
+        config,
+        seed=spec.seed * 1000 + t,
+        n_classes=spec.n_classes,
+    )
+
+
 def train_benchmark_teachers(spec: ScenarioSpec, config: RunConfig) -> list[TeacherModel]:
-    return [
-        train_teacher(
-            benchmark_teacher_datasets(spec, t),
-            config,
-            seed=spec.seed * 1000 + t,
-            n_classes=spec.n_classes,
-        )
-        for t in range(spec.n_teachers)
-    ]
+    return [train_benchmark_teacher(spec, config, t) for t in range(spec.n_teachers)]

@@ -21,13 +21,15 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from itertools import product
 from pathlib import Path
-from typing import Iterator
+from types import UnionType
+from typing import Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .benchmark import benchmark_teacher_datasets
+from .benchmark import train_benchmark_teacher
 from .distill import METHODS, MethodConfig, batch_entropy
 from .domains import DistillSet, ScenarioSpec, build_scenario, generate_domain, write_domain_csv
 from .engine import (
@@ -38,10 +40,9 @@ from .engine import (
     new_student,
     run_sequence,
     save_checkpoint,
-    train_teacher,
 )
 from .errors import ConfigError, FormatError, InvalidArgumentError
-from .metrics import AccuracyMatrix, average_forgetting, entropy_histogram, forgetting
+from .metrics import AccuracyMatrix, average_forgetting, entropy_histogram, forgetting, ukt_gain
 from .nn_core import forward, softmax_t
 
 SCHEMA_VERSION = 1
@@ -49,65 +50,31 @@ THREAD_CAP_ENV = "CD_BENCH_THREADS"
 BLAS_THREAD_ENVS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 RESULT_COLUMNS = ("seed", "method", "task", "teacher", "domain", "accuracy", "elapsed_seconds")
+SWEEP_COLUMNS = ("ed_ratio",) + RESULT_COLUMNS
+# Parsers of the results.csv and sweep.csv columns that are not integers.
+_CSV_TYPES = {"ed_ratio": float, "method": str, "accuracy": float, "elapsed_seconds": float}
 
-_SCENARIO_KEYS = {
-    "classes": int,
-    "feature_dim": int,
-    "n_domains": int,
-    "shared_domains": list,
-    "teacher_exclusive_domains": list,
-    "external_domains": list,
-    "ed_ratio": (int, float),
-    "samples_per_class": int,
-    "seed": int,
-    "external_relation": str,
-}
-_RUN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "optimizer": str,
-    "learning_rate": (int, float),
-    "temperature": (int, float),
-    "seeds": list,
-    "eval_every_epoch": bool,
-    "teacher_epochs": int,
-    "teacher_learning_rate": (int, float, type(None)),
-    "teacher_hidden": list,
-    "student_hidden": list,
-    "teacher_accuracy_floor": (int, float),
-    "dkd_alpha": (int, float),
-    "dkd_beta": (int, float),
-    "mds_low_q": (int, float),
-    "mds_high_q": (int, float),
-}
-_RUN_DEFAULTS = {
-    "epochs": 3,
-    "batch_size": 64,
-    "optimizer": "adam",
-    "learning_rate": 1e-4,
-    "temperature": 10.0,
-    "seeds": [1, 2, 3],
-    "eval_every_epoch": False,
-    "teacher_epochs": 50,
-    "teacher_learning_rate": None,
-    "teacher_hidden": [32, 32],
-    "student_hidden": [32, 32],
-    "teacher_accuracy_floor": 0.9,
-    "dkd_alpha": 1.0,
-    "dkd_beta": 8.0,
-    "mds_low_q": 0.25,
-    "mds_high_q": 0.75,
-}
-_SCENARIO_DEFAULTS = {"external_relation": "related", "ed_ratio": 0.0}
-_TOP_KEYS = {
-    "schema_version",
-    "scenario",
-    "methods",
-    "run",
-    "output_dir",
-    "sweep_ratios",
-    "external_entropy_max",
-}
+_REQUIRED_KEYS = ("schema_version", "scenario", "methods", "run", "output_dir")
+_OPTIONAL_KEYS = ("sweep_ratios", "external_entropy_max")
+# Config sections are the fields of these dataclasses, under the same names
+# except for this one rename. The `run` section also takes the method
+# hyperparameters; its temperature is RunConfig's.
+_JSON_NAMES = {"n_classes": "classes"}
+
+
+def _schema(cls, exclude: tuple[str, ...] = ()) -> dict[str, tuple[str, object, bool]]:
+    """JSON key -> (field name, field type, required) for a dataclass's fields."""
+    hints = get_type_hints(cls)
+    return {
+        _JSON_NAMES.get(f.name, f.name): (f.name, hints[f.name], f.default is MISSING)
+        for f in fields(cls)
+        if f.name not in exclude
+    }
+
+
+_SCENARIO_SCHEMA = _schema(ScenarioSpec)
+_RUN_SCHEMA = _schema(RunConfig)
+_METHOD_SCHEMA = _schema(MethodConfig, exclude=("method", "temperature"))
 
 
 class UsageError(ConfigError):
@@ -125,13 +92,68 @@ class ExperimentConfig:
     external_entropy_max: float | None = None  # optional ED pre-filter by teacher entropy
 
 
-def _check_keys(section: dict, allowed: dict, where: str) -> None:
-    for key in section:
-        if key not in allowed:
+def _coerce(value, kind, where: str):
+    """Check a JSON value against a field type and convert it.
+
+    Lists become tuples and integers pass for floats; booleans pass only
+    for booleans.
+    """
+    if get_origin(kind) is tuple and isinstance(value, list):
+        return tuple(_coerce(v, get_args(kind)[0], where) for v in value)
+    if get_origin(kind) is UnionType:  # `float | None`
+        return None if value is None else _coerce(value, get_args(kind)[0], where)
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is kind:
+        return value
+    raise ConfigError(f"field {where} has the wrong type")
+
+
+def _parse_section(doc, where: str, schema: dict) -> dict:
+    """Constructor keywords from one config object; absent optional fields keep their defaults."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"field {where} must be an object")
+    for key in doc:
+        if key not in schema:
             raise ConfigError(f"unknown field {where}.{key}")
-    for key, kinds in allowed.items():
-        if key in section and not isinstance(section[key], kinds):
-            raise ConfigError(f"field {where}.{key} has the wrong type")
+    kwargs = {}
+    for key, (name, kind, required) in schema.items():
+        if key in doc:
+            kwargs[name] = _coerce(doc[key], kind, f"{where}.{key}")
+        elif required:
+            raise ConfigError(f"missing required field {where}.{key}")
+    return kwargs
+
+
+def _scenario_from_json(doc, where: str = "scenario") -> ScenarioSpec:
+    spec = ScenarioSpec(**_parse_section(doc, where, _SCENARIO_SCHEMA))
+    try:
+        spec.validate()
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid scenario: {exc}") from None
+    return spec
+
+
+def _scenario_to_json(spec: ScenarioSpec) -> dict:
+    return {_JSON_NAMES.get(k, k): v for k, v in asdict(spec).items()}
+
+
+def _ratio_tag(ratio: float) -> str:
+    return f"{ratio:.4f}".rstrip("0").rstrip(".").replace(".", "_") or "0"
+
+
+def _check_ratios(ratios: tuple[float, ...] | None) -> None:
+    """Sweep ratios must lie in [0, 1) and name distinct ratio_<tag> directories."""
+    if not ratios:
+        raise ConfigError("sweep needs at least one ratio: set sweep_ratios or pass --ratio")
+    tags: set[str] = set()
+    for r in ratios:
+        if not (0.0 <= r < 1.0):
+            raise ConfigError(f"sweep ratio {r!r} must lie in [0, 1)")
+        tag = _ratio_tag(r)
+        if tag in tags:
+            raise ConfigError(f"sweep ratio {r!r} repeats an earlier ratio's directory ratio_{tag}")
+        tags.add(tag)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -139,40 +161,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
     for key in raw:
-        if key not in _TOP_KEYS:
+        if key not in _REQUIRED_KEYS + _OPTIONAL_KEYS:
             raise ConfigError(f"unknown field {key}")
-    for key in ("schema_version", "scenario", "methods", "run", "output_dir"):
+    for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ConfigError(f"missing required field {key}")
-    if raw["schema_version"] != SCHEMA_VERSION:
+    if _coerce(raw["schema_version"], int, "schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version {raw['schema_version']!r} unsupported (expected {SCHEMA_VERSION})"
         )
-
-    if not isinstance(raw["scenario"], dict):
-        raise ConfigError("field scenario must be an object")
-    _check_keys(raw["scenario"], _SCENARIO_KEYS, "scenario")
-    scn = dict(_SCENARIO_DEFAULTS)
-    scn.update(raw["scenario"])
-    for key in _SCENARIO_KEYS:
-        if key not in scn:
-            raise ConfigError(f"missing required field scenario.{key}")
-    try:
-        spec = ScenarioSpec(
-            n_classes=scn["classes"],
-            feature_dim=scn["feature_dim"],
-            n_domains=scn["n_domains"],
-            shared_domains=tuple(scn["shared_domains"]),
-            teacher_exclusive_domains=tuple(tuple(x) for x in scn["teacher_exclusive_domains"]),
-            external_domains=tuple(scn["external_domains"]),
-            ed_ratio=float(scn["ed_ratio"]),
-            samples_per_class=scn["samples_per_class"],
-            seed=scn["seed"],
-            external_relation=scn["external_relation"],
-        )
-        spec.validate()
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from None
+    spec = _scenario_from_json(raw["scenario"])
 
     methods = raw["methods"]
     if not isinstance(methods, list) or not methods:
@@ -181,36 +179,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; valid methods: {', '.join(METHODS)}")
 
-    run_raw = dict(_RUN_DEFAULTS)
-    if not isinstance(raw["run"], dict):
-        raise ConfigError("field run must be an object")
-    _check_keys(raw["run"], _RUN_KEYS, "run")
-    run_raw.update(raw["run"])
+    run_kwargs = _parse_section(raw["run"], "run", {**_RUN_SCHEMA, **_METHOD_SCHEMA})
+    extras = {k: run_kwargs.pop(k) for k in _METHOD_SCHEMA if k in run_kwargs}
     try:
-        for key in ("seeds", "teacher_hidden", "student_hidden"):
-            if not all(isinstance(v, int) and not isinstance(v, bool) for v in run_raw[key]):
-                raise ConfigError(f"field run.{key} must contain integers")
-        run = RunConfig(
-            epochs=run_raw["epochs"],
-            batch_size=run_raw["batch_size"],
-            optimizer=run_raw["optimizer"],
-            learning_rate=float(run_raw["learning_rate"]),
-            temperature=float(run_raw["temperature"]),
-            seeds=tuple(int(s) for s in run_raw["seeds"]),
-            eval_every_epoch=run_raw["eval_every_epoch"],
-            teacher_epochs=run_raw["teacher_epochs"],
-            teacher_learning_rate=(
-                None
-                if run_raw["teacher_learning_rate"] is None
-                else float(run_raw["teacher_learning_rate"])
-            ),
-            teacher_hidden=tuple(int(x) for x in run_raw["teacher_hidden"]),
-            student_hidden=tuple(int(x) for x in run_raw["student_hidden"]),
-            teacher_accuracy_floor=float(run_raw["teacher_accuracy_floor"]),
-        )
-        extras = {
-            k: float(run_raw[k]) for k in ("dkd_alpha", "dkd_beta", "mds_low_q", "mds_high_q")
-        }
+        run = RunConfig(**run_kwargs)
         # Validate the method hyperparameters once up front.
         for m in methods:
             MethodConfig(m, temperature=run.temperature, **extras)
@@ -219,20 +191,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     ratios = raw.get("sweep_ratios")
     if ratios is not None:
-        if not isinstance(ratios, list):
-            raise ConfigError("field sweep_ratios must be a list")
-        if not ratios:
-            raise ConfigError("field sweep_ratios must not be empty")
-        for r in ratios:
-            if not isinstance(r, (int, float)) or not (0.0 <= float(r) < 1.0):
-                raise ConfigError(f"sweep ratio {r!r} must lie in [0, 1)")
-        ratios = tuple(float(r) for r in ratios)
+        ratios = _coerce(ratios, tuple[float, ...], "sweep_ratios")
+        _check_ratios(ratios)
 
-    ent_max = raw.get("external_entropy_max")
-    if ent_max is not None:
-        if not isinstance(ent_max, (int, float)) or ent_max <= 0:
-            raise ConfigError("field external_entropy_max must be a positive number")
-        ent_max = float(ent_max)
+    ent_max = _coerce(raw.get("external_entropy_max"), float | None, "external_entropy_max")
+    if ent_max is not None and ent_max <= 0:
+        raise ConfigError("field external_entropy_max must be a positive number")
 
     out = raw["output_dir"]
     if not isinstance(out, str) or not out:
@@ -263,34 +227,12 @@ def _write_json(path: Path, payload) -> None:
     _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _spec_to_json(spec: ScenarioSpec) -> dict:
-    return {
-        "classes": spec.n_classes,
-        "feature_dim": spec.feature_dim,
-        "n_domains": spec.n_domains,
-        "shared_domains": list(spec.shared_domains),
-        "teacher_exclusive_domains": [list(x) for x in spec.teacher_exclusive_domains],
-        "external_domains": list(spec.external_domains),
-        "ed_ratio": spec.ed_ratio,
-        "samples_per_class": spec.samples_per_class,
-        "seed": spec.seed,
-        "external_relation": spec.external_relation,
-    }
-
-
-def _spec_from_json(doc: dict) -> ScenarioSpec:
-    return ScenarioSpec(
-        n_classes=doc["classes"],
-        feature_dim=doc["feature_dim"],
-        n_domains=doc["n_domains"],
-        shared_domains=tuple(doc["shared_domains"]),
-        teacher_exclusive_domains=tuple(tuple(x) for x in doc["teacher_exclusive_domains"]),
-        external_domains=tuple(doc["external_domains"]),
-        ed_ratio=doc["ed_ratio"],
-        samples_per_class=doc["samples_per_class"],
-        seed=doc["seed"],
-        external_relation=doc["external_relation"],
-    )
+def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue().encode())
 
 
 def cmd_gen(config: ExperimentConfig) -> Path:
@@ -313,7 +255,7 @@ def cmd_gen(config: ExperimentConfig) -> Path:
     scenario = build_scenario(spec)
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "scenario": _spec_to_json(spec),
+        "scenario": _scenario_to_json(spec),
         "domains": domains_meta,
         "distill": {
             "size": len(scenario.distill_set),
@@ -325,14 +267,17 @@ def cmd_gen(config: ExperimentConfig) -> Path:
     return out / "manifest.json"
 
 
-def _require_manifest(config: ExperimentConfig) -> dict:
-    path = config.output_dir / "manifest.json"
+def _manifest_scenario(results_dir: Path) -> ScenarioSpec:
+    path = results_dir / "manifest.json"
     if not path.exists():
         raise UsageError(f"no scenario found at {path}; run `cdbench gen` first")
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    if manifest.get("scenario") != _spec_to_json(config.scenario):
+    return _scenario_from_json(manifest.get("scenario"), "manifest.scenario")
+
+
+def _require_manifest(config: ExperimentConfig) -> None:
+    if _manifest_scenario(config.output_dir) != config.scenario:
         raise ConfigError("config scenario differs from the generated manifest; rerun `gen`")
-    return manifest
 
 
 def _teacher_paths(config: ExperimentConfig) -> list[Path]:
@@ -345,17 +290,12 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     _require_manifest(config)
     spec = config.scenario
     scenario = build_scenario(spec)
-    ckpt_dir = config.output_dir / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    (config.output_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     report = {"schema_version": SCHEMA_VERSION, "floor": config.run.teacher_accuracy_floor, "teachers": []}
     for t, path in enumerate(_teacher_paths(config)):
+        # Trained one by one, not with train_benchmark_teachers, to hold one teacher at a time.
+        teacher = train_benchmark_teacher(spec, config.run, t)
         domain_ids = spec.teacher_domain_ids(t)
-        teacher = train_teacher(
-            benchmark_teacher_datasets(spec, t),
-            config.run,
-            seed=spec.seed * 1000 + t,
-            n_classes=spec.n_classes,
-        )
         save_checkpoint(teacher.model, path)
         accs = {str(d): evaluate(teacher.model, ts) for d, ts in sorted(scenario.test_sets.items())}
         in_domain = min(accs[str(d)] for d in domain_ids)
@@ -399,10 +339,9 @@ def _filter_external_by_entropy(scenario, teachers, threshold: float):
     return replace(scenario, distill_set=filtered)
 
 
-def _run_cell(args: tuple) -> tuple[str, int, list[tuple], list[tuple]]:
+def _run_cell(args: tuple) -> tuple[list[dict], list[tuple]]:
     """One (method, seed) grid cell; executed possibly in a worker process."""
-    spec_doc, method_name, extras, run, seed, teacher_payloads, entropy_max = args
-    spec = _spec_from_json(spec_doc)
+    spec, method_name, extras, run, seed, teacher_payloads, entropy_max = args
     scenario = build_scenario(spec)
     teachers = [
         TeacherModel(deserialize_model(p), frozenset(spec.teacher_domain_ids(t)))
@@ -412,20 +351,21 @@ def _run_cell(args: tuple) -> tuple[str, int, list[tuple], list[tuple]]:
         scenario = _filter_external_by_entropy(scenario, teachers, entropy_max)
     method = MethodConfig(method_name, temperature=run.temperature, **extras)
     student = new_student(spec.feature_dim, spec.n_classes, run, seed)
-    rows: list[tuple] = []
+    rows: list[dict] = []
     curve_rows: list[tuple] = []
     t0 = time.perf_counter()
     logs = run_sequence(student, iter(teachers), scenario, method, run, seed=seed)
     elapsed_total = time.perf_counter() - t0
     per_task = elapsed_total / max(1, len(logs))
     for log in logs:
+        t = log.task_index
         for d, acc in sorted(log.accuracies.items()):
-            rows.append((seed, method_name, log.task_index, log.teacher_id, d, acc, per_task))
+            rows.append(dict(zip(RESULT_COLUMNS, (seed, method_name, t, t, d, acc, per_task))))
         if log.epoch_accuracies is not None:
             for e, accs in enumerate(log.epoch_accuracies):
                 for d, acc in sorted(accs.items()):
-                    curve_rows.append((method_name, seed, log.task_index, e, d, acc))
-    return method_name, seed, rows, curve_rows
+                    curve_rows.append((method_name, seed, t, e, d, acc))
+    return rows, curve_rows
 
 
 def _max_jobs(requested: int) -> int:
@@ -455,42 +395,20 @@ def _single_threaded_blas() -> Iterator[None]:
             os.environ.pop(name, None)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def run_grid(
+    spec: ScenarioSpec, teacher_payloads: list[bytes], config: ExperimentConfig, jobs: int = 1
+) -> tuple[list[dict], list[tuple]]:
+    """Run config's method x seed grid on `spec` in memory.
 
-
-def _write_results_csv(path: Path, rows: list[tuple]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for seed, method, task, teacher, domain, acc, elapsed in rows:
-        writer.writerow(
-            [seed, method, task, teacher, domain, _format_float(acc), f"{elapsed:.6f}"]
-        )
-    _atomic_write(path, buf.getvalue().encode())
-
-
-def cmd_run(config: ExperimentConfig, jobs: int = 1) -> Path:
-    """Execute the full method x seed grid and write results + summary."""
-    _require_manifest(config)
-    teacher_payloads = _load_teachers(config)
-    out = config.output_dir
+    Returns the result rows, keyed by RESULT_COLUMNS and sorted by method,
+    seed, task and domain, and the sorted per-epoch curve rows.
+    """
     cells = [
-        (
-            _spec_to_json(config.scenario),
-            m,
-            config.run_extras,
-            config.run,
-            s,
-            teacher_payloads,
-            config.external_entropy_max,
-        )
+        (spec, m, config.run_extras, config.run, s, teacher_payloads, config.external_entropy_max)
         for m in config.methods
         for s in config.run.seeds
     ]
     jobs = _max_jobs(jobs)
-    results: list[tuple] = []
-    curves: list[tuple] = []
     if jobs > 1 and len(cells) > 1:
         # Grid cells already run in parallel, so each worker takes a
         # single-threaded BLAS; spawned workers import numpy afresh under it
@@ -498,296 +416,206 @@ def cmd_run(config: ExperimentConfig, jobs: int = 1) -> Path:
         with _single_threaded_blas(), ProcessPoolExecutor(
             max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
-            for _, _, rows, curve_rows in pool.map(_run_cell, cells):
-                results.extend(rows)
-                curves.extend(curve_rows)
+            done = list(pool.map(_run_cell, cells))
     else:
-        for cell in cells:
-            _, _, rows, curve_rows = _run_cell(cell)
-            results.extend(rows)
-            curves.extend(curve_rows)
-    results.sort(key=lambda r: (r[1], r[0], r[2], r[4]))
-    _write_results_csv(out / "results.csv", results)
+        done = [_run_cell(cell) for cell in cells]
+    rows = [r for cell_rows, _ in done for r in cell_rows]
+    rows.sort(key=lambda r: (r["method"], r["seed"], r["task"], r["domain"]))
+    curves = sorted(c for _, cell_curves in done for c in cell_curves)
+    return rows, curves
+
+
+def _write_results_csv(path: Path, rows: list[dict], columns=RESULT_COLUMNS) -> None:
+    """Write result rows; a float column prints as repr, elapsed_seconds to the microsecond."""
+    _write_csv(
+        path,
+        columns,
+        ([f"{r[c]:.6f}" if c == "elapsed_seconds" else r[c] for c in columns] for r in rows),
+    )
+
+
+def _write_grid(
+    out: Path, spec: ScenarioSpec, config: ExperimentConfig, rows: list[dict], curves: list[tuple]
+) -> Path:
+    """Write one grid's results.csv, optional per-epoch curves and summary.json."""
+    _write_results_csv(out / "results.csv", rows)
     if curves:
-        curves.sort()
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["method", "seed", "task", "epoch", "domain", "accuracy"])
-        for row in curves:
-            writer.writerow([*row[:5], _format_float(row[5])])
-        _atomic_write(out / "curves" / "epoch_accuracy.csv", buf.getvalue().encode())
-    summary = _summarize(config, results)
-    _write_json(out / "summary.json", summary)
+        _write_csv(
+            out / "curves" / "epoch_accuracy.csv",
+            ("method", "seed", "task", "epoch", "domain", "accuracy"),
+            curves,
+        )
+    _write_json(out / "summary.json", _summarize(spec, config, rows))
     return out / "summary.json"
 
 
-def _summarize(config: ExperimentConfig, rows: list[tuple]) -> dict:
-    spec = config.scenario
-    known = sorted(set().union(*(spec.teacher_domain_ids(t) for t in range(spec.n_teachers))))
+def cmd_run(config: ExperimentConfig, jobs: int = 1) -> Path:
+    """Execute the full method x seed grid and write results + summary."""
+    _require_manifest(config)
+    rows, curves = run_grid(config.scenario, _load_teachers(config), config, jobs)
+    return _write_grid(config.output_dir, config.scenario, config, rows, curves)
+
+
+def _accuracy_matrices(rows: list[dict], where: str) -> dict[tuple[str, int], AccuracyMatrix]:
+    """(method, seed) -> AccuracyMatrix over every domain and task in the rows.
+
+    The rows must hold every method x seed x task x domain combination.
+    """
+    acc = {(r["method"], r["seed"], r["task"], r["domain"]): r["accuracy"] for r in rows}
+    methods, seeds, tasks, domains = (sorted({key[i] for key in acc}) for i in range(4))
+    matrices = {}
+    for method in methods:
+        for seed in seeds:
+            values = np.empty((len(domains), max(tasks) + 1))
+            for (i, d), t in product(enumerate(domains), range(values.shape[1])):
+                if (method, seed, t, d) not in acc:
+                    raise FormatError(
+                        f"{where}: no result for method {method}, seed {seed}, task {t}, domain {d}"
+                    )
+                values[i, t] = acc[method, seed, t, d]
+            matrices[method, seed] = AccuracyMatrix(tuple(domains), values)
+    return matrices
+
+
+def _mean_std(values: list[float]) -> dict:
+    return {"mean": float(np.mean(values)), "std": float(np.std(values))}
+
+
+def _seed_mean(per_seed: list[dict[int, float]]) -> dict[str, float]:
+    """Per-domain mean over seeds."""
+    return {str(d): float(np.mean([v[d] for v in per_seed])) for d in per_seed[0]}
+
+
+def _summarize(spec: ScenarioSpec, config: ExperimentConfig, rows: list[dict]) -> dict:
+    known = spec.teacher_known_domains
+    matrices = _accuracy_matrices(rows, "grid")
+    n_tasks = max(r["task"] for r in rows) + 1
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
         "ed_ratio": spec.ed_ratio,
         "seeds": list(config.run.seeds),
-        "teacher_known_domains": known,
+        "teacher_known_domains": list(known),
+        "n_tasks": n_tasks,
         "methods": {},
     }
-    by_method_seed: dict[tuple[str, int], dict[int, dict[int, float]]] = {}
-    n_tasks = 0
-    for seed, method, task, _, domain, acc, _ in rows:
-        by_method_seed.setdefault((method, seed), {}).setdefault(task, {})[domain] = acc
-        n_tasks = max(n_tasks, task + 1)
-    summary["n_tasks"] = n_tasks
     for method in config.methods:
-        finals: dict[int, list[float]] = {}
-        fgts: list[float] = []
-        known_means: list[float] = []
-        for seed in config.run.seeds:
-            tasks = by_method_seed[(method, seed)]
-            final = tasks[n_tasks - 1]
-            for d, acc in final.items():
-                finals.setdefault(d, []).append(acc)
-            known_means.append(float(np.mean([final[d] for d in known])))
-            if n_tasks >= 2:
-                values = np.array(
-                    [[tasks[t][d] for t in range(n_tasks)] for d in sorted(final)]
-                )
-                fgts.append(
-                    average_forgetting(
-                        AccuracyMatrix(tuple(sorted(final)), values), domains=tuple(known)
-                    )
-                )
-
-        def agg(vals: list[float]) -> dict:
-            return {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-
+        runs = [matrices[method, seed] for seed in config.run.seeds]
         summary["methods"][method] = {
-            "final_accuracy": {str(d): agg(v) for d, v in sorted(finals.items())},
-            "mean_final_accuracy_known": agg(known_means),
-            "average_forgetting": agg(fgts) if fgts else None,
+            "final_accuracy": {
+                str(d): _mean_std([m.final(d) for m in runs]) for d in runs[0].domain_ids
+            },
+            "mean_final_accuracy_known": _mean_std(
+                [float(np.mean([m.final(d) for d in known])) for m in runs]
+            ),
+            "average_forgetting": _mean_std(
+                [average_forgetting(m, domains=known) for m in runs]
+            )
+            if n_tasks >= 2
+            else None,
         }
     return summary
 
 
-def cmd_sweep(config: ExperimentConfig, ratios: tuple[float, ...], jobs: int = 1) -> Path:
+def cmd_sweep(config: ExperimentConfig, ratios: tuple[float, ...] | None, jobs: int = 1) -> Path:
     """Run the grid once per external-data ratio, sharing the teachers."""
-    if not ratios:
-        raise ConfigError("sweep needs at least one ratio")
+    _check_ratios(ratios)
     _require_manifest(config)
-    _load_teachers(config)
+    teacher_payloads = _load_teachers(config)
     out = config.output_dir
-    merged: list[tuple] = []
+    swept: list[dict] = []
     for ratio in ratios:
-        sub = ExperimentConfig(
-            scenario=ScenarioSpec(
-                **{**_spec_json_kwargs(config.scenario), "ed_ratio": float(ratio)}
-            ),
-            methods=config.methods,
-            run=config.run,
-            run_extras=config.run_extras,
-            output_dir=out / f"ratio_{_ratio_tag(ratio)}",
-            sweep_ratios=None,
-            external_entropy_max=config.external_entropy_max,
-        )
-        sub.output_dir.mkdir(parents=True, exist_ok=True)
-        # Reuse the parent's scenario manifest and teachers for every block.
-        _write_json(
-            sub.output_dir / "manifest.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "scenario": _spec_to_json(sub.scenario),
-                "domains": [],
-                "distill": {},
-            },
-        )
-        (sub.output_dir / "checkpoints").mkdir(exist_ok=True)
-        for src, dst in zip(_teacher_paths(config), _teacher_paths(sub)):
-            dst.write_bytes(src.read_bytes())
-        cmd_run(sub, jobs=jobs)
-        with open(sub.output_dir / "results.csv", newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                merged.append(
-                    (
-                        _format_float(ratio),
-                        row["seed"],
-                        row["method"],
-                        row["task"],
-                        row["teacher"],
-                        row["domain"],
-                        row["accuracy"],
-                        row["elapsed_seconds"],
-                    )
-                )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("ed_ratio",) + RESULT_COLUMNS)
-    for row in merged:
-        writer.writerow(row)
-    _atomic_write(out / "sweep.csv", buf.getvalue().encode())
+        spec = replace(config.scenario, ed_ratio=float(ratio))
+        rows, curves = run_grid(spec, teacher_payloads, config, jobs)
+        _write_grid(out / f"ratio_{_ratio_tag(ratio)}", spec, config, rows, curves)
+        swept.extend({"ed_ratio": spec.ed_ratio, **r} for r in rows)
+    _write_results_csv(out / "sweep.csv", swept, SWEEP_COLUMNS)
     return out / "sweep.csv"
 
 
-def _ratio_tag(ratio: float) -> str:
-    return f"{ratio:.4f}".rstrip("0").rstrip(".").replace(".", "_") or "0"
-
-
-def _spec_json_kwargs(spec: ScenarioSpec) -> dict:
-    return {
-        "n_classes": spec.n_classes,
-        "feature_dim": spec.feature_dim,
-        "n_domains": spec.n_domains,
-        "shared_domains": spec.shared_domains,
-        "teacher_exclusive_domains": spec.teacher_exclusive_domains,
-        "external_domains": spec.external_domains,
-        "ed_ratio": spec.ed_ratio,
-        "samples_per_class": spec.samples_per_class,
-        "seed": spec.seed,
-        "external_relation": spec.external_relation,
-    }
-
-
-def read_results_csv(path: Path) -> list[dict]:
-    """Parse a results CSV, reporting the offending line on failure."""
+def read_results_csv(path: Path, columns: tuple[str, ...] = RESULT_COLUMNS) -> list[dict]:
+    """Parse results.csv, or sweep.csv with SWEEP_COLUMNS, reporting the offending line."""
     if not path.exists():
         raise UsageError(f"no results at {path}")
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in RESULT_COLUMNS if c not in (reader.fieldnames or [])]
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
         if missing:
             raise FormatError(f"{path}: missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
-                rows.append(
-                    {
-                        "seed": int(row["seed"]),
-                        "method": row["method"],
-                        "task": int(row["task"]),
-                        "teacher": int(row["teacher"]),
-                        "domain": int(row["domain"]),
-                        "accuracy": float(row["accuracy"]),
-                        "elapsed_seconds": float(row["elapsed_seconds"]),
-                    }
-                )
-            except (KeyError, ValueError) as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+                rows.append({c: _CSV_TYPES.get(c, int)(row[c]) for c in columns})
+            except (TypeError, ValueError) as exc:  # TypeError: a short row
+                raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return rows
 
 
-def _matrices_from_rows(rows: list[dict]):
-    """(method, seed) -> AccuracyMatrix from flat result rows."""
-    grouped: dict[tuple[str, int], dict[int, dict[int, float]]] = {}
-    for r in rows:
-        grouped.setdefault((r["method"], r["seed"]), {}).setdefault(r["task"], {})[
-            r["domain"]
-        ] = r["accuracy"]
-    out = {}
-    for key, tasks in grouped.items():
-        n_tasks = max(tasks) + 1
-        domains = tuple(sorted(tasks[0]))
-        values = np.array([[tasks[t][d] for t in range(n_tasks)] for d in domains])
-        out[key] = AccuracyMatrix(domains, values)
-    return out
-
-
 def cmd_analyze(results_dir: Path) -> Path:
-    """Produce forgetting/transfer metrics and plot-data CSVs for a run directory."""
+    """Produce forgetting/transfer metrics and plot-data CSVs for a run or sweep directory."""
     results_dir = Path(results_dir)
-    manifest_path = results_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise UsageError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    spec = _spec_from_json(manifest["scenario"])
-
-    sweep_path = results_dir / "sweep.csv"
-    blocks: dict[float, list[dict]] = {}
-    if sweep_path.exists():
-        with open(sweep_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    ratio = float(row["ed_ratio"])
-                    blocks.setdefault(ratio, []).append(
-                        {
-                            "seed": int(row["seed"]),
-                            "method": row["method"],
-                            "task": int(row["task"]),
-                            "teacher": int(row["teacher"]),
-                            "domain": int(row["domain"]),
-                            "accuracy": float(row["accuracy"]),
-                        }
-                    )
-                except (KeyError, ValueError) as exc:
-                    raise FormatError(f"{sweep_path}: line {lineno}: {exc}") from None
+    spec = _manifest_scenario(results_dir)
+    path = results_dir / "sweep.csv"
+    if path.exists():
+        rows = read_results_csv(path, SWEEP_COLUMNS)
     else:
-        blocks[spec.ed_ratio] = read_results_csv(results_dir / "results.csv")
+        path = results_dir / "results.csv"
+        rows = [{"ed_ratio": spec.ed_ratio, **r} for r in read_results_csv(path)]
+    blocks: dict[float, list[dict]] = {}
+    for r in rows:
+        blocks.setdefault(r["ed_ratio"], []).append(r)
+    matrices = {
+        ratio: _accuracy_matrices(block, f"{path} at ed_ratio {ratio}")
+        for ratio, block in sorted(blocks.items())
+    }
 
-    known = sorted(set().union(*(set(spec.teacher_domain_ids(t)) for t in range(spec.n_teachers))))
-    unseen = sorted(set(known) - set(spec.shared_domains) - set(spec.external_domains))
+    known = spec.teacher_known_domains
+    unseen = tuple(sorted(set(known) - set(spec.shared_domains) - set(spec.external_domains)))
     metrics_doc: dict = {
         "schema_version": SCHEMA_VERSION,
-        "teacher_known_domains": known,
-        "unseen_domains": unseen,
+        "teacher_known_domains": list(known),
+        "unseen_domains": list(unseen),
         "forgetting": {},
         "ukt": {},
         "entropy": [],
     }
 
-    for ratio, rows in sorted(blocks.items()):
-        mats = _matrices_from_rows(rows)
-        block_doc: dict = {}
-        for (method, seed), mat in sorted(mats.items()):
-            if mat.n_tasks < 2:
-                continue
-            entry = block_doc.setdefault(method, {"per_domain": {}, "average": []})
-            for d in mat.domain_ids:
-                entry["per_domain"].setdefault(str(d), []).append(
-                    forgetting(mat, d, mat.n_tasks - 1)
-                )
-            entry["average"].append(average_forgetting(mat, domains=tuple(known)))
-        for method, entry in block_doc.items():
-            entry["per_domain"] = {
-                d: float(np.mean(v)) for d, v in sorted(entry["per_domain"].items())
+    base = matrices.get(0.0)
+    for ratio, mats in matrices.items():
+        with_base = base is not None and ratio != 0.0
+        runs: dict[str, list[AccuracyMatrix]] = {}
+        gains: dict[str, list[dict[int, float]]] = {}
+        for (method, seed), mat in mats.items():
+            if mat.n_tasks >= 2:
+                runs.setdefault(method, []).append(mat)
+            if with_base and (method, seed) in base:
+                gains.setdefault(method, []).append(ukt_gain(mat, base[method, seed], unseen))
+        metrics_doc["forgetting"][repr(ratio)] = {
+            method: {
+                "per_domain": _seed_mean(
+                    [{d: forgetting(m, d, m.n_tasks - 1) for d in m.domain_ids} for m in ms]
+                ),
+                "average": _mean_std([average_forgetting(m, domains=known) for m in ms]),
             }
-            entry["average"] = {
-                "mean": float(np.mean(entry["average"])),
-                "std": float(np.std(entry["average"])),
+            for method, ms in runs.items()
+        }
+        if with_base:
+            metrics_doc["ukt"][repr(ratio)] = {
+                method: {
+                    "per_domain": _seed_mean(g),
+                    "mean": float(np.mean([np.mean(list(x.values())) for x in g])),
+                }
+                for method, g in gains.items()
             }
-        metrics_doc["forgetting"][_format_float(ratio)] = block_doc
-
-    if len(blocks) > 1 and 0.0 in blocks:
-        base = _matrices_from_rows(blocks[0.0])
-        for ratio in sorted(blocks):
-            if ratio == 0.0:
-                continue
-            with_ed = _matrices_from_rows(blocks[ratio])
-            ukt_doc: dict = {}
-            for (method, seed), mat in sorted(with_ed.items()):
-                if (method, seed) not in base:
-                    continue
-                gains = {
-                    d: mat.final(d) - base[(method, seed)].final(d) for d in unseen
-                }
-                entry = ukt_doc.setdefault(method, {"per_domain": {}, "mean": []})
-                for d, g in gains.items():
-                    entry["per_domain"].setdefault(str(d), []).append(g)
-                entry["mean"].append(float(np.mean(list(gains.values()))))
-            for method, entry in ukt_doc.items():
-                entry["per_domain"] = {
-                    d: float(np.mean(v)) for d, v in sorted(entry["per_domain"].items())
-                }
-                entry["mean"] = float(np.mean(entry["mean"]))
-            metrics_doc["ukt"][_format_float(ratio)] = ukt_doc
 
     # Teacher entropy profiles over every domain's test split, when checkpoints exist.
     ckpt_dir = results_dir / "checkpoints"
     teacher_files = sorted(ckpt_dir.glob("teacher_*.ckpt")) if ckpt_dir.exists() else []
     if teacher_files:
         scenario = build_scenario(spec)
-        for t, path in enumerate(teacher_files):
-            model = deserialize_model(path.read_bytes())
+        for t, ckpt in enumerate(teacher_files):
+            model = deserialize_model(ckpt.read_bytes())
             for d, test in sorted(scenario.test_sets.items()):
                 profile = entropy_histogram(model, test.features, 1.0, bins=20)
                 metrics_doc["entropy"].append(
@@ -803,24 +631,12 @@ def cmd_analyze(results_dir: Path) -> Path:
                     }
                 )
 
-    curves_dir = results_dir / "curves"
-    curves_dir.mkdir(exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["ed_ratio", "method", "seed", "domain", "task", "accuracy"])
-    for ratio, rows in sorted(blocks.items()):
-        for r in sorted(rows, key=lambda x: (x["method"], x["seed"], x["domain"], x["task"])):
-            writer.writerow(
-                [
-                    _format_float(ratio),
-                    r["method"],
-                    r["seed"],
-                    r["domain"],
-                    r["task"],
-                    _format_float(r["accuracy"]),
-                ]
-            )
-    _atomic_write(curves_dir / "accuracy_curves.csv", buf.getvalue().encode())
+    curve_key = lambda r: (r["ed_ratio"], r["method"], r["seed"], r["domain"], r["task"])
+    _write_csv(
+        results_dir / "curves" / "accuracy_curves.csv",
+        ("ed_ratio", "method", "seed", "domain", "task", "accuracy"),
+        ([*curve_key(r), r["accuracy"]] for r in sorted(rows, key=curve_key)),
+    )
     _write_json(results_dir / "metrics.json", metrics_doc)
     return results_dir / "metrics.json"
 
@@ -880,11 +696,6 @@ def main(argv: list[str] | None = None) -> int:
                     ratios = tuple(float(r) for r in args.ratio.split(",") if r)
                 except ValueError:
                     raise ConfigError(f"--ratio must be a comma-separated list, got {args.ratio!r}")
-            if not ratios:
-                raise ConfigError("sweep requires sweep_ratios in the config or --ratio")
-            for r in ratios:
-                if not (0.0 <= r < 1.0):
-                    raise ConfigError(f"sweep ratio {r} must lie in [0, 1)")
             print(cmd_sweep(config, ratios, jobs=args.jobs))
         return 0
     except (UsageError,) as exc:

@@ -51,13 +51,6 @@ _TRANSFORM_TAG = 11
 _SAMPLES_TAG = 12
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    features: np.ndarray
-    label: int
-    domain: int
-
-
 class LabeledSet:
     """Column-oriented store for labeled samples from one or more domains."""
 
@@ -70,9 +63,6 @@ class LabeledSet:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(self.features[i], int(self.labels[i]), int(self.domains[i]))
 
     @staticmethod
     def concat(sets: list["LabeledSet"]) -> "LabeledSet":
@@ -124,9 +114,9 @@ class ScenarioSpec:
     shared_domains: tuple[int, ...]
     teacher_exclusive_domains: tuple[tuple[int, ...], ...]
     external_domains: tuple[int, ...]
-    ed_ratio: float
     samples_per_class: int
     seed: int
+    ed_ratio: float = 0.0
     external_relation: str = "related"
 
     def teacher_domain_ids(self, t: int) -> tuple[int, ...]:
@@ -135,6 +125,13 @@ class ScenarioSpec:
     @property
     def n_teachers(self) -> int:
         return len(self.teacher_exclusive_domains)
+
+    @property
+    def teacher_known_domains(self) -> tuple[int, ...]:
+        known: set[int] = set()
+        for t in range(self.n_teachers):
+            known |= set(self.teacher_domain_ids(t))
+        return tuple(sorted(known))
 
     def validate(self) -> None:
         if self.n_classes < 2 or self.feature_dim < 2 or self.n_domains < 1:
@@ -189,17 +186,10 @@ class CdScenario:
     test_sets: dict[int, LabeledSet]
 
     @property
-    def teacher_known_domains(self) -> tuple[int, ...]:
-        known: set[int] = set()
-        for t in range(self.spec.n_teachers):
-            known |= set(self.spec.teacher_domain_ids(t))
-        return tuple(sorted(known))
-
-    @property
     def unseen_domains(self) -> tuple[int, ...]:
         """Domains known to some teacher but absent from the distillation set."""
         present = set(np.unique(self.distill_set.domain_ids).tolist())
-        return tuple(sorted(set(self.teacher_known_domains) - present))
+        return tuple(sorted(set(self.spec.teacher_known_domains) - present))
 
 
 def _base_class_means(n_classes: int, feature_dim: int) -> Matrix:

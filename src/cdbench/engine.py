@@ -65,9 +65,6 @@ class RunConfig:
     batch_size: int = 64
     optimizer: str = "adam"
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     temperature: float = 10.0
     seeds: tuple[int, ...] = (1, 2, 3)
     eval_every_epoch: bool = False
@@ -105,7 +102,6 @@ class TeacherModel:
 @dataclass
 class TaskLog:
     task_index: int
-    teacher_id: int
     accuracies: dict[int, float]  # domain id -> accuracy after this task
     epoch_losses: list[float]
     epoch_accuracies: list[dict[int, float]] | None = None
@@ -199,9 +195,7 @@ def train_teacher(
         [train.features.shape[1], *config.teacher_hidden, n_classes],
     )
     lr = config.teacher_learning_rate or config.learning_rate
-    opt = make_optimizer(
-        model, config.optimizer, lr, config.adam_beta1, config.adam_beta2, config.adam_eps
-    )
+    opt = make_optimizer(model, config.optimizer, lr)
     rng = np.random.default_rng([_SEED_SHUFFLE, derive_seed(_SEED_TEACHER, seed)])
     for _ in range(config.teacher_epochs):
         order = rng.permutation(len(train))
@@ -332,14 +326,7 @@ def distill_task(
         else soft_targets(_frozen_logits(prev_student, prev_features, config.batch_size), t),
     )
 
-    opt = make_optimizer(
-        student,
-        config.optimizer,
-        config.learning_rate,
-        config.adam_beta1,
-        config.adam_beta2,
-        config.adam_eps,
-    )
+    opt = make_optimizer(student, config.optimizer, config.learning_rate)
     epoch_losses: list[float] = []
     epoch_accuracies: list[dict[int, float]] | None = [] if config.eval_every_epoch else None
     for epoch in range(config.epochs):
@@ -381,7 +368,7 @@ def distill_task(
     accuracies = (
         {d: evaluate(student, ts) for d, ts in sorted(test_sets.items())} if test_sets else {}
     )
-    log = TaskLog(task_index, task_index, accuracies, epoch_losses, epoch_accuracies)
+    log = TaskLog(task_index, accuracies, epoch_losses, epoch_accuracies)
     return student, log
 
 

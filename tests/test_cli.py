@@ -2,15 +2,21 @@ import argparse
 import csv
 import json
 import os
+from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdbench.cli import (
     BLAS_THREAD_ENVS,
+    RESULT_COLUMNS,
+    SWEEP_COLUMNS,
     ExperimentConfig,
     _apply_overrides,
     _atomic_write,
+    _check_ratios,
     _max_jobs,
     _single_threaded_blas,
     cmd_analyze,
@@ -24,7 +30,10 @@ from cdbench.cli import (
     read_results_csv,
 )
 from cdbench.domains import default_schema, load_csv_dataset
+from cdbench.engine import RunConfig
 from cdbench.errors import ConfigError, FormatError
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(out_dir, **overrides):
@@ -112,6 +121,53 @@ class TestConfigValidation:
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("run", "epochs", True),
+            ("run", "learning_rate", True),
+            ("run", "dkd_beta", False),
+            ("run", "seeds", [1, True]),
+            ("scenario", "ed_ratio", False),
+            ("scenario", "classes", True),
+            (None, "external_entropy_max", True),
+            (None, "sweep_ratios", [0.5, False]),
+            (None, "schema_version", True),
+        ],
+    )
+    def test_boolean_in_numeric_field_rejected(self, tmp_path, capsys, section, key, value):
+        doc = base_config(tmp_path / "out")
+        (doc if section is None else doc[section])[key] = value
+        assert main(["gen", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_omitted_fields_take_dataclass_defaults(self, tmp_path):
+        doc = base_config(tmp_path / "out")
+        del doc["scenario"]["ed_ratio"], doc["scenario"]["external_relation"]
+        doc["run"] = {}
+        config = parse_config(doc)
+        assert config.scenario.ed_ratio == 0.0
+        assert config.scenario.external_relation == "related"
+        assert config.run == RunConfig()
+        assert config.run_extras == {}
+
+    @pytest.mark.parametrize("ratios", [[0.5, 0.5], [0.12341, 0.12342]])
+    def test_repeated_sweep_ratio_rejected(self, tmp_path, ratios):
+        with pytest.raises(ConfigError, match="ratio_0_5|ratio_0_1234"):
+            parse_config(base_config(tmp_path, sweep_ratios=ratios))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_bundled_config_parses(path):
+    config = load_config(path)
+    if config.sweep_ratios is not None:
+        _check_ratios(config.sweep_ratios)
+
+
+def test_bundled_configs_present():
+    assert {p.name for p in CONFIG_DIR.glob("*.json")} >= {"benchmark.json", "quick.json"}
 
 
 class TestGen:
@@ -338,6 +394,21 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         ratios = sorted({r["ed_ratio"] for r in rows})
         assert ratios == ["0.0", "0.5"]
+        for block_dir in ("ratio_0", "ratio_0_5"):
+            written = {p.name for p in (tmp_path / "out" / block_dir).iterdir()}
+            assert written == {"results.csv", "summary.json"}
+
+        # the ratio-0.5 block must match a plain run of the config (ed_ratio 0.5)
+        cmd_run(config)
+        same = read_results_csv(tmp_path / "out" / "results.csv")
+        block = read_results_csv(tmp_path / "out" / "ratio_0_5" / "results.csv")
+        assert [r["accuracy"] for r in block] == [r["accuracy"] for r in same]
+        assert [float(r["accuracy"]) for r in rows if r["ed_ratio"] == "0.5"] == [
+            r["accuracy"] for r in same
+        ]
+        assert (tmp_path / "out" / "ratio_0_5" / "summary.json").read_bytes() == (
+            tmp_path / "out" / "summary.json"
+        ).read_bytes()
 
         # the ratio-0 block must match a plain run at ed_ratio 0
         plain_doc = base_config(tmp_path / "plain")
@@ -354,6 +425,9 @@ class TestSweep:
             sorted(plain_rows, key=lambda r: (r["method"], r["seed"], r["task"], r["domain"])),
         ):
             assert float(swept["accuracy"]) == ref["accuracy"]
+        assert (tmp_path / "out" / "ratio_0" / "summary.json").read_bytes() == (
+            tmp_path / "plain" / "summary.json"
+        ).read_bytes()
 
     def test_empty_ratio_list_rejected(self, tmp_path):
         config = parse_config(base_config(tmp_path / "out"))
@@ -363,6 +437,18 @@ class TestSweep:
     def test_cli_ratio_flag_validation(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
         assert main(["sweep", "--config", str(path), "--ratio", "0.0,1.5"]) == 2
+
+    @pytest.mark.parametrize("ratios", ["0,0.5,0.5", "0.12341,0.12342"])
+    def test_cli_repeated_ratio_rejected(self, tmp_path, capsys, ratios):
+        doc = base_config(tmp_path / "out")
+        doc["run"].update({"epochs": 1, "seeds": [1], "teacher_epochs": 1})
+        path = write_config(tmp_path, doc)
+        assert main(["gen", "--config", str(path)]) == 0
+        assert main(["teachers", "--config", str(path)]) == 0
+        assert main(["sweep", "--config", str(path), "--ratio", ratios]) == 2
+        assert "ratio_0_" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert not list((tmp_path / "out").glob("ratio_*"))
 
 
 class TestAnalyze:
@@ -419,6 +505,41 @@ class TestAnalyze:
         with pytest.raises(FormatError, match="line 2"):
             cmd_analyze(out)
 
+    @pytest.mark.parametrize("name", ["results.csv", "sweep.csv"])
+    def test_missing_row_names_the_cell(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        cmd_gen(parse_config(base_config(out)))
+        sweep = name == "sweep.csv"
+        prefixes = ["0.0,", "0.5,"] if sweep else [""]
+        lines = [",".join(SWEEP_COLUMNS if sweep else RESULT_COLUMNS)]
+        for prefix, seed, task, domain in product(prefixes, (1, 2), (0, 1), range(4)):
+            if (prefix, seed, task, domain) != (prefixes[-1], 2, 1, 3):
+                lines.append(f"{prefix}{seed},kl,{task},{task},{domain},0.5,0.0")
+        (out / name).write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "method kl, seed 2, task 1, domain 3" in err
+        assert name in err
+
+    def test_sweep_csv_is_checked_like_results(self, tmp_path):
+        out = tmp_path / "out"
+        cmd_gen(parse_config(base_config(out)))
+        (out / "sweep.csv").write_text("ed_ratio,seed,method,task\n0.0,1,kl,0\n")
+        with pytest.raises(FormatError, match="missing columns"):
+            cmd_analyze(out)
+        (out / "sweep.csv").write_text(",".join(SWEEP_COLUMNS) + "\n")
+        with pytest.raises(FormatError, match="no data rows"):
+            cmd_analyze(out)
+
+    def test_short_row_is_a_format_error(self, tmp_path):
+        out = tmp_path / "out"
+        cmd_gen(parse_config(base_config(out)))
+        (out / "results.csv").write_text(
+            "seed,method,task,teacher,domain,accuracy,elapsed_seconds\n1,kl,0,0,0\n"
+        )
+        with pytest.raises(FormatError, match="line 2"):
+            cmd_analyze(out)
+
     def test_missing_dir_is_usage_error(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "missing")]) == 2
 
@@ -445,12 +566,17 @@ class TestEndToEndDeterminism:
             cmd_teachers(config)
             cmd_run(config)
             cmd_analyze(out)
+            sweep = replace(config, output_dir=out / "sweep")
+            cmd_gen(sweep)
+            cmd_teachers(sweep)
+            cmd_sweep(sweep, (0.0, 0.5))
+            cmd_analyze(sweep.output_dir)
             snapshot = {}
             for p in sorted(out.rglob("*")):
                 if not p.is_file():
                     continue
                 data = p.read_bytes()
-                if p.name == "results.csv":
+                if p.name in ("results.csv", "sweep.csv"):
                     rows = data.decode().splitlines()
                     data = "\n".join(",".join(r.split(",")[:-1]) for r in rows).encode()
                 snapshot[str(p.relative_to(out))] = data

@@ -23,7 +23,7 @@ def matrix(rows, domain_ids=None):
 
 
 def log(task, accs):
-    return TaskLog(task, task, accs, [0.0])
+    return TaskLog(task, accs, [0.0])
 
 
 class TestAccuracyMatrix:
