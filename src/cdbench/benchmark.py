@@ -8,7 +8,7 @@ so their seeds derive from the scenario seed rather than the run grid.
 
 from __future__ import annotations
 
-from .domains import DomainDataset, ScenarioSpec, generate_domain
+from .domains import CdScenario, ScenarioSpec
 from .engine import RunConfig, TeacherModel, train_teacher
 
 BENCHMARK_SEEDS = (1, 2, 3)
@@ -44,22 +44,16 @@ def benchmark_run_config(**overrides) -> RunConfig:
     return RunConfig(**settings)
 
 
-def benchmark_teacher_datasets(spec: ScenarioSpec, teacher_index: int) -> list[DomainDataset]:
-    return [
-        generate_domain(spec.seed, m, spec.n_classes, spec.feature_dim, spec.samples_per_class)
-        for m in spec.teacher_domain_ids(teacher_index)
-    ]
-
-
-def train_benchmark_teacher(spec: ScenarioSpec, config: RunConfig, t: int) -> TeacherModel:
+def train_benchmark_teacher(scenario: CdScenario, config: RunConfig, t: int) -> TeacherModel:
     """Teacher t of the scenario; its seed derives from the scenario seed."""
+    spec = scenario.spec
     return train_teacher(
-        benchmark_teacher_datasets(spec, t),
+        [scenario.domains[m] for m in spec.teacher_domain_ids(t)],
         config,
         seed=spec.seed * 1000 + t,
         n_classes=spec.n_classes,
     )
 
 
-def train_benchmark_teachers(spec: ScenarioSpec, config: RunConfig) -> list[TeacherModel]:
-    return [train_benchmark_teacher(spec, config, t) for t in range(spec.n_teachers)]
+def train_benchmark_teachers(scenario: CdScenario, config: RunConfig) -> list[TeacherModel]:
+    return [train_benchmark_teacher(scenario, config, t) for t in range(scenario.spec.n_teachers)]

@@ -30,8 +30,8 @@ from typing import Iterator, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .benchmark import train_benchmark_teacher
-from .distill import METHODS, MethodConfig, batch_entropy
-from .domains import DistillSet, ScenarioSpec, build_scenario, generate_domain, write_domain_csv
+from .distill import METHODS, MethodConfig, teacher_entropy
+from .domains import DistillSet, ScenarioSpec, build_scenario, write_domain_csv
 from .engine import (
     RunConfig,
     TeacherModel,
@@ -43,7 +43,7 @@ from .engine import (
 )
 from .errors import ConfigError, FormatError, InvalidArgumentError
 from .metrics import AccuracyMatrix, average_forgetting, entropy_histogram, forgetting, ukt_gain
-from .nn_core import forward, softmax_t
+from .nn_core import forward
 
 SCHEMA_VERSION = 1
 THREAD_CAP_ENV = "CD_BENCH_THREADS"
@@ -96,13 +96,16 @@ def _coerce(value, kind, where: str):
     """Check a JSON value against a field type and convert it.
 
     Lists become tuples and integers pass for floats; booleans pass only
-    for booleans.
+    for booleans, and floats must be finite.
     """
     if get_origin(kind) is tuple and isinstance(value, list):
         return tuple(_coerce(v, get_args(kind)[0], where) for v in value)
     if get_origin(kind) is UnionType:  # `float | None`
         return None if value is None else _coerce(value, get_args(kind)[0], where)
-    if kind is float and type(value) is int:
+    if kind is float and type(value) in (int, float):
+        # False for NaN, the infinities and integers too large for a float.
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"field {where} must be a finite number")
         return float(value)
     if type(value) is kind:
         return value
@@ -175,9 +178,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     methods = raw["methods"]
     if not isinstance(methods, list) or not methods:
         raise ConfigError("field methods must be a non-empty list")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; valid methods: {', '.join(METHODS)}")
+        if m in methods[:i]:
+            raise ConfigError(f"method {m!r} is listed twice")
 
     run_kwargs = _parse_section(raw["run"], "run", {**_RUN_SCHEMA, **_METHOD_SCHEMA})
     extras = {k: run_kwargs.pop(k) for k in _METHOD_SCHEMA if k in run_kwargs}
@@ -238,21 +243,16 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
 def cmd_gen(config: ExperimentConfig) -> Path:
     """Materialize the scenario: one CSV per domain plus a manifest."""
     out = config.output_dir
-    scenario_dir = out / "scenario"
-    scenario_dir.mkdir(parents=True, exist_ok=True)
+    (out / "scenario").mkdir(parents=True, exist_ok=True)
     spec = config.scenario
+    scenario = build_scenario(spec)
     domains_meta = []
-    for m in range(spec.n_domains):
-        relation = spec.external_relation if m in spec.external_domains else "related"
-        ds = generate_domain(
-            spec.seed, m, spec.n_classes, spec.feature_dim, spec.samples_per_class, relation
-        )
+    for m, ds in scenario.domains.items():
         rel_path = f"scenario/domain_{m}.csv"
-        write_domain_csv(ds, scenario_dir / f"domain_{m}.csv")
+        write_domain_csv(ds, out / rel_path)
         domains_meta.append(
             {"id": m, "train_rows": len(ds.train), "test_rows": len(ds.test), "csv": rel_path}
         )
-    scenario = build_scenario(spec)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "scenario": _scenario_to_json(spec),
@@ -294,7 +294,7 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     report = {"schema_version": SCHEMA_VERSION, "floor": config.run.teacher_accuracy_floor, "teachers": []}
     for t, path in enumerate(_teacher_paths(config)):
         # Trained one by one, not with train_benchmark_teachers, to hold one teacher at a time.
-        teacher = train_benchmark_teacher(spec, config.run, t)
+        teacher = train_benchmark_teacher(scenario, config.run, t)
         domain_ids = spec.teacher_domain_ids(t)
         save_checkpoint(teacher.model, path)
         accs = {str(d): evaluate(teacher.model, ts) for d, ts in sorted(scenario.test_sets.items())}
@@ -312,13 +312,14 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     return config.output_dir / "teacher_report.json"
 
 
-def _load_teachers(config: ExperimentConfig) -> list[bytes]:
-    payloads = []
+def _load_teachers(config: ExperimentConfig) -> list[TeacherModel]:
+    teachers = []
     for t, path in enumerate(_teacher_paths(config)):
         if not path.exists():
             raise UsageError(f"missing teacher checkpoint {path}; run `cdbench teachers` first")
-        payloads.append(path.read_bytes())
-    return payloads
+        domain_ids = frozenset(config.scenario.teacher_domain_ids(t))
+        teachers.append(TeacherModel(deserialize_model(path.read_bytes()), domain_ids))
+    return teachers
 
 
 def _filter_external_by_entropy(scenario, teachers, threshold: float):
@@ -331,7 +332,7 @@ def _filter_external_by_entropy(scenario, teachers, threshold: float):
     if not ds.external_mask.any():
         return scenario
     ext = ds.features[ds.external_mask]
-    per_teacher = [batch_entropy(softmax_t(forward(t.model, ext)[0], 1.0)) for t in teachers]
+    per_teacher = [teacher_entropy(forward(t.model, ext)[0], 1.0) for t in teachers]
     keep_ext = np.mean(per_teacher, axis=0) <= threshold
     keep = ~ds.external_mask
     keep[np.flatnonzero(ds.external_mask)[keep_ext]] = True
@@ -341,16 +342,9 @@ def _filter_external_by_entropy(scenario, teachers, threshold: float):
 
 def _run_cell(args: tuple) -> tuple[list[dict], list[tuple]]:
     """One (method, seed) grid cell; executed possibly in a worker process."""
-    spec, method_name, extras, run, seed, teacher_payloads, entropy_max = args
-    scenario = build_scenario(spec)
-    teachers = [
-        TeacherModel(deserialize_model(p), frozenset(spec.teacher_domain_ids(t)))
-        for t, p in enumerate(teacher_payloads)
-    ]
-    if entropy_max is not None:
-        scenario = _filter_external_by_entropy(scenario, teachers, entropy_max)
+    scenario, method_name, extras, run, seed, teachers = args
     method = MethodConfig(method_name, temperature=run.temperature, **extras)
-    student = new_student(spec.feature_dim, spec.n_classes, run, seed)
+    student = new_student(scenario.spec.feature_dim, scenario.spec.n_classes, run, seed)
     rows: list[dict] = []
     curve_rows: list[tuple] = []
     t0 = time.perf_counter()
@@ -396,15 +390,19 @@ def _single_threaded_blas() -> Iterator[None]:
 
 
 def run_grid(
-    spec: ScenarioSpec, teacher_payloads: list[bytes], config: ExperimentConfig, jobs: int = 1
+    spec: ScenarioSpec, teachers: list[TeacherModel], config: ExperimentConfig, jobs: int = 1
 ) -> tuple[list[dict], list[tuple]]:
     """Run config's method x seed grid on `spec` in memory.
 
-    Returns the result rows, keyed by RESULT_COLUMNS and sorted by method,
-    seed, task and domain, and the sorted per-epoch curve rows.
+    The scenario is built, and its external rows screened, once for all
+    cells. Returns the result rows, keyed by RESULT_COLUMNS and sorted by
+    method, seed, task and domain, and the sorted per-epoch curve rows.
     """
+    scenario = build_scenario(spec)
+    if config.external_entropy_max is not None:
+        scenario = _filter_external_by_entropy(scenario, teachers, config.external_entropy_max)
     cells = [
-        (spec, m, config.run_extras, config.run, s, teacher_payloads, config.external_entropy_max)
+        (scenario, m, config.run_extras, config.run, s, teachers)
         for m in config.methods
         for s in config.run.seeds
     ]
@@ -520,12 +518,12 @@ def cmd_sweep(config: ExperimentConfig, ratios: tuple[float, ...] | None, jobs: 
     """Run the grid once per external-data ratio, sharing the teachers."""
     _check_ratios(ratios)
     _require_manifest(config)
-    teacher_payloads = _load_teachers(config)
+    teachers = _load_teachers(config)
     out = config.output_dir
     swept: list[dict] = []
     for ratio in ratios:
         spec = replace(config.scenario, ed_ratio=float(ratio))
-        rows, curves = run_grid(spec, teacher_payloads, config, jobs)
+        rows, curves = run_grid(spec, teachers, config, jobs)
         _write_grid(out / f"ratio_{_ratio_tag(ratio)}", spec, config, rows, curves)
         swept.extend({"ed_ratio": spec.ed_ratio, **r} for r in rows)
     _write_results_csv(out / "sweep.csv", swept, SWEEP_COLUMNS)
@@ -571,7 +569,7 @@ def cmd_analyze(results_dir: Path) -> Path:
     }
 
     known = spec.teacher_known_domains
-    unseen = tuple(sorted(set(known) - set(spec.shared_domains) - set(spec.external_domains)))
+    unseen = spec.unseen_domains
     metrics_doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "teacher_known_domains": list(known),
@@ -669,9 +667,10 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
             seeds = tuple(int(s) for s in args.seeds.split(",") if s)
         except ValueError:
             raise ConfigError(f"--seeds must be a comma-separated integer list, got {args.seeds!r}")
-        if not seeds:
-            raise ConfigError("--seeds must name at least one seed")
-        config = replace(config, run=replace(config.run, seeds=seeds))
+        try:
+            config = replace(config, run=replace(config.run, seeds=seeds))
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"--seeds: {exc}") from None
     return config
 
 

@@ -133,6 +133,12 @@ class ScenarioSpec:
             known |= set(self.teacher_domain_ids(t))
         return tuple(sorted(known))
 
+    @property
+    def unseen_domains(self) -> tuple[int, ...]:
+        """Teacher-known domains that are neither shared nor external."""
+        unseen = set(self.teacher_known_domains) - set(self.shared_domains)
+        return tuple(sorted(unseen - set(self.external_domains)))
+
     def validate(self) -> None:
         if self.n_classes < 2 or self.feature_dim < 2 or self.n_domains < 1:
             raise InvalidArgumentError("need n_classes >= 2, feature_dim >= 2, n_domains >= 1")
@@ -172,24 +178,15 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class CdScenario:
-    """A fully materialized partition: teacher data, distillation set, tests.
-
-    `internal` and `external` are the labeled samples actually present in
-    the distillation set (labels retained only for bookkeeping and checks).
-    """
+    """A materialized partition: every generated domain plus the distillation set."""
 
     spec: ScenarioSpec
-    teacher_train_sets: tuple[LabeledSet, ...]
-    internal: LabeledSet
-    external: LabeledSet
+    domains: dict[int, DomainDataset]
     distill_set: DistillSet
-    test_sets: dict[int, LabeledSet]
 
     @property
-    def unseen_domains(self) -> tuple[int, ...]:
-        """Domains known to some teacher but absent from the distillation set."""
-        present = set(np.unique(self.distill_set.domain_ids).tolist())
-        return tuple(sorted(set(self.spec.teacher_known_domains) - present))
+    def test_sets(self) -> dict[int, LabeledSet]:
+        return {m: ds.test for m, ds in self.domains.items()}
 
 
 def _base_class_means(n_classes: int, feature_dim: int) -> Matrix:
@@ -306,10 +303,10 @@ def _mix_selection(n_internal: int, n_external: int, ed_ratio: float) -> tuple[n
     def spaced(k: int, n: int) -> np.ndarray:
         return np.floor(np.arange(k) * n / k).astype(int) if k < n else np.arange(n)
 
-    if ed_ratio == 0.0 or n_external == 0:
-        return np.arange(n_internal), np.zeros(0, dtype=int)
     if n_internal == 0:
         return np.zeros(0, dtype=int), np.arange(n_external)
+    if ed_ratio == 0.0 or n_external == 0:
+        return np.arange(n_internal), np.zeros(0, dtype=int)
     wanted_ext = int(round(n_internal * ed_ratio / (1.0 - ed_ratio)))
     if wanted_ext <= n_external:
         return np.arange(n_internal), spaced(wanted_ext, n_external)
@@ -320,7 +317,8 @@ def _mix_selection(n_internal: int, n_external: int, ed_ratio: float) -> tuple[n
 def mix_ratio(internal: LabeledSet, external: LabeledSet, ed_ratio: float) -> DistillSet:
     """Assemble the distillation set at the requested external-data fraction.
 
-    Labels are stripped; only features and domain tags survive.
+    An empty internal pool yields every external row at any ratio. Labels
+    are stripped; only features and domain tags survive.
     """
     idx_i, idx_e = _mix_selection(len(internal), len(external), ed_ratio)
     sel_i, sel_e = internal.take(idx_i), external.take(idx_e)
@@ -331,17 +329,16 @@ def mix_ratio(internal: LabeledSet, external: LabeledSet, ed_ratio: float) -> Di
 
 
 def build_scenario(spec: ScenarioSpec) -> CdScenario:
-    """Generate all domains and assemble the continual-distillation partition."""
+    """Generate every domain once and mix the distillation set at spec.ed_ratio."""
     spec.validate()
-    external = set(spec.external_domains)
-    datasets = {
+    domains = {
         m: generate_domain(
             spec.seed,
             m,
             spec.n_classes,
             spec.feature_dim,
             spec.samples_per_class,
-            relation=spec.external_relation if m in external else "related",
+            relation=spec.external_relation if m in spec.external_domains else "related",
         )
         for m in range(spec.n_domains)
     }
@@ -349,33 +346,12 @@ def build_scenario(spec: ScenarioSpec) -> CdScenario:
     def pool(ids: tuple[int, ...]) -> LabeledSet:
         if not ids:
             return LabeledSet.empty(spec.feature_dim)
-        return LabeledSet.concat([datasets[m].train for m in sorted(ids)])
+        return LabeledSet.concat([domains[m].train for m in sorted(ids)])
 
-    teacher_sets = tuple(pool(spec.teacher_domain_ids(t)) for t in range(spec.n_teachers))
-    internal_pool = pool(tuple(spec.shared_domains))
-    external_pool = pool(tuple(spec.external_domains))
-
-    if len(internal_pool) == 0 and len(external_pool) == 0:
+    distill_set = mix_ratio(pool(spec.shared_domains), pool(spec.external_domains), spec.ed_ratio)
+    if len(distill_set) == 0:
         raise InvalidArgumentError("scenario has an empty distillation set")
-    if len(internal_pool) == 0:
-        # Degenerate all-external setup: the ratio is forced to 1.
-        idx_i = np.zeros(0, dtype=int)
-        idx_e = np.arange(len(external_pool))
-    else:
-        idx_i, idx_e = _mix_selection(len(internal_pool), len(external_pool), spec.ed_ratio)
-    sel_i, sel_e = internal_pool.take(idx_i), external_pool.take(idx_e)
-    features = np.concatenate([sel_i.features, sel_e.features])
-    domain_ids = np.concatenate([sel_i.domains, sel_e.domains])
-    mask = np.concatenate([np.zeros(len(sel_i), dtype=bool), np.ones(len(sel_e), dtype=bool)])
-
-    return CdScenario(
-        spec=spec,
-        teacher_train_sets=teacher_sets,
-        internal=sel_i,
-        external=sel_e,
-        distill_set=DistillSet(features, domain_ids, mask),
-        test_sets={m: datasets[m].test for m in range(spec.n_domains)},
-    )
+    return CdScenario(spec, domains, distill_set)
 
 
 def balance_pair_stream(n_internal: int, n_external: int, batch_size: int, seed):

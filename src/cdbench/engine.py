@@ -81,6 +81,9 @@ class RunConfig:
             raise InvalidArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.seeds:
             raise InvalidArgumentError("seeds must be non-empty")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise InvalidArgumentError(f"seed {repeated[0]} is listed twice")
         if self.teacher_epochs < 0:
             raise InvalidArgumentError(f"teacher_epochs must be >= 0, got {self.teacher_epochs}")
         if self.learning_rate <= 0:

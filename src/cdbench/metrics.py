@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import batch_entropy
+from .distill import teacher_entropy
 from .engine import TaskLog
 from .errors import DegenerateVarianceError, InvalidArgumentError
-from .nn_core import Matrix, MlpModel, forward, softmax_t
+from .nn_core import Matrix, MlpModel, forward
 
 
 @dataclass
@@ -132,7 +132,7 @@ def entropy_histogram(
     if len(features) == 0:
         raise InvalidArgumentError("cannot profile an empty dataset")
     logits, _ = forward(model, features)
-    ent = batch_entropy(softmax_t(logits, temperature))
+    ent = teacher_entropy(logits, temperature)
     edges = np.linspace(0.0, np.log(model.num_classes), bins + 1)
     counts, _ = np.histogram(ent, bins=edges)
     kurt = None

@@ -16,6 +16,9 @@ from .errors import InvalidArgumentError, ShapeError
 Matrix = np.ndarray
 
 OPTIMIZER_KINDS = ("sgd", "adam")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -38,10 +41,6 @@ class MlpModel:
     def num_classes(self) -> int:
         return self.layers[-1].weight.shape[0]
 
-    @property
-    def layer_dims(self) -> list[int]:
-        return [self.input_dim] + [l.weight.shape[0] for l in self.layers]
-
     def copy(self) -> "MlpModel":
         return MlpModel([Layer(l.weight.copy(), l.bias.copy()) for l in self.layers])
 
@@ -63,9 +62,6 @@ Gradients = list[tuple[Matrix, np.ndarray]]
 class OptimizerState:
     kind: str
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     moment1: Gradients | None = field(default=None, repr=False)
     moment2: Gradients | None = field(default=None, repr=False)
@@ -167,14 +163,7 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: Matrix) -> Gradients
     return grads
 
 
-def make_optimizer(
-    model: MlpModel,
-    kind: str,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> OptimizerState:
+def make_optimizer(model: MlpModel, kind: str, learning_rate: float) -> OptimizerState:
     if kind not in OPTIMIZER_KINDS:
         raise InvalidArgumentError(f"unknown optimizer {kind!r}, expected one of {OPTIMIZER_KINDS}")
     if learning_rate <= 0:
@@ -183,7 +172,7 @@ def make_optimizer(
     if kind == "adam":
         m1 = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
         m2 = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
-    return OptimizerState(kind, learning_rate, beta1, beta2, eps, 0, m1, m2)
+    return OptimizerState(kind, learning_rate, 0, m1, m2)
 
 
 def optimizer_step(
@@ -207,7 +196,7 @@ def optimizer_step(
         return model, state
     # Adam with bias-corrected moments.
     state.step += 1
-    b1, b2, eps, t = state.beta1, state.beta2, state.eps, state.step
+    b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.step
     assert state.moment1 is not None and state.moment2 is not None
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t

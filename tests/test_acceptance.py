@@ -64,7 +64,7 @@ def benchmark_runs():
     start = time.perf_counter()
     config = benchmark_run_config()
     spec0 = benchmark_spec(0.0)
-    teachers = train_benchmark_teachers(spec0, config)
+    teachers = train_benchmark_teachers(build_scenario(spec0), config)
     matrices: dict[tuple, AccuracyMatrix] = {}
     for ratio in RATIOS:
         scenario = build_scenario(benchmark_spec(ratio))
@@ -287,11 +287,12 @@ def test_criterion_7_scope_identity_with_empty_internal():
         seed=5,
     )
     scenario = build_scenario(spec)
-    assert len(scenario.internal) == 0 and scenario.distill_set.external_mask.all()
+    assert scenario.distill_set.external_mask.all()
+    assert len(scenario.distill_set) == len(scenario.domains[4].train)
     config = benchmark_run_config(epochs=4, teacher_epochs=30, teacher_hidden=(32, 32))
     teachers = [
         train_teacher(
-            [generate_domain(spec.seed, m, 4, 8, 100) for m in spec.teacher_domain_ids(t)],
+            [scenario.domains[m] for m in spec.teacher_domain_ids(t)],
             config,
             seed=50 + t,
         )

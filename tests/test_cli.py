@@ -29,8 +29,12 @@ from cdbench.cli import (
     parse_config,
     read_results_csv,
 )
-from cdbench.domains import default_schema, load_csv_dataset
-from cdbench.engine import RunConfig
+import cdbench.benchmark
+import cdbench.cli
+import cdbench.domains
+from cdbench.benchmark import train_benchmark_teachers
+from cdbench.domains import build_scenario, default_schema, load_csv_dataset
+from cdbench.engine import RunConfig, serialize_model
 from cdbench.errors import ConfigError, FormatError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -134,6 +138,11 @@ class TestConfigValidation:
             (None, "external_entropy_max", True),
             (None, "sweep_ratios", [0.5, False]),
             (None, "schema_version", True),
+            ("run", "learning_rate", float("nan")),
+            ("run", "teacher_learning_rate", float("inf")),
+            ("run", "dkd_alpha", float("nan")),
+            (None, "external_entropy_max", float("nan")),
+            pytest.param("run", "learning_rate", 10**400, id="run-learning_rate-bigint"),
         ],
     )
     def test_boolean_in_numeric_field_rejected(self, tmp_path, capsys, section, key, value):
@@ -152,6 +161,22 @@ class TestConfigValidation:
         assert config.scenario.external_relation == "related"
         assert config.run == RunConfig()
         assert config.run_extras == {}
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("seeds", [1, 2, 1], "seed 1"), ("methods", ["kl", "se2d", "kl"], "'kl'")],
+    )
+    def test_repeated_seed_or_method_rejected(self, tmp_path, capsys, key, value, named):
+        doc = base_config(tmp_path / "out")
+        (doc["run"] if key == "seeds" else doc)[key] = value
+        assert main(["gen", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_seeds_flag_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["run", "--config", str(path), "--seeds", "1,2,1"]) == 2
+        assert "seed 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ratios", [[0.5, 0.5], [0.12341, 0.12342]])
     def test_repeated_sweep_ratio_rejected(self, tmp_path, ratios):
@@ -550,6 +575,44 @@ class TestAnalyze:
         cmd_gen(config)
         (out / "results.csv").write_text("seed,method\n1,kl\n")
         assert main(["analyze", "--out", str(out)]) == 3
+
+
+class TestSingleScenarioPath:
+    def test_each_stage_generates_each_domain_once(self, tmp_path, monkeypatch):
+        original = cdbench.domains.generate_domain
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        for module in (cdbench.domains, cdbench.benchmark, cdbench.cli):
+            monkeypatch.setattr(module, "generate_domain", counted, raising=False)
+        doc = base_config(tmp_path / "out")
+        doc["run"].update(epochs=1, teacher_epochs=2, seeds=[1])
+        path = str(write_config(tmp_path, doc))
+        stages = {
+            "gen": ["gen", "--config", path],
+            "teachers": ["teachers", "--config", path],
+            "run": ["run", "--config", path],
+            "analyze": ["analyze", "--out", str(tmp_path / "out")],
+            "sweep": ["sweep", "--config", path, "--ratio", "0,0.5"],
+        }
+        counts = {}
+        for stage, argv in stages.items():
+            calls.clear()
+            assert main(argv) == 0
+            counts[stage] = len(calls)
+        n = doc["scenario"]["n_domains"]
+        assert counts == {"gen": n, "teachers": n, "run": n, "analyze": n, "sweep": 2 * n}
+
+    def test_library_teachers_match_cli_checkpoints(self, finished_run):
+        out, config = finished_run
+        teachers = train_benchmark_teachers(build_scenario(config.scenario), config.run)
+        assert len(teachers) == config.scenario.n_teachers
+        for t, teacher in enumerate(teachers):
+            ckpt = out / "checkpoints" / f"teacher_{t}.ckpt"
+            assert serialize_model(teacher.model) == ckpt.read_bytes()
 
 
 class TestEndToEndDeterminism:

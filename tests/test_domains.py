@@ -23,6 +23,17 @@ def row_set(features):
     return {tuple(np.round(row, 12)) for row in features}
 
 
+def teacher_rows(scenario, t):
+    ids = scenario.spec.teacher_domain_ids(t)
+    return row_set(np.concatenate([scenario.domains[m].train.features for m in ids]))
+
+
+def distill_parts(scenario):
+    """The internal and the external rows of the distillation set."""
+    ds = scenario.distill_set
+    return ds.features[~ds.external_mask], ds.features[ds.external_mask]
+
+
 class TestGenerateDomain:
     def test_bit_identical_regeneration(self):
         a = generate_domain(3, 1, 4, 8, 20)
@@ -100,27 +111,30 @@ def spec_for(ratio=0.5, seed=1, samples=20, shared=(0,), external=(4,)):
 class TestBuildScenario:
     def test_pairwise_teacher_intersections_equal_internal(self):
         scenario = build_scenario(spec_for())
-        sets = [row_set(s.features) for s in scenario.teacher_train_sets]
-        internal = row_set(scenario.internal.features)
+        sets = [teacher_rows(scenario, t) for t in range(scenario.spec.n_teachers)]
+        internal = row_set(distill_parts(scenario)[0])
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
                 assert sets[i] & sets[j] == internal
 
     def test_external_disjoint_from_teacher_sets(self):
         scenario = build_scenario(spec_for())
-        external = row_set(scenario.external.features)
-        for s in scenario.teacher_train_sets:
-            assert not (row_set(s.features) & external)
+        external = row_set(distill_parts(scenario)[1])
+        for t in range(scenario.spec.n_teachers):
+            assert not (teacher_rows(scenario, t) & external)
 
     def test_distill_set_is_union_of_parts(self):
         scenario = build_scenario(spec_for())
-        combined = row_set(scenario.internal.features) | row_set(scenario.external.features)
+        internal, external = distill_parts(scenario)
+        assert row_set(internal) <= row_set(scenario.domains[0].train.features)
+        assert row_set(external) <= row_set(scenario.domains[4].train.features)
+        combined = row_set(internal) | row_set(external)
         assert row_set(scenario.distill_set.features) == combined
 
     def test_ratio_zero_gives_internal_only(self):
         scenario = build_scenario(spec_for(ratio=0.0))
-        assert len(scenario.external) == 0
-        assert np.array_equal(scenario.distill_set.features, scenario.internal.features)
+        assert len(distill_parts(scenario)[1]) == 0
+        assert np.array_equal(scenario.distill_set.features, scenario.domains[0].train.features)
         assert not scenario.distill_set.external_mask.any()
 
     def test_distill_set_carries_no_labels(self):
@@ -128,8 +142,8 @@ class TestBuildScenario:
         assert not hasattr(scenario.distill_set, "labels")
 
     def test_unseen_domains(self):
-        assert build_scenario(spec_for()).unseen_domains == (1, 2, 3)
-        assert build_scenario(spec_for(ratio=0.0)).unseen_domains == (1, 2, 3)
+        assert spec_for().unseen_domains == (1, 2, 3)
+        assert spec_for(ratio=0.0).unseen_domains == (1, 2, 3)
 
     def test_external_overlapping_teacher_rejected(self):
         spec = ScenarioSpec(
@@ -166,8 +180,9 @@ class TestBuildScenario:
         b = build_scenario(spec_for())
         assert np.array_equal(a.distill_set.features, b.distill_set.features)
         assert np.array_equal(a.distill_set.domain_ids, b.distill_set.domain_ids)
-        for da, db in zip(a.teacher_train_sets, b.teacher_train_sets):
-            assert np.array_equal(da.features, db.features)
+        assert a.domains.keys() == b.domains.keys()
+        for m in a.domains:
+            assert np.array_equal(a.domains[m].train.features, b.domains[m].train.features)
 
 
 def labeled(n, dim=4, domain=0, seed=0):
@@ -201,6 +216,13 @@ class TestMixRatio:
             out = mix_ratio(labeled(97), labeled(113, domain=1, seed=1), ratio)
             achieved = out.external_mask.sum() / len(out)
             assert abs(achieved - ratio) <= 1.0 / len(out) + 1e-12
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5])
+    def test_empty_internal_pool_keeps_every_external_row(self, ratio):
+        external = labeled(30, domain=1, seed=1)
+        out = mix_ratio(LabeledSet.empty(4), external, ratio)
+        assert len(out) == 30 and out.external_mask.all()
+        assert np.array_equal(out.features, external.features)
 
     def test_ratio_one_rejected(self):
         with pytest.raises(InvalidArgumentError):
