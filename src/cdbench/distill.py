@@ -4,9 +4,9 @@ Every loss returns the scalar value together with its gradient with
 respect to the student logits; teacher and checkpoint logits are always
 treated as constants. KL-family losses follow the tempered convention
 loss = T^2 * mean_batch KL(p_teacher || p_student) with p = softmax(z / T).
-Each KL-family loss also has a `*_from_targets` form that takes those
-constants as precomputed SoftTargets, so a caller whose teacher is frozen
-can compute them once and gather rows per batch.
+Their teacher and checkpoint inputs take either logits or precomputed
+SoftTargets, so a caller whose teacher is frozen can compute the targets
+once and gather rows per batch.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ class MethodConfig:
             raise InvalidArgumentError(
                 f"unknown method {self.method!r}, expected one of {METHODS}"
             )
-        if self.temperature <= 0:
+        # Written so that NaN fails each check.
+        if not self.temperature > 0:
             raise InvalidArgumentError(f"temperature must be > 0, got {self.temperature}")
-        if self.dkd_alpha < 0 or self.dkd_beta < 0:
-            raise InvalidArgumentError("dkd weights must be nonnegative")
+        if not (self.dkd_alpha >= 0 and self.dkd_beta >= 0):
+            raise InvalidArgumentError("dkd_alpha and dkd_beta must be nonnegative")
         if not (0.0 <= self.mds_low_q < self.mds_high_q <= 1.0):
             raise InvalidArgumentError(
                 f"need 0 <= low < high <= 1, got [{self.mds_low_q}, {self.mds_high_q}]"
@@ -69,18 +70,6 @@ def _check_same_shape(a: Matrix, b: Matrix, what: str) -> None:
         raise ShapeError(f"{what}: shapes {a.shape} and {b.shape} differ")
 
 
-def _checked(
-    student_logits: Matrix, other_logits: Matrix, temperature: float, what: str
-) -> tuple[Matrix, Matrix]:
-    """Both logit matrices as float arrays of one shape, with a valid temperature."""
-    student_logits = np.asarray(student_logits, dtype=float)
-    other_logits = np.asarray(other_logits, dtype=float)
-    _check_same_shape(student_logits, other_logits, what)
-    if temperature <= 0:
-        raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
-    return student_logits, other_logits
-
-
 @dataclass(frozen=True)
 class SoftTargets:
     """Tempered log-probabilities of constant logits and their exponentials.
@@ -102,10 +91,33 @@ def soft_targets(logits: Matrix, temperature: float) -> SoftTargets:
     return SoftTargets(log_p, np.exp(log_p))
 
 
-def kl_kd_from_targets(
-    student_logits: Matrix, targets: SoftTargets, temperature: float
+def _targets(
+    student_logits: Matrix, other: Matrix | SoftTargets, temperature: float, make=soft_targets
+) -> tuple[Matrix, SoftTargets]:
+    """The student logits as a float array and the targets they are matched to.
+
+    `other` is either constant logits, which `make` turns into targets, or
+    targets made earlier. Both sides must have one shape.
+    """
+    student_logits = np.asarray(student_logits, dtype=float)
+    if not temperature > 0:
+        raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
+    if not isinstance(other, SoftTargets):
+        other = make(np.asarray(other, dtype=float), temperature)
+    _check_same_shape(student_logits, other.p, "student logits and targets")
+    return student_logits, other
+
+
+def kl_kd_loss(
+    student_logits: Matrix, teacher: Matrix | SoftTargets, temperature: float
 ) -> LossResult:
-    """kl_kd_loss against precomputed teacher targets."""
+    """Tempered KL divergence from the teacher to the student distribution.
+
+    `teacher` is the teacher's logits or their soft_targets. Zero exactly
+    when the tempered rows match; an empty batch contributes zero loss and
+    an empty gradient.
+    """
+    student_logits, targets = _targets(student_logits, teacher, temperature)
     n = student_logits.shape[0]
     if n == 0:
         return LossResult(0.0, np.zeros_like(student_logits))
@@ -113,20 +125,6 @@ def kl_kd_from_targets(
     loss = temperature**2 * float((targets.p * (targets.log_p - log_q)).sum(axis=1).mean())
     dlogits = temperature * (np.exp(log_q) - targets.p) / n
     return LossResult(loss, dlogits)
-
-
-def kl_kd_loss(student_logits: Matrix, teacher_logits: Matrix, temperature: float) -> LossResult:
-    """Tempered KL divergence from the teacher to the student distribution.
-
-    Zero exactly when the tempered rows match; an empty batch contributes
-    zero loss and an empty gradient.
-    """
-    student_logits, teacher_logits = _checked(
-        student_logits, teacher_logits, temperature, "kl_kd_loss"
-    )
-    return kl_kd_from_targets(
-        student_logits, soft_targets(teacher_logits, temperature), temperature
-    )
 
 
 def logit_standardize(logits: Matrix) -> Matrix:
@@ -159,22 +157,16 @@ def ls_targets(teacher_logits: Matrix, temperature: float) -> SoftTargets:
     return soft_targets(logit_standardize(teacher_logits), temperature)
 
 
-def ls_kd_from_targets(
-    student_logits: Matrix, targets: SoftTargets, temperature: float
+def ls_kd_loss(
+    student_logits: Matrix, teacher: Matrix | SoftTargets, temperature: float
 ) -> LossResult:
-    """ls_kd_loss against precomputed ls_targets."""
-    inner = kl_kd_from_targets(logit_standardize(student_logits), targets, temperature)
+    """KL distillation on row-standardized logits (both sides z-scored).
+
+    `teacher` is the teacher's logits or their ls_targets.
+    """
+    student_logits, targets = _targets(student_logits, teacher, temperature, ls_targets)
+    inner = kl_kd_loss(logit_standardize(student_logits), targets, temperature)
     return LossResult(inner.loss, _standardize_backward(student_logits, inner.dlogits))
-
-
-def ls_kd_loss(student_logits: Matrix, teacher_logits: Matrix, temperature: float) -> LossResult:
-    """KL distillation on row-standardized logits (both sides z-scored)."""
-    student_logits, teacher_logits = _checked(
-        student_logits, teacher_logits, temperature, "ls_kd_loss"
-    )
-    return ls_kd_from_targets(
-        student_logits, ls_targets(teacher_logits, temperature), temperature
-    )
 
 
 def _masked_log_softmax(scaled_logits: Matrix, target_mask: Matrix) -> Matrix:
@@ -202,7 +194,7 @@ def dkd_loss(
     student_logits = np.asarray(student_logits, dtype=float)
     teacher_logits = np.asarray(teacher_logits, dtype=float)
     _check_same_shape(student_logits, teacher_logits, "dkd_loss")
-    if temperature <= 0:
+    if not temperature > 0:
         raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
     n, c = student_logits.shape
     if c < 2:
@@ -303,8 +295,7 @@ def mds_filter(
             raise ShapeError(
                 f"mds_filter: {ent.shape} entropies for {teacher_logits.shape[0]} rows"
             )
-    lo = np.quantile(ent, low_q)
-    hi = np.quantile(ent, high_q)
+    lo, hi = np.quantile(ent, (low_q, high_q))
     keep = (ent >= lo) & (ent <= hi)
     if not keep.any():
         # Interpolated quantiles can bracket no sample; fall back to the
@@ -313,73 +304,36 @@ def mds_filter(
     return keep
 
 
-def self_distill_from_targets(
-    student_logits: Matrix, teacher: SoftTargets, prev: SoftTargets, temperature: float
-) -> LossResult:
-    """self_distill_loss against precomputed teacher and checkpoint targets."""
-    teacher_term = kl_kd_from_targets(student_logits, teacher, temperature)
-    prev_term = kl_kd_from_targets(student_logits, prev, temperature)
-    return LossResult(teacher_term.loss + prev_term.loss, teacher_term.dlogits + prev_term.dlogits)
-
-
 def self_distill_loss(
     student_logits: Matrix,
-    teacher_logits: Matrix,
-    prev_student_logits: Matrix,
+    teacher: Matrix | SoftTargets,
+    prev_student: Matrix | SoftTargets,
     temperature: float,
 ) -> LossResult:
-    """Teacher KL plus previous-checkpoint KL, both over the same batch."""
-    student_logits, teacher_logits = _checked(
-        student_logits, teacher_logits, temperature, "self_distill_loss"
-    )
-    _, prev_student_logits = _checked(
-        student_logits, prev_student_logits, temperature, "self_distill_loss"
-    )
-    return self_distill_from_targets(
-        student_logits,
-        soft_targets(teacher_logits, temperature),
-        soft_targets(prev_student_logits, temperature),
-        temperature,
-    )
+    """Teacher KL plus previous-checkpoint KL, both over the same batch.
 
-
-def se2d_from_targets(
-    student_logits_all: Matrix,
-    teacher_all: SoftTargets,
-    student_logits_ext: Matrix,
-    prev_ext: SoftTargets,
-    temperature: float,
-) -> PairedLossResult:
-    """se2d_loss against precomputed teacher and checkpoint targets."""
-    teacher_term = kl_kd_from_targets(student_logits_all, teacher_all, temperature)
-    ext_term = kl_kd_from_targets(student_logits_ext, prev_ext, temperature)
-    return PairedLossResult(
-        teacher_term.loss + ext_term.loss, teacher_term.dlogits, ext_term.dlogits
-    )
+    Each of `teacher` and `prev_student` is logits or their soft_targets.
+    """
+    teacher_term = kl_kd_loss(student_logits, teacher, temperature)
+    prev_term = kl_kd_loss(student_logits, prev_student, temperature)
+    return LossResult(teacher_term.loss + prev_term.loss, teacher_term.dlogits + prev_term.dlogits)
 
 
 def se2d_loss(
     student_logits_all: Matrix,
-    teacher_logits_all: Matrix,
+    teacher_all: Matrix | SoftTargets,
     student_logits_ext: Matrix,
-    prev_student_logits_ext: Matrix,
+    prev_student_ext: Matrix | SoftTargets,
     temperature: float,
 ) -> PairedLossResult:
     """Teacher KL on the full batch plus checkpoint KL on the external batch.
 
-    The two terms are added unweighted. An empty external batch reduces the
-    loss to the teacher term alone.
+    Each of `teacher_all` and `prev_student_ext` is logits or their
+    soft_targets. The two terms are added unweighted. An empty external
+    batch reduces the loss to the teacher term alone.
     """
-    student_logits_all, teacher_logits_all = _checked(
-        student_logits_all, teacher_logits_all, temperature, "se2d_loss"
-    )
-    student_logits_ext, prev_student_logits_ext = _checked(
-        student_logits_ext, prev_student_logits_ext, temperature, "se2d_loss"
-    )
-    return se2d_from_targets(
-        student_logits_all,
-        soft_targets(teacher_logits_all, temperature),
-        student_logits_ext,
-        soft_targets(prev_student_logits_ext, temperature),
-        temperature,
+    teacher_term = kl_kd_loss(student_logits_all, teacher_all, temperature)
+    ext_term = kl_kd_loss(student_logits_ext, prev_student_ext, temperature)
+    return PairedLossResult(
+        teacher_term.loss + ext_term.loss, teacher_term.dlogits, ext_term.dlogits
     )

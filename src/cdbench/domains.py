@@ -12,6 +12,7 @@ predictive entropy high and flat.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,6 +143,10 @@ class ScenarioSpec:
     def validate(self) -> None:
         if self.n_classes < 2 or self.feature_dim < 2 or self.n_domains < 1:
             raise InvalidArgumentError("need n_classes >= 2, feature_dim >= 2, n_domains >= 1")
+        if self.feature_dim < self.n_classes:
+            raise InvalidArgumentError(
+                f"feature_dim ({self.feature_dim}) must be >= n_classes ({self.n_classes})"
+            )
         if self.samples_per_class < 4:
             raise InvalidArgumentError("need at least 4 samples per class per domain")
         if not self.teacher_exclusive_domains:
@@ -438,6 +443,8 @@ def load_csv_dataset(path: str | Path, schema: CsvSchema) -> list[DomainDataset]
                 domains.append(int(row[domain_idx]))
             except ValueError as exc:
                 raise FormatError(f"{path}: row {rownum}: {exc}") from None
+            if not all(math.isfinite(v) for v in feats[-1]):
+                raise FormatError(f"{path}: row {rownum}: non-finite feature")
     if not feats:
         raise FormatError(f"{path}: no data rows")
 

@@ -18,20 +18,20 @@ import numpy as np
 
 from .distill import (
     MethodConfig,
-    SoftTargets,
     dkd_loss,
-    kl_kd_from_targets,
-    ls_kd_from_targets,
+    kl_kd_loss,
+    ls_kd_loss,
     ls_targets,
     mds_filter,
-    se2d_from_targets,
-    self_distill_from_targets,
+    se2d_loss,
+    self_distill_loss,
     soft_targets,
     teacher_entropy,
 )
 from .domains import CdScenario, DistillSet, DomainDataset, LabeledSet, balance_pair_stream
 from .errors import FormatError, InvalidArgumentError
 from .nn_core import (
+    OPTIMIZER_KINDS,
     Layer,
     Matrix,
     MlpModel,
@@ -86,10 +86,18 @@ class RunConfig:
             raise InvalidArgumentError(f"seed {repeated[0]} is listed twice")
         if self.teacher_epochs < 0:
             raise InvalidArgumentError(f"teacher_epochs must be >= 0, got {self.teacher_epochs}")
-        if self.learning_rate <= 0:
-            raise InvalidArgumentError("learning_rate must be > 0")
-        if self.temperature <= 0:
-            raise InvalidArgumentError("temperature must be > 0")
+        if self.optimizer not in OPTIMIZER_KINDS:
+            raise InvalidArgumentError(
+                f"optimizer must be one of {OPTIMIZER_KINDS}, got {self.optimizer!r}"
+            )
+        # Written so that NaN fails each check.
+        for name in ("learning_rate", "temperature", "teacher_learning_rate"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise InvalidArgumentError(f"{name} must be > 0, got {value}")
+        for name in ("teacher_hidden", "student_hidden"):
+            if not all(width >= 1 for width in getattr(self, name)):
+                raise InvalidArgumentError(f"{name} widths must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -197,7 +205,9 @@ def train_teacher(
         derive_seed(_SEED_TEACHER, seed),
         [train.features.shape[1], *config.teacher_hidden, n_classes],
     )
-    lr = config.teacher_learning_rate or config.learning_rate
+    lr = config.teacher_learning_rate
+    if lr is None:
+        lr = config.learning_rate
     opt = make_optimizer(model, config.optimizer, lr)
     rng = np.random.default_rng([_SEED_SHUFFLE, derive_seed(_SEED_TEACHER, seed)])
     for _ in range(config.teacher_epochs):
@@ -222,57 +232,6 @@ def _frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
     return out
 
 
-@dataclass
-class _FrozenTargets:
-    """What a task's losses need from its frozen models, computed once per task.
-
-    Row i of `teacher_logits`, `teacher` and `entropy` belongs to distillation
-    row i. `teacher` holds the method's teacher targets (dkd works from the
-    logits instead) and `entropy`, for mds only, the teacher entropies it
-    ranks. `prev` holds the checkpoint's targets: over every row, or over the
-    external rows on the paired se2d path; it is None without a checkpoint term.
-    """
-
-    teacher_logits: Matrix
-    teacher: SoftTargets
-    entropy: np.ndarray | None
-    prev: SoftTargets | None
-
-
-def _batch_loss(
-    method: MethodConfig, student_logits: Matrix, frozen: _FrozenTargets, idx: np.ndarray
-) -> tuple[float, Matrix]:
-    """Loss and student-logit gradient for distillation rows `idx` on the unpaired path."""
-    t = method.temperature
-    if method.method == "dkd":
-        res = dkd_loss(
-            student_logits, frozen.teacher_logits[idx], t, method.dkd_alpha, method.dkd_beta
-        )
-        return res.loss, res.dlogits
-    teacher = frozen.teacher[idx]
-    if method.method == "ls":
-        res = ls_kd_from_targets(student_logits, teacher, t)
-    elif method.method == "mds":
-        keep = mds_filter(
-            frozen.teacher_logits[idx],
-            method.mds_low_q,
-            method.mds_high_q,
-            t,
-            entropies=frozen.entropy[idx],
-        )
-        kept = kl_kd_from_targets(student_logits[keep], teacher[keep], t)
-        dlogits = np.zeros_like(student_logits)
-        dlogits[keep] = kept.dlogits
-        return kept.loss, dlogits
-    elif frozen.prev is not None:
-        # se2d only gets a checkpoint term here when the distillation set has
-        # no internal part, where its data scope coincides with self-distillation.
-        res = self_distill_from_targets(student_logits, teacher, frozen.prev[idx], t)
-    else:
-        res = kl_kd_from_targets(student_logits, teacher, t)
-    return res.loss, res.dlogits
-
-
 def distill_task(
     student: MlpModel,
     teacher: TeacherModel,
@@ -288,10 +247,10 @@ def distill_task(
     """Distill one teacher into the student over the fixed distillation set.
 
     Teacher and checkpoint targets are computed once per task, since both
-    models are frozen within it; each step gathers its rows. Only the
-    student is updated. For the paired method the teacher term sees the
-    concatenation of one internal and one external batch per step while the
-    checkpoint term sees only the external batch.
+    models are frozen within it; each step gathers its rows and calls the
+    method's public loss. Only the student is updated. With internal and
+    external rows, a se2d step concatenates one internal and one external
+    batch; its teacher term sees both and its checkpoint term the external one.
     """
     if student.num_classes != teacher.model.num_classes:
         raise InvalidArgumentError(
@@ -301,67 +260,74 @@ def distill_task(
         raise InvalidArgumentError("distillation set is empty")
 
     features = distill_set.features
-    ext_mask = distill_set.external_mask
-    internal_rows = np.flatnonzero(~ext_mask)
-    external_rows = np.flatnonzero(ext_mask)
-    has_prev = method.method in ("self_distill", "se2d") and prev_student is not None
-    paired = (
-        has_prev
-        and method.method == "se2d"
-        and len(internal_rows) > 0
-        and len(external_rows) > 0
-    )
-    if paired:
-        prev_features = features[external_rows]
-    elif has_prev and (method.method == "self_distill" or len(internal_rows) == 0):
-        prev_features = features
-    else:
-        prev_features = None
-
-    t = method.temperature
+    name, t = method.method, method.temperature
     teacher_logits = _frozen_logits(teacher.model, features, config.batch_size)
-    frozen = _FrozenTargets(
-        teacher_logits,
-        (ls_targets if method.method == "ls" else soft_targets)(teacher_logits, t),
-        teacher_entropy(teacher_logits, t) if method.method == "mds" else None,
-        None
-        if prev_features is None
-        else soft_targets(_frozen_logits(prev_student, prev_features, config.batch_size), t),
-    )
+    targets = (ls_targets if name == "ls" else soft_targets)(teacher_logits, t)
+    entropies = teacher_entropy(teacher_logits, t) if name == "mds" else None
+    # The checkpoint term covers every row for self_distill and the external
+    # rows for se2d; `slot` maps a distillation row to its checkpoint target.
+    prev_targets = None
+    if prev_student is not None and name in ("self_distill", "se2d"):
+        prev_rows = np.arange(len(features))
+        if name == "se2d":
+            prev_rows = np.flatnonzero(distill_set.external_mask)
+        prev_logits = _frozen_logits(prev_student, features[prev_rows], config.batch_size)
+        prev_targets = soft_targets(prev_logits, t)
+        slot = np.full(len(features), -1)
+        slot[prev_rows] = np.arange(len(prev_rows))
+    # se2d with both internal and external rows balances the two per step.
+    paired = name == "se2d" and prev_targets is not None and 0 < len(prev_rows) < len(features)
+    internal_rows = np.flatnonzero(~distill_set.external_mask)
+
+    def step_loss(student_logits: Matrix, idx: np.ndarray) -> tuple[float, Matrix]:
+        if name == "dkd":
+            res = dkd_loss(
+                student_logits, teacher_logits[idx], t, method.dkd_alpha, method.dkd_beta
+            )
+        elif name == "mds":
+            low, high = method.mds_low_q, method.mds_high_q
+            keep = mds_filter(teacher_logits[idx], low, high, t, entropies=entropies[idx])
+            res = kl_kd_loss(student_logits[keep], targets[idx[keep]], t)
+            dlogits = np.zeros_like(student_logits)
+            dlogits[keep] = res.dlogits
+            return res.loss, dlogits
+        elif name == "ls":
+            res = ls_kd_loss(student_logits, targets[idx], t)
+        elif prev_targets is None:
+            res = kl_kd_loss(student_logits, targets[idx], t)
+        elif name == "self_distill":
+            res = self_distill_loss(student_logits, targets[idx], prev_targets[idx], t)
+        else:
+            on = slot[idx] >= 0
+            pair = se2d_loss(
+                student_logits, targets[idx], student_logits[on], prev_targets[slot[idx[on]]], t
+            )
+            pair.dlogits_all[on] += pair.dlogits_ext
+            return pair.loss, pair.dlogits_all
+        return res.loss, res.dlogits
 
     opt = make_optimizer(student, config.optimizer, config.learning_rate)
     epoch_losses: list[float] = []
     epoch_accuracies: list[dict[int, float]] | None = [] if config.eval_every_epoch else None
     for epoch in range(config.epochs):
         shuffle_seed = [_SEED_SHUFFLE, seed, task_index, epoch]
-        losses: list[float] = []
         if paired:
             stream = balance_pair_stream(
-                len(internal_rows), len(external_rows), config.batch_size, shuffle_seed
+                len(internal_rows), len(prev_rows), config.batch_size, shuffle_seed
             )
-            for pos_int, pos_ext in stream:
-                idx = np.concatenate([internal_rows[pos_int], external_rows[pos_ext]])
-                student_logits, cache = forward(student, features[idx])
-                res = se2d_from_targets(
-                    student_logits,
-                    frozen.teacher[idx],
-                    student_logits[len(pos_int) :],
-                    frozen.prev[pos_ext],
-                    t,
-                )
-                dlogits = res.dlogits_all
-                dlogits[len(pos_int) :] += res.dlogits_ext
-                student, opt = optimizer_step(student, backward(student, cache, dlogits), opt)
-                losses.append(res.loss)
+            batches = (np.concatenate([internal_rows[i], prev_rows[e]]) for i, e in stream)
         else:
-            rng = np.random.default_rng(shuffle_seed)
-            order = rng.permutation(len(features))
-            for start in range(0, len(order), config.batch_size):
-                idx = order[start : start + config.batch_size]
-                student_logits, cache = forward(student, features[idx])
-                loss, dlogits = _batch_loss(method, student_logits, frozen, idx)
-                student, opt = optimizer_step(student, backward(student, cache, dlogits), opt)
-                losses.append(loss)
+            order = np.random.default_rng(shuffle_seed).permutation(len(features))
+            batches = (
+                order[start : start + config.batch_size]
+                for start in range(0, len(order), config.batch_size)
+            )
+        losses: list[float] = []
+        for idx in batches:
+            student_logits, cache = forward(student, features[idx])
+            loss, dlogits = step_loss(student_logits, idx)
+            student, opt = optimizer_step(student, backward(student, cache, dlogits), opt)
+            losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
         if epoch_accuracies is not None and test_sets:
             epoch_accuracies.append(

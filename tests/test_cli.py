@@ -143,6 +143,11 @@ class TestConfigValidation:
             ("run", "dkd_alpha", float("nan")),
             (None, "external_entropy_max", float("nan")),
             pytest.param("run", "learning_rate", 10**400, id="run-learning_rate-bigint"),
+            ("run", "optimizer", "rmsprop"),
+            ("run", "student_hidden", [0]),
+            ("run", "teacher_learning_rate", -0.5),
+            ("run", "teacher_learning_rate", 0),
+            ("scenario", "classes", 8),  # more classes than feature_dim 6
         ],
     )
     def test_boolean_in_numeric_field_rejected(self, tmp_path, capsys, section, key, value):

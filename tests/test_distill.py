@@ -17,7 +17,7 @@ from cdbench import (
     self_distill_loss,
     softmax_t,
 )
-from cdbench.distill import batch_entropy, teacher_entropy
+from cdbench.distill import batch_entropy, ls_targets, soft_targets, teacher_entropy
 
 from conftest import finite_difference_logits, max_relative_error
 
@@ -289,6 +289,35 @@ class TestCompositeLosses:
         assert max_relative_error(res.dlogits, numeric) < 1e-4
 
 
+class TestPrecomputedTargets:
+    """Each KL-family loss takes its constant inputs as logits or as targets."""
+
+    @pytest.mark.parametrize("name", ["kl", "ls", "self_distill", "se2d"])
+    def test_logits_and_targets_agree_bitwise(self, name):
+        rng = np.random.default_rng(18)
+        zs, zt, zp = (random_logits(rng, 6, 4) for _ in range(3))
+        t = 3.0
+        if name == "kl":
+            a, b = kl_kd_loss(zs, zt, t), kl_kd_loss(zs, soft_targets(zt, t), t)
+        elif name == "ls":
+            a, b = ls_kd_loss(zs, zt, t), ls_kd_loss(zs, ls_targets(zt, t), t)
+        elif name == "self_distill":
+            a = self_distill_loss(zs, zt, zp, t)
+            b = self_distill_loss(zs, soft_targets(zt, t), soft_targets(zp, t), t)
+        else:
+            a = se2d_loss(zs, zt, zs[2:], zp[2:], t)
+            b = se2d_loss(zs, soft_targets(zt, t), zs[2:], soft_targets(zp[2:], t), t)
+            assert np.array_equal(a.dlogits_ext, b.dlogits_ext)
+            a.dlogits, b.dlogits = a.dlogits_all, b.dlogits_all
+        assert a.loss == b.loss
+        assert np.array_equal(a.dlogits, b.dlogits)
+
+    def test_targets_of_another_shape_rejected(self):
+        z = np.zeros((3, 4))
+        with pytest.raises(ShapeError):
+            kl_kd_loss(z, soft_targets(np.zeros((2, 4)), 1.0), 1.0)
+
+
 class TestEntropy:
     def test_uniform_four_classes(self):
         assert abs(entropy(np.full(4, 0.25)) - np.log(4)) < 1e-12
@@ -321,6 +350,11 @@ class TestMethodConfig:
     def test_bad_temperature(self):
         with pytest.raises(InvalidArgumentError):
             MethodConfig("kl", temperature=0.0)
+
+    @pytest.mark.parametrize("field", ["temperature", "dkd_alpha", "dkd_beta"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(InvalidArgumentError, match=field):
+            MethodConfig("dkd", **{field: float("nan")})
 
     def test_defaults(self):
         cfg = MethodConfig("dkd")

@@ -291,6 +291,13 @@ class TestCsv:
         with pytest.raises(FormatError, match="row 3"):
             load_csv_dataset(path, CsvSchema(("x0",), "label", "domain"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_row_number(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"x0,x1,label,domain\n0.5,1.0,0,0\n{value},1.0,0,0\n")
+        with pytest.raises(FormatError, match="row 3"):
+            load_csv_dataset(path, CsvSchema(("x0", "x1"), "label", "domain"))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "none.csv"
         path.write_text("")

@@ -187,6 +187,14 @@ class TestTrainTeacher:
         assert sorted(tiny_teachers[0].trained_domain_ids) == [0, 1]
 
 
+class TestRunConfig:
+    # The JSON config path stops non-finite numbers before RunConfig sees them.
+    @pytest.mark.parametrize("field", ["learning_rate", "temperature", "teacher_learning_rate"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(InvalidArgumentError, match=field):
+            RunConfig(**{field: float("nan")})
+
+
 class TestDistillTask:
     def test_student_equal_to_teacher_has_zero_loss(self, tiny_scenario, tiny_config):
         spec = tiny_scenario.spec
@@ -295,6 +303,36 @@ class TestDistillTask:
         prev_rows = {"self_distill": len(distill_set), "se2d": n_ext}.get(method, 0)
         assert calls[id(teacher.model)] == math.ceil(len(distill_set) / cfg.batch_size)
         assert calls[id(prev)] == math.ceil(prev_rows / cfg.batch_size)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_method_calls_its_public_loss(
+        self, method, monkeypatch, tiny_scenario, tiny_config, tiny_teachers
+    ):
+        expected = {
+            "kl": {"kl_kd_loss"},
+            "ls": {"ls_kd_loss"},
+            "dkd": {"dkd_loss"},
+            "mds": {"mds_filter", "kl_kd_loss"},
+            "self_distill": {"self_distill_loss"},
+            "se2d": {"se2d_loss"},
+        }
+        calls = {name: 0 for names in expected.values() for name in names}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+        prev = new_student(6, 3, tiny_config, seed=3)
+        distill_task(
+            new_student(6, 3, tiny_config, seed=2), tiny_teachers[0], tiny_scenario.distill_set,
+            MethodConfig(method, temperature=3.0), tiny_config, prev_student=prev,
+        )
+        assert {name for name, n in calls.items() if n} == expected[method]
 
     def test_per_epoch_evaluation_trace(self, tiny_scenario, tiny_teachers):
         cfg = RunConfig(
