@@ -363,8 +363,10 @@ def _run_cell(args: tuple) -> tuple[list[dict], list[tuple]]:
 
 
 def _max_jobs(requested: int) -> int:
+    if requested < 1:
+        raise UsageError(f"--jobs must be >= 1, got {requested}")
     cap = os.environ.get(THREAD_CAP_ENV)
-    jobs = max(1, requested)
+    jobs = requested
     if cap:
         try:
             jobs = min(jobs, max(1, int(cap)))
@@ -398,6 +400,7 @@ def run_grid(
     cells. Returns the result rows, keyed by RESULT_COLUMNS and sorted by
     method, seed, task and domain, and the sorted per-epoch curve rows.
     """
+    jobs = _max_jobs(jobs)
     scenario = build_scenario(spec)
     if config.external_entropy_max is not None:
         scenario = _filter_external_by_entropy(scenario, teachers, config.external_entropy_max)
@@ -406,7 +409,6 @@ def run_grid(
         for m in config.methods
         for s in config.run.seeds
     ]
-    jobs = _max_jobs(jobs)
     if jobs > 1 and len(cells) > 1:
         # Grid cells already run in parallel, so each worker takes a
         # single-threaded BLAS; spawned workers import numpy afresh under it

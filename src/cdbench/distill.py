@@ -4,9 +4,9 @@ Every loss returns the scalar value together with its gradient with
 respect to the student logits; teacher and checkpoint logits are always
 treated as constants. KL-family losses follow the tempered convention
 loss = T^2 * mean_batch KL(p_teacher || p_student) with p = softmax(z / T).
-Their teacher and checkpoint inputs take either logits or precomputed
-SoftTargets, so a caller whose teacher is frozen can compute the targets
-once and gather rows per batch.
+Their teacher and checkpoint inputs, and dkd's teacher input, take either
+logits or precomputed targets (SoftTargets, DkdTargets), so a caller whose
+teacher is frozen can compute the targets once and gather rows per batch.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class PairedLossResult:
     dlogits_ext: Matrix
 
 
-def _check_same_shape(a: Matrix, b: Matrix, what: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{what}: shapes {a.shape} and {b.shape} differ")
-
-
 @dataclass(frozen=True)
 class SoftTargets:
     """Tempered log-probabilities of constant logits and their exponentials.
@@ -80,6 +75,10 @@ class SoftTargets:
 
     log_p: Matrix
     p: Matrix
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.p.shape
 
     def __getitem__(self, rows) -> "SoftTargets":
         return SoftTargets(self.log_p[rows], self.p[rows])
@@ -92,19 +91,26 @@ def soft_targets(logits: Matrix, temperature: float) -> SoftTargets:
 
 
 def _targets(
-    student_logits: Matrix, other: Matrix | SoftTargets, temperature: float, make=soft_targets
-) -> tuple[Matrix, SoftTargets]:
+    student_logits: Matrix,
+    other: Matrix | SoftTargets | DkdTargets,
+    temperature: float,
+    make=soft_targets,
+    kind: type = SoftTargets,
+) -> tuple[Matrix, SoftTargets | DkdTargets]:
     """The student logits as a float array and the targets they are matched to.
 
     `other` is either constant logits, which `make` turns into targets, or
-    targets made earlier. Both sides must have one shape.
+    targets of type `kind` made earlier. Both sides must have one shape.
     """
     student_logits = np.asarray(student_logits, dtype=float)
     if not temperature > 0:
         raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
-    if not isinstance(other, SoftTargets):
+    if not isinstance(other, kind):
         other = make(np.asarray(other, dtype=float), temperature)
-    _check_same_shape(student_logits, other.p, "student logits and targets")
+    if student_logits.shape != other.shape:
+        raise ShapeError(
+            f"student logits and targets: shapes {student_logits.shape} and {other.shape} differ"
+        )
     return student_logits, other
 
 
@@ -176,9 +182,65 @@ def _masked_log_softmax(scaled_logits: Matrix, target_mask: Matrix) -> Matrix:
     return z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
 
 
+@dataclass(frozen=True)
+class DkdTargets:
+    """The teacher-side terms of dkd_loss, each computed row by row.
+
+    `target` is the teacher's argmax class (lowest index on ties) and
+    `mask` marks it. `pt`/`log_pt` are its tempered probability and their
+    log, `p_rest` the tempered mass of the other classes, and
+    `log_phat`/`phat` the tempered distribution renormalized over those
+    classes (`phat` is 0 at the target). Indexing gathers rows.
+    """
+
+    target: np.ndarray
+    mask: Matrix
+    pt: np.ndarray
+    log_pt: np.ndarray
+    p_rest: np.ndarray
+    log_phat: Matrix
+    phat: Matrix
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.mask.shape
+
+    def __getitem__(self, rows) -> "DkdTargets":
+        return DkdTargets(
+            self.target[rows],
+            self.mask[rows],
+            self.pt[rows],
+            self.log_pt[rows],
+            self.p_rest[rows],
+            self.log_phat[rows],
+            self.phat[rows],
+        )
+
+
+def dkd_targets(teacher_logits: Matrix, temperature: float) -> DkdTargets:
+    """The DkdTargets of constant teacher logits at one temperature."""
+    teacher_logits = np.asarray(teacher_logits, dtype=float)
+    n, c = teacher_logits.shape
+    if c < 2:
+        raise InvalidArgumentError("dkd_loss needs at least 2 classes")
+    target = np.argmax(teacher_logits, axis=1)
+    rows = np.arange(n)
+    mask = np.zeros((n, c), dtype=bool)
+    mask[rows, target] = True
+    log_p = log_softmax_t(teacher_logits, temperature)
+    p = np.exp(log_p)
+    # Aggregated (target, rest) masses; rest mass sums the non-target
+    # tempered probabilities.
+    p_rest = np.where(~mask, p, 0.0).sum(axis=1)
+    # The non-target distribution is the softmax over the masked logits.
+    log_phat = _masked_log_softmax(teacher_logits / temperature, mask)
+    phat = np.where(mask, 0.0, np.exp(log_phat))
+    return DkdTargets(target, mask, p[rows, target], log_p[rows, target], p_rest, log_phat, phat)
+
+
 def dkd_loss(
     student_logits: Matrix,
-    teacher_logits: Matrix,
+    teacher: Matrix | DkdTargets,
     temperature: float,
     alpha: float,
     beta: float | np.ndarray,
@@ -189,49 +251,31 @@ def dkd_loss(
     first term is the binary KL between (target, rest) aggregated tempered
     masses; the second is the KL between tempered distributions
     renormalized over the non-target classes. Both carry the T^2 factor.
-    `beta` may be a scalar or a per-sample vector of length B.
+    `teacher` is the teacher's logits or their dkd_targets. `beta` may be
+    a scalar or a per-sample vector of length B.
     """
-    student_logits = np.asarray(student_logits, dtype=float)
-    teacher_logits = np.asarray(teacher_logits, dtype=float)
-    _check_same_shape(student_logits, teacher_logits, "dkd_loss")
-    if not temperature > 0:
-        raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
-    n, c = student_logits.shape
-    if c < 2:
-        raise InvalidArgumentError("dkd_loss needs at least 2 classes")
+    student_logits, teacher = _targets(
+        student_logits, teacher, temperature, dkd_targets, DkdTargets
+    )
+    n = student_logits.shape[0]
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
+    target, mask = teacher.target, teacher.mask
+    pt, log_pt, p_rest, phat = teacher.pt, teacher.log_pt, teacher.p_rest, teacher.phat
 
-    target = np.argmax(teacher_logits, axis=1)
     rows = np.arange(n)
-    mask = np.zeros((n, c), dtype=bool)
-    mask[rows, target] = True
-
-    us = student_logits / temperature
-    ut = teacher_logits / temperature
     log_q = log_softmax_t(student_logits, temperature)
-    log_p = log_softmax_t(teacher_logits, temperature)
     q = np.exp(log_q)
-    p = np.exp(log_p)
-
-    # Aggregated (target, rest) masses; rest mass sums the non-target
-    # tempered probabilities.
     log_qt = log_q[rows, target]
-    log_pt = log_p[rows, target]
     q_rest = np.where(~mask, q, 0.0).sum(axis=1)
-    p_rest = np.where(~mask, p, 0.0).sum(axis=1)
     qt = q[rows, target]
-    pt = p[rows, target]
     with np.errstate(divide="ignore", invalid="ignore"):
         tckd = pt * (log_pt - log_qt) + p_rest * (np.log(p_rest) - np.log(q_rest))
     tckd = np.where(p_rest > 0, tckd, pt * (log_pt - log_qt))
 
-    # Non-target distributions renormalize to softmax over the masked logits.
-    log_qhat = _masked_log_softmax(us, mask)
-    log_phat = _masked_log_softmax(ut, mask)
-    phat = np.where(mask, 0.0, np.exp(log_phat))
+    log_qhat = _masked_log_softmax(student_logits / temperature, mask)
     qhat = np.where(mask, 0.0, np.exp(log_qhat))
     with np.errstate(invalid="ignore"):
-        diff = np.where(mask, 0.0, log_phat - log_qhat)
+        diff = np.where(mask, 0.0, teacher.log_phat - log_qhat)
     nckd = (phat * diff).sum(axis=1)
 
     scale = temperature**2 / n

@@ -445,6 +445,8 @@ def load_csv_dataset(path: str | Path, schema: CsvSchema) -> list[DomainDataset]
                 raise FormatError(f"{path}: row {rownum}: {exc}") from None
             if not all(math.isfinite(v) for v in feats[-1]):
                 raise FormatError(f"{path}: row {rownum}: non-finite feature")
+            if labels[-1] < 0:
+                raise FormatError(f"{path}: row {rownum}: negative label {labels[-1]}")
     if not feats:
         raise FormatError(f"{path}: no data rows")
 

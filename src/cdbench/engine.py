@@ -19,6 +19,7 @@ import numpy as np
 from .distill import (
     MethodConfig,
     dkd_loss,
+    dkd_targets,
     kl_kd_loss,
     ls_kd_loss,
     ls_targets,
@@ -123,13 +124,18 @@ def serialize_model(model: MlpModel) -> bytes:
 
     Layout per layer: rows and cols as little-endian uint32, weight values
     row-major then bias values, IEEE-754 single precision little-endian.
+    Raises FormatError, naming the layer, if a value is not finite in
+    single precision, so a diverged model is never written.
     """
+    with np.errstate(over="ignore"):
+        single = model.params.astype("<f4")
     parts = [CHECKPOINT_MAGIC + CHECKPOINT_VERSION, struct.pack("<I", len(model.layers))]
-    for layer in model.layers:
-        rows, cols = layer.weight.shape
-        parts.append(struct.pack("<II", rows, cols))
-        parts.append(layer.weight.astype("<f4").tobytes())
-        parts.append(layer.bias.astype("<f4").tobytes())
+    for k, (weight, bias) in enumerate(model.layer_views(single)):
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            raise FormatError(f"layer {k} has a weight or bias that is not finite as float32")
+        parts.append(struct.pack("<II", *weight.shape))
+        parts.append(weight.tobytes())
+        parts.append(bias.tobytes())
     return b"".join(parts)
 
 
@@ -157,11 +163,12 @@ def deserialize_model(data: bytes) -> MlpModel:
         rows, cols = struct.unpack("<II", take(8))
         if rows == 0 or cols == 0:
             raise FormatError("checkpoint layer with zero dimension")
-        weight = np.frombuffer(take(4 * rows * cols), dtype="<f4").astype(float)
-        bias = np.frombuffer(take(4 * rows), dtype="<f4").astype(float)
+        weight = np.frombuffer(take(4 * rows * cols), dtype="<f4")
+        bias = np.frombuffer(take(4 * rows), dtype="<f4")
         layers.append(Layer(weight.reshape(rows, cols), bias))
     if pos != len(data):
         raise FormatError("trailing bytes after checkpoint payload")
+    # The model widens every value to float64 as it packs them into params.
     return MlpModel(layers)
 
 
@@ -246,11 +253,12 @@ def distill_task(
 ) -> tuple[MlpModel, TaskLog]:
     """Distill one teacher into the student over the fixed distillation set.
 
-    Teacher and checkpoint targets are computed once per task, since both
-    models are frozen within it; each step gathers its rows and calls the
-    method's public loss. Only the student is updated. With internal and
-    external rows, a se2d step concatenates one internal and one external
-    batch; its teacher term sees both and its checkpoint term the external one.
+    Teacher and checkpoint targets (dkd's teacher-side terms included) are
+    computed once per task, since both models are frozen within it; each
+    step gathers its rows and calls the method's public loss. Only the
+    student is updated. With internal and external rows, a se2d step
+    concatenates one internal and one external batch; its teacher term sees
+    both and its checkpoint term the external one.
     """
     if student.num_classes != teacher.model.num_classes:
         raise InvalidArgumentError(
@@ -262,7 +270,8 @@ def distill_task(
     features = distill_set.features
     name, t = method.method, method.temperature
     teacher_logits = _frozen_logits(teacher.model, features, config.batch_size)
-    targets = (ls_targets if name == "ls" else soft_targets)(teacher_logits, t)
+    make_targets = {"ls": ls_targets, "dkd": dkd_targets}.get(name, soft_targets)
+    targets = make_targets(teacher_logits, t)
     entropies = teacher_entropy(teacher_logits, t) if name == "mds" else None
     # The checkpoint term covers every row for self_distill and the external
     # rows for se2d; `slot` maps a distillation row to its checkpoint target.
@@ -281,9 +290,7 @@ def distill_task(
 
     def step_loss(student_logits: Matrix, idx: np.ndarray) -> tuple[float, Matrix]:
         if name == "dkd":
-            res = dkd_loss(
-                student_logits, teacher_logits[idx], t, method.dkd_alpha, method.dkd_beta
-            )
+            res = dkd_loss(student_logits, targets[idx], t, method.dkd_alpha, method.dkd_beta)
         elif name == "mds":
             low, high = method.mds_low_q, method.mds_high_q
             keep = mds_filter(teacher_logits[idx], low, high, t, entropies=entropies[idx])

@@ -3,6 +3,12 @@ hand-written backpropagation, and SGD/Adam updates.
 
 All arithmetic is float64. Matrices are 2-D numpy arrays in row-major
 order; a batch is (B, d_in) and logits are (B, C).
+
+A model keeps all its parameters in one flat vector, `MlpModel.params`,
+with per-layer weight and bias views into it. `backward` returns a flat
+gradient and the Adam moments are flat vectors of the same layout, so
+`optimizer_step` updates every parameter with a few whole-vector
+operations.
 """
 
 from __future__ import annotations
@@ -23,26 +29,59 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class Layer:
+    """One dense layer; inside an MlpModel both arrays are views into its params."""
+
     weight: Matrix  # (out, in)
     bias: np.ndarray  # (out,)
 
 
-@dataclass
 class MlpModel:
-    """Fully connected net with rectifier hidden units and identity output."""
+    """Fully connected net with rectifier hidden units and identity output.
 
-    layers: list[Layer]
+    Every parameter lives in one contiguous float64 vector, `params`, laid
+    out layer by layer as the row-major weight followed by the bias. Each
+    layer's weight and bias are views into it, so a write through either
+    changes `params`. Gradients and optimizer moments share this layout.
+    """
+
+    def __init__(self, layers: list[Layer]):
+        for layer in layers:
+            if np.ndim(layer.weight) != 2 or np.shape(layer.bias) != np.shape(layer.weight)[:1]:
+                raise ShapeError(
+                    f"layer weight {np.shape(layer.weight)} and bias {np.shape(layer.bias)} "
+                    "do not form a dense layer"
+                )
+        self.shapes = tuple(np.shape(layer.weight) for layer in layers)  # (out, in) per layer
+        self.params = np.concatenate(
+            [np.ravel(a) for layer in layers for a in (layer.weight, layer.bias)], dtype=float
+        )
+        self.layers = [Layer(w, b) for w, b in self.layer_views(self.params)]
+
+    def __reduce__(self):
+        # Views pickle as copies, so rebuild the shared vector on unpickling.
+        return MlpModel, (self.layers,)
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.shapes[0][1]
 
     @property
     def num_classes(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.shapes[-1][0]
+
+    def layer_views(self, vector: np.ndarray) -> list[tuple[Matrix, np.ndarray]]:
+        """Per-layer (weight, bias) views into a vector laid out like `params`."""
+        if vector.shape != self.params.shape:
+            raise ShapeError(f"vector shape {vector.shape}, expected {self.params.shape}")
+        views, pos = [], 0
+        for rows, cols in self.shapes:
+            end = pos + rows * cols
+            views.append((vector[pos:end].reshape(rows, cols), vector[end : end + rows]))
+            pos = end + rows
+        return views
 
     def copy(self) -> "MlpModel":
-        return MlpModel([Layer(l.weight.copy(), l.bias.copy()) for l in self.layers])
+        return MlpModel(self.layers)
 
 
 @dataclass
@@ -54,17 +93,14 @@ class ForwardCache:
     activations: list[Matrix]  # hidden-layer outputs, after the rectifier
 
 
-# Gradients mirror the model layout: one (dweight, dbias) pair per layer.
-Gradients = list[tuple[Matrix, np.ndarray]]
-
-
 @dataclass
 class OptimizerState:
     kind: str
     learning_rate: float
     step: int = 0
-    moment1: Gradients | None = field(default=None, repr=False)
-    moment2: Gradients | None = field(default=None, repr=False)
+    # Adam's moment estimates, laid out like the model's params.
+    moment1: np.ndarray | None = field(default=None, repr=False)
+    moment2: np.ndarray | None = field(default=None, repr=False)
 
 
 def init_mlp(seed: int, layer_dims: list[int]) -> MlpModel:
@@ -145,19 +181,26 @@ def cross_entropy(logits: Matrix, labels: np.ndarray) -> tuple[float, Matrix]:
     return loss, dlogits / n
 
 
-def backward(model: MlpModel, cache: ForwardCache, dlogits: Matrix) -> Gradients:
-    """Exact reverse-mode gradients for the loss whose logit-gradient is dlogits."""
+def backward(model: MlpModel, cache: ForwardCache, dlogits: Matrix) -> np.ndarray:
+    """Exact reverse-mode gradients for the loss whose logit-gradient is dlogits.
+
+    Returns one flat vector laid out like `model.params`; `model.layer_views`
+    splits it into per-layer (dweight, dbias) pairs.
+    """
     dlogits = np.asarray(dlogits, dtype=float)
     n = cache.inputs.shape[0]
     if dlogits.shape != (n, model.num_classes):
         raise ShapeError(
             f"dlogits shape {dlogits.shape}, expected {(n, model.num_classes)}"
         )
-    grads: Gradients = [None] * len(model.layers)  # type: ignore[list-item]
+    grads = np.empty_like(model.params)
+    views = model.layer_views(grads)
     delta = dlogits
     for k in range(len(model.layers) - 1, -1, -1):
         a_prev = cache.activations[k - 1] if k > 0 else cache.inputs
-        grads[k] = (delta.T @ a_prev, delta.sum(axis=0))
+        dw, db = views[k]
+        np.matmul(delta.T, a_prev, out=dw)
+        delta.sum(axis=0, out=db)
         if k > 0:
             delta = (delta @ model.layers[k].weight) * (cache.pre_activations[k - 1] > 0)
     return grads
@@ -170,47 +213,47 @@ def make_optimizer(model: MlpModel, kind: str, learning_rate: float) -> Optimize
         raise InvalidArgumentError(f"learning rate must be > 0, got {learning_rate}")
     m1 = m2 = None
     if kind == "adam":
-        m1 = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
-        m2 = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
+        m1, m2 = np.zeros_like(model.params), np.zeros_like(model.params)
     return OptimizerState(kind, learning_rate, 0, m1, m2)
 
 
 def optimizer_step(
-    model: MlpModel, grads: Gradients, state: OptimizerState
+    model: MlpModel, grads: np.ndarray, state: OptimizerState
 ) -> tuple[MlpModel, OptimizerState]:
-    """Apply one update in place and return the (model, state) pair."""
-    if len(grads) != len(model.layers):
-        raise ShapeError(f"got {len(grads)} gradient pairs for {len(model.layers)} layers")
-    for layer, (dw, db) in zip(model.layers, grads):
-        if dw.shape != layer.weight.shape or db.shape != layer.bias.shape:
-            raise ShapeError(
-                f"gradient shapes {(dw.shape, db.shape)} do not match layer "
-                f"{(layer.weight.shape, layer.bias.shape)}"
-            )
+    """Apply one update to `model.params` in place and return the (model, state) pair.
+
+    `grads` is a flat vector laid out like `model.params`, as backward returns.
+    """
+    params = model.params
+    if np.shape(grads) != params.shape:
+        raise ShapeError(f"gradient shape {np.shape(grads)} does not match params {params.shape}")
     lr = state.learning_rate
     if state.kind == "sgd":
-        for layer, (dw, db) in zip(model.layers, grads):
-            layer.weight -= lr * dw
-            layer.bias -= lr * db
+        params -= lr * grads
         state.step += 1
         return model, state
-    # Adam with bias-corrected moments.
+    # Adam with bias-corrected moments:
+    #   m1 = b1*m1 + (1-b1)*g,  m2 = b2*m2 + (1-b2)*(g*g),
+    #   p -= lr*(m1/corr1) / (sqrt(m2/corr2) + eps).
+    # Each operation is the formula's own, in its order, so the update is
+    # bitwise the same as evaluating it term by term; only the buffers are reused.
     state.step += 1
-    b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.step
-    assert state.moment1 is not None and state.moment2 is not None
+    b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    for layer, (dw, db), (m1w, m1b), (m2w, m2b) in zip(
-        model.layers, grads, state.moment1, state.moment2
-    ):
-        m1w *= b1
-        m1w += (1 - b1) * dw
-        m1b *= b1
-        m1b += (1 - b1) * db
-        m2w *= b2
-        m2w += (1 - b2) * dw**2
-        m2b *= b2
-        m2b += (1 - b2) * db**2
-        layer.weight -= lr * (m1w / corr1) / (np.sqrt(m2w / corr2) + eps)
-        layer.bias -= lr * (m1b / corr1) / (np.sqrt(m2b / corr2) + eps)
+    m1, m2 = state.moment1, state.moment2
+    buf = np.multiply(grads, 1 - b1)
+    m1 *= b1
+    m1 += buf
+    np.multiply(grads, grads, out=buf)
+    buf *= 1 - b2
+    m2 *= b2
+    m2 += buf
+    np.divide(m2, corr2, out=buf)
+    np.sqrt(buf, out=buf)
+    buf += ADAM_EPS
+    update = np.divide(m1, corr1)
+    update *= lr
+    update /= buf
+    params -= update
     return model, state

@@ -106,7 +106,7 @@ def test_criterion_1_gradient_suite():
     def network_gradient_check(loss_of_logits, model, x):
         logits, cache = forward(model, x)
         loss, dlogits = loss_of_logits(logits)
-        grads = backward(model, cache, dlogits)
+        grads = model.layer_views(backward(model, cache, dlogits))
         worst = 0.0
         for k, layer in enumerate(model.layers):
             for arr, grad in ((layer.weight, grads[k][0]), (layer.bias, grads[k][1])):

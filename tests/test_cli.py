@@ -353,6 +353,21 @@ class TestRun:
         with pytest.raises(ConfigError):
             _max_jobs(8)
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_rejected(self, tmp_path, capsys, command, jobs):
+        doc = base_config(tmp_path / "out")
+        doc["run"].update({"epochs": 1, "seeds": [1], "teacher_epochs": 1})
+        path = write_config(tmp_path, doc)
+        assert main(["gen", "--config", str(path)]) == 0
+        assert main(["teachers", "--config", str(path)]) == 0
+        capsys.readouterr()
+        ratio = ["--ratio", "0,0.5"] if command == "sweep" else []
+        assert main([command, "--config", str(path), "--jobs", jobs, *ratio]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_workers_default_to_single_threaded_blas(self, monkeypatch):
         for name in BLAS_THREAD_ENVS:
             monkeypatch.delenv(name, raising=False)

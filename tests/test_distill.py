@@ -17,7 +17,13 @@ from cdbench import (
     self_distill_loss,
     softmax_t,
 )
-from cdbench.distill import batch_entropy, ls_targets, soft_targets, teacher_entropy
+from cdbench.distill import (
+    batch_entropy,
+    dkd_targets,
+    ls_targets,
+    soft_targets,
+    teacher_entropy,
+)
 
 from conftest import finite_difference_logits, max_relative_error
 
@@ -290,14 +296,16 @@ class TestCompositeLosses:
 
 
 class TestPrecomputedTargets:
-    """Each KL-family loss takes its constant inputs as logits or as targets."""
+    """Each KL-family loss, and dkd, takes its constant inputs as logits or as targets."""
 
-    @pytest.mark.parametrize("name", ["kl", "ls", "self_distill", "se2d"])
+    @pytest.mark.parametrize("name", ["kl", "ls", "self_distill", "se2d", "dkd"])
     def test_logits_and_targets_agree_bitwise(self, name):
         rng = np.random.default_rng(18)
         zs, zt, zp = (random_logits(rng, 6, 4) for _ in range(3))
         t = 3.0
-        if name == "kl":
+        if name == "dkd":
+            a, b = dkd_loss(zs, zt, t, 1.0, 8.0), dkd_loss(zs, dkd_targets(zt, t), t, 1.0, 8.0)
+        elif name == "kl":
             a, b = kl_kd_loss(zs, zt, t), kl_kd_loss(zs, soft_targets(zt, t), t)
         elif name == "ls":
             a, b = ls_kd_loss(zs, zt, t), ls_kd_loss(zs, ls_targets(zt, t), t)
@@ -311,6 +319,23 @@ class TestPrecomputedTargets:
             a.dlogits, b.dlogits = a.dlogits_all, b.dlogits_all
         assert a.loss == b.loss
         assert np.array_equal(a.dlogits, b.dlogits)
+
+    def test_gathered_dkd_targets_agree_bitwise(self):
+        # Terms built once over a whole set, then gathered per batch, as
+        # distill_task does, equal terms built from the gathered logits.
+        rng = np.random.default_rng(19)
+        zt_all = random_logits(rng, 40, 5)
+        zt_all[3] = [1.0, 1.0, 0.0, 0.0, 0.0]  # tied argmax
+        zt_all[7] = [2000.0, 0.0, 0.0, 0.0, 0.0]  # no tempered mass off the target
+        t = 1.5
+        targets = dkd_targets(zt_all, t)
+        for beta in (8.0, rng.uniform(0, 4, size=12)):
+            idx = np.concatenate([[3, 7], rng.integers(0, 40, size=10)])
+            zs = random_logits(rng, 12, 5)
+            a = dkd_loss(zs, zt_all[idx], t, 1.0, beta)
+            b = dkd_loss(zs, targets[idx], t, 1.0, beta)
+            assert a.loss == b.loss
+            assert np.array_equal(a.dlogits, b.dlogits)
 
     def test_targets_of_another_shape_rejected(self):
         z = np.zeros((3, 4))

@@ -298,6 +298,12 @@ class TestCsv:
         with pytest.raises(FormatError, match="row 3"):
             load_csv_dataset(path, CsvSchema(("x0", "x1"), "label", "domain"))
 
+    def test_negative_label_reports_row_number(self, tmp_path):
+        path = tmp_path / "negative.csv"
+        path.write_text("x0,label,domain\n0.5,1,0\n0.25,-1,0\n")
+        with pytest.raises(FormatError, match="row 3"):
+            load_csv_dataset(path, CsvSchema(("x0",), "label", "domain"))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "none.csv"
         path.write_text("")

@@ -457,6 +457,14 @@ class TestCheckpoints:
             assert np.array_equal(a.weight.astype(np.float32).astype(float), b.weight)
             assert np.array_equal(a.bias.astype(np.float32).astype(float), b.bias)
 
+    @pytest.mark.parametrize("value", [1e39, float("nan"), -float("inf")])
+    def test_non_finite_weight_refused(self, value):
+        # 1e39 is finite in float64 but overflows the float32 checkpoint.
+        model = init_mlp(23, [5, 7, 4])
+        model.layers[1].weight[2, 3] = value
+        with pytest.raises(FormatError, match="layer 1"):
+            serialize_model(model)
+
     def test_reload_is_idempotent(self, tmp_path):
         model = init_mlp(22, [5, 7, 4])
         first = deserialize_model(serialize_model(model))

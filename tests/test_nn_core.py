@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from cdbench import (
     optimizer_step,
     softmax_t,
 )
-from cdbench.nn_core import Layer, MlpModel, log_softmax_t
+from cdbench.nn_core import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Layer, MlpModel, log_softmax_t
 
 from conftest import finite_difference_logits, max_relative_error
 
@@ -150,7 +152,7 @@ class TestBackward:
         model = init_mlp(5, [3, 4, 2])
         x = np.random.default_rng(0).normal(size=(6, 3))
         _, cache = forward(model, x)
-        grads = backward(model, cache, np.zeros((6, 2)))
+        grads = model.layer_views(backward(model, cache, np.zeros((6, 2))))
         assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in grads)
 
     def test_linear_model_closed_form(self):
@@ -158,7 +160,7 @@ class TestBackward:
         x = np.random.default_rng(2).normal(size=(5, 4))
         _, cache = forward(model, x)
         dlogits = np.random.default_rng(3).normal(size=(5, 3))
-        (dw, db), = backward(model, cache, dlogits)
+        (dw, db), = model.layer_views(backward(model, cache, dlogits))
         assert np.allclose(dw, dlogits.T @ x, atol=1e-12)
         assert np.allclose(db, dlogits.sum(axis=0), atol=1e-12)
 
@@ -174,7 +176,7 @@ class TestBackward:
 
         logits, cache = forward(model, x)
         _, dlogits = cross_entropy(logits, labels)
-        grads = backward(model, cache, dlogits)
+        grads = model.layer_views(backward(model, cache, dlogits))
 
         h = 1e-5
         for k, layer in enumerate(model.layers):
@@ -203,14 +205,14 @@ class TestOptimizer:
     def test_sgd_direct_substitution(self):
         model = MlpModel([Layer(np.array([[1.0]]), np.zeros(1))])
         state = make_optimizer(model, "sgd", 0.1)
-        optimizer_step(model, [(np.array([[2.0]]), np.zeros(1))], state)
+        optimizer_step(model, np.array([2.0, 0.0]), state)
         assert np.allclose(model.layers[0].weight, 0.8)
 
     def test_sgd_zero_gradient_is_noop(self):
         model = init_mlp(2, [3, 2])
         before = params(model)
         state = make_optimizer(model, "sgd", 0.5)
-        optimizer_step(model, [(np.zeros((2, 3)), np.zeros(2))], state)
+        optimizer_step(model, np.zeros(2 * 3 + 2), state)
         for (wb, bb), layer in zip(before, model.layers):
             assert np.array_equal(wb, layer.weight) and np.array_equal(bb, layer.bias)
 
@@ -219,7 +221,7 @@ class TestOptimizer:
         for g in (1e-3, 1.0, 1e3):
             model = MlpModel([Layer(np.array([[0.0]]), np.zeros(1))])
             state = make_optimizer(model, "adam", 0.01)
-            optimizer_step(model, [(np.array([[g]]), np.zeros(1))], state)
+            optimizer_step(model, np.array([g, 0.0]), state)
             assert abs(abs(model.layers[0].weight[0, 0]) - 0.01) < 1e-5
         assert state.step == 1
 
@@ -236,7 +238,82 @@ class TestOptimizer:
         model = init_mlp(0, [2, 2])
         state = make_optimizer(model, "sgd", 0.1)
         with pytest.raises(ShapeError):
-            optimizer_step(model, [(np.zeros((3, 2)), np.zeros(3))], state)
+            optimizer_step(model, np.zeros(3 * 2 + 3), state)
+
+
+def reference_step(arrays, grads, moments, kind, lr, t):
+    """SGD or Adam as a loop over per-layer arrays, each term written out."""
+    for k, (p, g) in enumerate(zip(arrays, grads)):
+        if kind == "sgd":
+            p -= lr * g
+            continue
+        m1, m2 = moments[k]
+        m1 *= ADAM_BETA1
+        m1 += (1 - ADAM_BETA1) * g
+        m2 *= ADAM_BETA2
+        m2 += (1 - ADAM_BETA2) * g**2
+        p -= lr * (m1 / (1.0 - ADAM_BETA1**t)) / (np.sqrt(m2 / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_step_matches_per_layer_reference_bitwise(self, kind):
+        rng = np.random.default_rng(31)
+        model = init_mlp(31, [8, 32, 32, 4])
+        arrays = [a.copy() for layer in model.layers for a in (layer.weight, layer.bias)]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
+        state = make_optimizer(model, kind, 1e-2)
+        for t in range(1, 51):
+            grads = rng.normal(size=model.params.size) * 10.0 ** rng.uniform(-4, 2)
+            per_layer = [a for pair in model.layer_views(grads) for a in pair]
+            reference_step(arrays, per_layer, moments, kind, 1e-2, t)
+            stepped, same_state = optimizer_step(model, grads, state)
+            assert stepped is model and same_state is state
+            assert np.array_equal(model.params, np.concatenate([a.ravel() for a in arrays]))
+        assert state.step == 50
+
+    def test_backward_matches_per_layer_products_bitwise(self):
+        rng = np.random.default_rng(32)
+        model = init_mlp(32, [8, 32, 32, 4])
+        _, cache = forward(model, rng.normal(size=(64, 8)))
+        dlogits = rng.normal(size=(64, 4))
+        grads = model.layer_views(backward(model, cache, dlogits))
+        delta = dlogits
+        for k in range(len(model.layers) - 1, -1, -1):
+            a_prev = cache.activations[k - 1] if k > 0 else cache.inputs
+            assert np.array_equal(grads[k][0], delta.T @ a_prev)
+            assert np.array_equal(grads[k][1], delta.sum(0))
+            if k > 0:
+                delta = (delta @ model.layers[k].weight) * (cache.pre_activations[k - 1] > 0)
+
+    def test_layer_views_write_through(self):
+        model = init_mlp(33, [3, 4, 2])
+        model.layers[1].weight[1, 2] = 7.5
+        model.layers[1].bias[0] = -2.5
+        # Layer 0 takes 4 * 3 + 4 entries, then layer 1's weight is row-major.
+        assert model.params[16 + 1 * 4 + 2] == 7.5
+        assert model.params[16 + 2 * 4] == -2.5
+        model.params[0] = 9.0
+        assert model.layers[0].weight[0, 0] == 9.0
+
+    def test_copy_shares_no_memory(self):
+        model = init_mlp(34, [3, 4, 2])
+        twin = model.copy()
+        assert np.array_equal(twin.params, model.params)
+        originals = [model.params] + [a for l in model.layers for a in (l.weight, l.bias)]
+        for mine in [twin.params] + [a for l in twin.layers for a in (l.weight, l.bias)]:
+            assert not any(np.shares_memory(mine, other) for other in originals)
+        twin.params += 1.0
+        assert np.array_equal(model.params, init_mlp(34, [3, 4, 2]).params)
+
+    def test_bias_of_another_length_rejected(self):
+        with pytest.raises(ShapeError):
+            MlpModel([Layer(np.zeros((3, 2)), np.zeros(4))])
+
+    def test_unpickled_model_keeps_views(self):
+        model = pickle.loads(pickle.dumps(init_mlp(35, [3, 4, 2])))
+        model.layers[0].bias[1] = 4.0
+        assert model.params[3 * 4 + 1] == 4.0
 
 
 def test_log_softmax_consistency():
