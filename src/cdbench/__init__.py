@@ -18,16 +18,13 @@ from .distill import (
 )
 from .domains import (
     CdScenario,
-    CsvSchema,
     DistillSet,
     DomainDataset,
     LabeledSet,
     ScenarioSpec,
     balance_pair_stream,
     build_scenario,
-    default_schema,
     generate_domain,
-    load_csv_dataset,
     mix_ratio,
     write_domain_csv,
 )

@@ -43,7 +43,7 @@ from .engine import (
 )
 from .errors import ConfigError, FormatError, InvalidArgumentError
 from .metrics import AccuracyMatrix, average_forgetting, entropy_histogram, forgetting, ukt_gain
-from .nn_core import forward
+from .nn_core import MlpModel, forward
 
 SCHEMA_VERSION = 1
 THREAD_CAP_ENV = "CD_BENCH_THREADS"
@@ -280,9 +280,15 @@ def _require_manifest(config: ExperimentConfig) -> None:
         raise ConfigError("config scenario differs from the generated manifest; rerun `gen`")
 
 
-def _teacher_paths(config: ExperimentConfig) -> list[Path]:
-    ckpt_dir = config.output_dir / "checkpoints"
-    return [ckpt_dir / f"teacher_{t}.ckpt" for t in range(config.scenario.n_teachers)]
+def _teacher_paths(out_dir: Path, spec: ScenarioSpec) -> list[Path]:
+    """The checkpoint of teacher t, for every teacher of the spec, in task order."""
+    return [out_dir / "checkpoints" / f"teacher_{t}.ckpt" for t in range(spec.n_teachers)]
+
+
+def _read_teacher(path: Path) -> MlpModel:
+    if not path.exists():
+        raise UsageError(f"missing teacher checkpoint {path}; run `cdbench teachers` first")
+    return deserialize_model(path.read_bytes())
 
 
 def cmd_teachers(config: ExperimentConfig) -> Path:
@@ -292,7 +298,7 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     scenario = build_scenario(spec)
     (config.output_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     report = {"schema_version": SCHEMA_VERSION, "floor": config.run.teacher_accuracy_floor, "teachers": []}
-    for t, path in enumerate(_teacher_paths(config)):
+    for t, path in enumerate(_teacher_paths(config.output_dir, spec)):
         # Trained one by one, not with train_benchmark_teachers, to hold one teacher at a time.
         teacher = train_benchmark_teacher(scenario, config.run, t)
         domain_ids = spec.teacher_domain_ids(t)
@@ -313,13 +319,11 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
 
 
 def _load_teachers(config: ExperimentConfig) -> list[TeacherModel]:
-    teachers = []
-    for t, path in enumerate(_teacher_paths(config)):
-        if not path.exists():
-            raise UsageError(f"missing teacher checkpoint {path}; run `cdbench teachers` first")
-        domain_ids = frozenset(config.scenario.teacher_domain_ids(t))
-        teachers.append(TeacherModel(deserialize_model(path.read_bytes()), domain_ids))
-    return teachers
+    spec = config.scenario
+    return [
+        TeacherModel(_read_teacher(path), frozenset(spec.teacher_domain_ids(t)))
+        for t, path in enumerate(_teacher_paths(config.output_dir, spec))
+    ]
 
 
 def _filter_external_by_entropy(scenario, teachers, threshold: float):
@@ -609,13 +613,11 @@ def cmd_analyze(results_dir: Path) -> Path:
                 for method, g in gains.items()
             }
 
-    # Teacher entropy profiles over every domain's test split, when checkpoints exist.
-    ckpt_dir = results_dir / "checkpoints"
-    teacher_files = sorted(ckpt_dir.glob("teacher_*.ckpt")) if ckpt_dir.exists() else []
-    if teacher_files:
+    # Teacher entropy profiles over every domain's test split, when teachers were trained.
+    if (results_dir / "checkpoints").exists():
         scenario = build_scenario(spec)
-        for t, ckpt in enumerate(teacher_files):
-            model = deserialize_model(ckpt.read_bytes())
+        for t, path in enumerate(_teacher_paths(results_dir, spec)):
+            model = _read_teacher(path)
             for d, test in sorted(scenario.test_sets.items()):
                 profile = entropy_histogram(model, test.features, 1.0, bins=20)
                 metrics_doc["entropy"].append(

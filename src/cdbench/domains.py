@@ -12,13 +12,12 @@ predictive entropy high and flat.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .nn_core import Matrix
 
 MEAN_RADIUS = 3.0
@@ -247,11 +246,6 @@ def _domain_transform(
     return np.deg2rad(angle_a), np.deg2rad(angle_b), shift
 
 
-def _split_counts(n: int) -> int:
-    """Training-row count for an n-sample 80/20 split (both splits non-empty)."""
-    return max(1, min(n - 1, int(round(TRAIN_FRACTION * n))))
-
-
 def generate_domain(
     seed: int,
     domain_id: int,
@@ -279,7 +273,8 @@ def generate_domain(
     means = _rotate_rows(_base_class_means(n_classes, feature_dim), angle_a, angle_b) + shift
     rng = np.random.default_rng([_SAMPLES_TAG, seed, domain_id, RELATIONS.index(relation)])
 
-    n_train = _split_counts(n_per_class)
+    # Each class splits 80/20 on its own, keeping both splits non-empty.
+    n_train = max(1, min(n_per_class - 1, int(round(TRAIN_FRACTION * n_per_class))))
     train_feats, train_labels, test_feats, test_labels = [], [], [], []
     for c in range(n_classes):
         x = means[c] + rng.standard_normal((n_per_class, feature_dim))
@@ -385,78 +380,17 @@ def balance_pair_stream(n_internal: int, n_external: int, batch_size: int, seed)
         yield order_i[start:stop], order_e[start:stop]
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    feature_columns: tuple[str, ...]
-    label_column: str
-    domain_column: str
-
-
-def default_schema(feature_dim: int) -> CsvSchema:
-    return CsvSchema(
-        tuple(f"feature_{i}" for i in range(feature_dim)), "label", "domain"
-    )
-
-
 def write_domain_csv(dataset: DomainDataset, path: str | Path) -> None:
-    """Write one domain (train rows then test rows) with the default schema."""
+    """Write one domain, train rows then test rows, as a write-only export.
+
+    Columns are feature_0..feature_{d-1}, label and domain; features print
+    as repr, so they parse back to the same float64 values.
+    """
     d = dataset.train.features.shape[1]
-    schema = default_schema(d)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(schema.feature_columns) + [schema.label_column, schema.domain_column])
+        writer.writerow([f"feature_{i}" for i in range(d)] + ["label", "domain"])
         for part in (dataset.train, dataset.test):
             for i in range(len(part)):
                 row = [repr(float(v)) for v in part.features[i]]
                 writer.writerow(row + [int(part.labels[i]), int(part.domains[i])])
-
-
-def load_csv_dataset(path: str | Path, schema: CsvSchema) -> list[DomainDataset]:
-    """Load labeled tabular data, one DomainDataset per distinct domain value.
-
-    Rows keep file order inside each domain and are split 80/20 in that
-    order. Parse failures report the 1-based row number.
-    """
-    path = Path(path)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: file is empty") from None
-        columns = {name: i for i, name in enumerate(header)}
-        needed = list(schema.feature_columns) + [schema.label_column, schema.domain_column]
-        for name in needed:
-            if name not in columns:
-                raise FormatError(f"{path}: missing column {name!r}")
-        feat_idx = [columns[c] for c in schema.feature_columns]
-        label_idx = columns[schema.label_column]
-        domain_idx = columns[schema.domain_column]
-
-        feats, labels, domains = [], [], []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) < len(header):
-                raise FormatError(f"{path}: row {rownum}: expected {len(header)} fields")
-            try:
-                feats.append([float(row[i]) for i in feat_idx])
-                labels.append(int(row[label_idx]))
-                domains.append(int(row[domain_idx]))
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {rownum}: {exc}") from None
-            if not all(math.isfinite(v) for v in feats[-1]):
-                raise FormatError(f"{path}: row {rownum}: non-finite feature")
-            if labels[-1] < 0:
-                raise FormatError(f"{path}: row {rownum}: negative label {labels[-1]}")
-    if not feats:
-        raise FormatError(f"{path}: no data rows")
-
-    features = np.asarray(feats, dtype=float)
-    labels_arr = np.asarray(labels, dtype=int)
-    domains_arr = np.asarray(domains, dtype=int)
-    out = []
-    for m in sorted(set(domains)):
-        idx = np.flatnonzero(domains_arr == m)
-        n_train = _split_counts(len(idx))
-        make = lambda rows: LabeledSet(features[rows], labels_arr[rows], domains_arr[rows])
-        out.append(DomainDataset(int(m), make(idx[:n_train]), make(idx[n_train:])))
-    return out

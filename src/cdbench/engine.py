@@ -140,6 +140,11 @@ def serialize_model(model: MlpModel) -> bytes:
 
 
 def deserialize_model(data: bytes) -> MlpModel:
+    """Decode serialize_model's bytes; a malformed payload raises FormatError.
+
+    Malformed includes layers that do not chain: each layer must take as
+    many inputs as the layer before it gives outputs.
+    """
     if len(data) < 8 or data[:6] != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic")
     if data[6:8] != CHECKPOINT_VERSION:
@@ -159,10 +164,15 @@ def deserialize_model(data: bytes) -> MlpModel:
     if n_layers == 0:
         raise FormatError("checkpoint contains no layers")
     layers = []
-    for _ in range(n_layers):
+    for k in range(n_layers):
         rows, cols = struct.unpack("<II", take(8))
         if rows == 0 or cols == 0:
             raise FormatError("checkpoint layer with zero dimension")
+        if k and cols != layers[-1].bias.size:
+            raise FormatError(
+                f"checkpoint layer {k} takes {cols} inputs, "
+                f"but layer {k - 1} gives {layers[-1].bias.size}"
+            )
         weight = np.frombuffer(take(4 * rows * cols), dtype="<f4")
         bias = np.frombuffer(take(4 * rows), dtype="<f4")
         layers.append(Layer(weight.reshape(rows, cols), bias))

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -33,9 +34,11 @@ import cdbench.benchmark
 import cdbench.cli
 import cdbench.domains
 from cdbench.benchmark import train_benchmark_teachers
-from cdbench.domains import build_scenario, default_schema, load_csv_dataset
-from cdbench.engine import RunConfig, serialize_model
+from cdbench.domains import build_scenario
+from cdbench.engine import RunConfig, deserialize_model, serialize_model
 from cdbench.errors import ConfigError, FormatError
+from cdbench.metrics import entropy_histogram
+from cdbench.nn_core import Layer, MlpModel, init_mlp
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -226,11 +229,27 @@ class TestGen:
             assert entry["train_rows"] + entry["test_rows"] == 3 * 20
 
     def test_domain_csvs_reload_with_own_loader(self, tmp_path):
-        config = parse_config(base_config(tmp_path / "out"))
+        # No stage reads the CSVs back; the stdlib csv module must recover
+        # the scenario's domains from them exactly.
+        out = tmp_path / "out"
+        config = parse_config(base_config(out))
         cmd_gen(config)
-        (loaded,) = load_csv_dataset(tmp_path / "out" / "scenario" / "domain_0.csv", default_schema(6))
-        assert loaded.domain_id == 0
-        assert len(loaded.train) + len(loaded.test) == 60
+        scenario = build_scenario(config.scenario)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [entry["id"] for entry in manifest["domains"]] == list(range(4))
+        for entry in manifest["domains"]:
+            ds = scenario.domains[entry["id"]]
+            with open(out / entry["csv"], newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == [f"feature_{i}" for i in range(6)] + ["label", "domain"]
+            assert entry["train_rows"] == len(ds.train)
+            assert len(rows) == len(ds.train) + len(ds.test)
+            features = np.array([[float(v) for v in row[:-2]] for row in rows])
+            expected = np.concatenate([ds.train.features, ds.test.features])
+            assert features.tobytes() == expected.tobytes()
+            labels = np.concatenate([ds.train.labels, ds.test.labels])
+            assert [int(row[-2]) for row in rows] == labels.tolist()
+            assert {int(row[-1]) for row in rows} == {entry["id"]}
 
 
 class TestTeachers:
@@ -295,6 +314,15 @@ class TestRun:
         assert len(rows) == 2 * 3 * 2 * 4
         keys = {(r["seed"], r["method"], r["task"], r["domain"]) for r in rows}
         assert len(keys) == len(rows)
+
+    def test_unchained_teacher_checkpoint_is_a_data_error(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        unchained = MlpModel([Layer(np.zeros((4, 3)), np.zeros(4)), Layer(np.zeros((2, 5)), np.zeros(2))])
+        (out / "checkpoints" / "teacher_1.ckpt").write_bytes(serialize_model(unchained))
+        path = write_config(tmp_path, base_config(out))
+        assert main(["run", "--config", str(path)]) == 3
+        assert "layer 1" in capsys.readouterr().err
 
     def test_three_task_five_domain_grid(self, tmp_path):
         # 2 methods x 3 seeds x 3 tasks x 5 domains -> 90 rows
@@ -595,6 +623,68 @@ class TestAnalyze:
         cmd_gen(config)
         (out / "results.csv").write_text("seed,method\n1,kl\n")
         assert main(["analyze", "--out", str(out)]) == 3
+
+
+@pytest.fixture(scope="module")
+def eleven_teacher_run(tmp_path_factory):
+    """A finished one-method, one-seed run whose 11 teachers sort differently as text."""
+    out = tmp_path_factory.mktemp("eleven") / "out"
+    doc = base_config(out, methods=["kl"])
+    doc["scenario"].update(
+        classes=2,
+        feature_dim=4,
+        n_domains=13,
+        teacher_exclusive_domains=[[m] for m in range(1, 12)],
+        external_domains=[12],
+        samples_per_class=8,
+    )
+    doc["run"].update(
+        epochs=1, seeds=[1], teacher_epochs=2, teacher_hidden=[8], student_hidden=[8]
+    )
+    config = parse_config(doc)
+    cmd_gen(config)
+    cmd_teachers(config)
+    cmd_run(config)
+    return out, config
+
+
+class TestAnalyzeTeachers:
+    def test_entropy_follows_teacher_index(self, eleven_teacher_run, tmp_path):
+        src, config = eleven_teacher_run
+        out = tmp_path / "out"
+        shutil.copytree(src, out)
+        # A checkpoint no teacher of the scenario owns is left alone.
+        stale = init_mlp(99, [4, 8, 2])
+        (out / "checkpoints" / "teacher_11.ckpt").write_bytes(serialize_model(stale))
+        cmd_analyze(out)
+        entropy = json.loads((out / "metrics.json").read_text())["entropy"]
+        assert [(r["teacher"], r["domain"]) for r in entropy] == list(
+            product(range(11), range(13))
+        )
+        model = deserialize_model((out / "checkpoints" / "teacher_2.ckpt").read_bytes())
+        scenario = build_scenario(config.scenario)
+        for record in entropy[2 * 13 : 3 * 13]:
+            profile = entropy_histogram(model, scenario.test_sets[record["domain"]].features, 1.0, 20)
+            assert record["mean_entropy"] == profile.mean
+            assert record["kurtosis"] == profile.kurtosis
+            assert record["histogram"]["counts"] == profile.counts.tolist()
+
+    def test_missing_checkpoint_is_named(self, eleven_teacher_run, tmp_path, capsys):
+        src, _ = eleven_teacher_run
+        out = tmp_path / "out"
+        shutil.copytree(src, out)
+        (out / "checkpoints" / "teacher_5.ckpt").unlink()
+        assert main(["analyze", "--out", str(out)]) == 2
+        assert "teacher_5.ckpt" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+    def test_no_checkpoint_dir_gives_empty_entropy(self, eleven_teacher_run, tmp_path):
+        src, _ = eleven_teacher_run
+        out = tmp_path / "out"
+        shutil.copytree(src, out)
+        shutil.rmtree(out / "checkpoints")
+        cmd_analyze(out)
+        assert json.loads((out / "metrics.json").read_text())["entropy"] == []
 
 
 class TestSingleScenarioPath:

@@ -1,17 +1,15 @@
+import csv
+
 import numpy as np
 import pytest
 
 from cdbench import (
-    CsvSchema,
-    FormatError,
     InvalidArgumentError,
     ScenarioSpec,
     balance_pair_stream,
     build_scenario,
-    default_schema,
     evaluate,
     generate_domain,
-    load_csv_dataset,
     mix_ratio,
     train_teacher,
     write_domain_csv,
@@ -265,60 +263,16 @@ class TestBalancePairStream:
 
 
 class TestCsv:
-    def test_two_row_file(self, tmp_path):
-        path = tmp_path / "tiny.csv"
-        path.write_text("x0,x1,label,domain\n0.5,1.5,0,0\n-1.0,2.0,1,1\n")
-        schema = CsvSchema(("x0", "x1"), "label", "domain")
-        datasets = load_csv_dataset(path, schema)
-        assert [d.domain_id for d in datasets] == [0, 1]
-        assert all(len(d.train) + len(d.test) == 1 for d in datasets)
-
-    def test_header_only_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("x0,x1,label,domain\n")
-        with pytest.raises(FormatError):
-            load_csv_dataset(path, CsvSchema(("x0", "x1"), "label", "domain"))
-
-    def test_missing_column_named(self, tmp_path):
-        path = tmp_path / "missing.csv"
-        path.write_text("x0,label,domain\n1.0,0,0\n")
-        with pytest.raises(FormatError, match="x1"):
-            load_csv_dataset(path, CsvSchema(("x0", "x1"), "label", "domain"))
-
-    def test_bad_value_reports_row_number(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x0,label,domain\n1.0,0,0\noops,1,0\n")
-        with pytest.raises(FormatError, match="row 3"):
-            load_csv_dataset(path, CsvSchema(("x0",), "label", "domain"))
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_feature_reports_row_number(self, tmp_path, value):
-        path = tmp_path / "nonfinite.csv"
-        path.write_text(f"x0,x1,label,domain\n0.5,1.0,0,0\n{value},1.0,0,0\n")
-        with pytest.raises(FormatError, match="row 3"):
-            load_csv_dataset(path, CsvSchema(("x0", "x1"), "label", "domain"))
-
-    def test_negative_label_reports_row_number(self, tmp_path):
-        path = tmp_path / "negative.csv"
-        path.write_text("x0,label,domain\n0.5,1,0\n0.25,-1,0\n")
-        with pytest.raises(FormatError, match="row 3"):
-            load_csv_dataset(path, CsvSchema(("x0",), "label", "domain"))
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "none.csv"
-        path.write_text("")
-        with pytest.raises(FormatError):
-            load_csv_dataset(path, CsvSchema(("x0",), "label", "domain"))
-
     def test_round_trip_preserves_samples(self, tmp_path):
         ds = generate_domain(2, 1, 3, 4, 10)
         path = tmp_path / "domain.csv"
         write_domain_csv(ds, path)
-        (loaded,) = load_csv_dataset(path, default_schema(4))
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["feature_0", "feature_1", "feature_2", "feature_3", "label", "domain"]
+        features = np.array([[float(v) for v in row[:4]] for row in rows])
         original = np.concatenate([ds.train.features, ds.test.features])
-        reloaded = np.concatenate([loaded.train.features, loaded.test.features])
-        assert np.array_equal(original, reloaded)
+        assert features.tobytes() == original.tobytes()
         labels = np.concatenate([ds.train.labels, ds.test.labels])
-        relabels = np.concatenate([loaded.train.labels, loaded.test.labels])
-        assert np.array_equal(labels, relabels)
-        assert loaded.domain_id == 1
+        assert [int(row[4]) for row in rows] == labels.tolist()
+        assert {int(row[5]) for row in rows} == {1}

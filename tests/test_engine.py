@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdbench import engine
 from cdbench import (
@@ -509,3 +511,58 @@ class TestCheckpoints:
         path.write_bytes(serialize_model(model) + b"extra")
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "shapes, bad",
+        [([(4, 3), (2, 5)], 1), ([(4, 3), (5, 4), (2, 6)], 2)],
+        ids=["layer1", "layer2"],
+    )
+    def test_unchained_layers_refused(self, shapes, bad):
+        # Layer `bad` takes one input more than the layer before it gives.
+        unchained = MlpModel([Layer(np.zeros(s), np.zeros(s[0])) for s in shapes])
+        with pytest.raises(FormatError, match=f"layer {bad} takes"):
+            deserialize_model(serialize_model(unchained))
+
+
+# A three-layer payload, so a damaged header can break any of two joints.
+_VALID_CHECKPOINT = serialize_model(init_mlp(5, [3, 4, 5, 2]))
+
+
+def _refused_or_chained(data: bytes) -> None:
+    """The parser raises FormatError, or returns layers that chain; nothing else."""
+    try:
+        # A changed byte can make a signalling NaN, whose widening to
+        # float64 numpy flags as invalid; reading does not refuse NaN.
+        with np.errstate(invalid="ignore"):
+            model = deserialize_model(data)
+    except FormatError:
+        return
+    for k in range(1, len(model.shapes)):
+        assert model.shapes[k][1] == model.shapes[k - 1][0]
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(cut=st.integers(0, len(_VALID_CHECKPOINT) - 1))
+    def test_truncation(self, cut):
+        _refused_or_chained(_VALID_CHECKPOINT[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(pos=st.integers(0, len(_VALID_CHECKPOINT) - 1), mask=st.integers(1, 255))
+    def test_single_byte_change(self, pos, mask):
+        data = bytearray(_VALID_CHECKPOINT)
+        data[pos] ^= mask
+        _refused_or_chained(bytes(data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4))
+    def test_any_layer_shapes(self, shapes):
+        # A single changed byte cannot unchain a valid payload without also
+        # changing its length, so write payloads of arbitrary layer shapes.
+        data = serialize_model(MlpModel([Layer(np.zeros(s), np.zeros(s[0])) for s in shapes]))
+        chained = all(shapes[k][1] == shapes[k - 1][0] for k in range(1, len(shapes)))
+        if chained:
+            assert deserialize_model(data).shapes == tuple(shapes)
+        else:
+            with pytest.raises(FormatError, match="takes"):
+                deserialize_model(data)
