@@ -31,7 +31,6 @@ from .domains import (
 from .engine import (
     RunConfig,
     TaskLog,
-    TeacherModel,
     distill_task,
     evaluate,
     load_checkpoint,
@@ -43,6 +42,7 @@ from .engine import (
 from .errors import (
     ConfigError,
     DegenerateVarianceError,
+    DivergenceError,
     FormatError,
     InvalidArgumentError,
     ShapeError,

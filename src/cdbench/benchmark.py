@@ -9,7 +9,8 @@ so their seeds derive from the scenario seed rather than the run grid.
 from __future__ import annotations
 
 from .domains import CdScenario, ScenarioSpec
-from .engine import RunConfig, TeacherModel, train_teacher
+from .engine import RunConfig, train_teacher
+from .nn_core import MlpModel
 
 BENCHMARK_SEEDS = (1, 2, 3)
 
@@ -44,7 +45,7 @@ def benchmark_run_config(**overrides) -> RunConfig:
     return RunConfig(**settings)
 
 
-def train_benchmark_teacher(scenario: CdScenario, config: RunConfig, t: int) -> TeacherModel:
+def train_benchmark_teacher(scenario: CdScenario, config: RunConfig, t: int) -> MlpModel:
     """Teacher t of the scenario; its seed derives from the scenario seed."""
     spec = scenario.spec
     return train_teacher(
@@ -55,5 +56,5 @@ def train_benchmark_teacher(scenario: CdScenario, config: RunConfig, t: int) -> 
     )
 
 
-def train_benchmark_teachers(scenario: CdScenario, config: RunConfig) -> list[TeacherModel]:
+def train_benchmark_teachers(scenario: CdScenario, config: RunConfig) -> list[MlpModel]:
     return [train_benchmark_teacher(scenario, config, t) for t in range(scenario.spec.n_teachers)]

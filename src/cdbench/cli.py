@@ -34,7 +34,6 @@ from .distill import METHODS, MethodConfig, teacher_entropy
 from .domains import DistillSet, ScenarioSpec, build_scenario, write_domain_csv
 from .engine import (
     RunConfig,
-    TeacherModel,
     deserialize_model,
     evaluate,
     new_student,
@@ -58,7 +57,7 @@ _REQUIRED_KEYS = ("schema_version", "scenario", "methods", "run", "output_dir")
 _OPTIONAL_KEYS = ("sweep_ratios", "external_entropy_max")
 # Config sections are the fields of these dataclasses, under the same names
 # except for this one rename. The `run` section also takes the method
-# hyperparameters; its temperature is RunConfig's.
+# hyperparameters, which every listed method shares.
 _JSON_NAMES = {"n_classes": "classes"}
 
 
@@ -74,7 +73,7 @@ def _schema(cls, exclude: tuple[str, ...] = ()) -> dict[str, tuple[str, object, 
 
 _SCENARIO_SCHEMA = _schema(ScenarioSpec)
 _RUN_SCHEMA = _schema(RunConfig)
-_METHOD_SCHEMA = _schema(MethodConfig, exclude=("method", "temperature"))
+_METHOD_SCHEMA = _schema(MethodConfig, exclude=("method",))
 
 
 class UsageError(ConfigError):
@@ -84,9 +83,8 @@ class UsageError(ConfigError):
 @dataclass
 class ExperimentConfig:
     scenario: ScenarioSpec
-    methods: tuple[str, ...]
+    methods: tuple[MethodConfig, ...]
     run: RunConfig
-    run_extras: dict  # method hyperparameters shared across the grid
     output_dir: Path
     sweep_ratios: tuple[float, ...] | None
     external_entropy_max: float | None = None  # optional ED pre-filter by teacher entropy
@@ -175,22 +173,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     spec = _scenario_from_json(raw["scenario"])
 
-    methods = raw["methods"]
-    if not isinstance(methods, list) or not methods:
+    names = raw["methods"]
+    if not isinstance(names, list) or not names:
         raise ConfigError("field methods must be a non-empty list")
-    for i, m in enumerate(methods):
+    for i, m in enumerate(names):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; valid methods: {', '.join(METHODS)}")
-        if m in methods[:i]:
+        if m in names[:i]:
             raise ConfigError(f"method {m!r} is listed twice")
 
     run_kwargs = _parse_section(raw["run"], "run", {**_RUN_SCHEMA, **_METHOD_SCHEMA})
     extras = {k: run_kwargs.pop(k) for k in _METHOD_SCHEMA if k in run_kwargs}
     try:
         run = RunConfig(**run_kwargs)
-        # Validate the method hyperparameters once up front.
-        for m in methods:
-            MethodConfig(m, temperature=run.temperature, **extras)
+        methods = tuple(MethodConfig(m, **extras) for m in names)
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid run settings: {exc}") from None
 
@@ -206,7 +202,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     out = raw["output_dir"]
     if not isinstance(out, str) or not out:
         raise ConfigError("field output_dir must be a non-empty string")
-    return ExperimentConfig(spec, tuple(methods), run, extras, Path(out), ratios, ent_max)
+    return ExperimentConfig(spec, methods, run, Path(out), ratios, ent_max)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -285,10 +281,20 @@ def _teacher_paths(out_dir: Path, spec: ScenarioSpec) -> list[Path]:
     return [out_dir / "checkpoints" / f"teacher_{t}.ckpt" for t in range(spec.n_teachers)]
 
 
-def _read_teacher(path: Path) -> MlpModel:
+def _read_teacher(path: Path, spec: ScenarioSpec) -> MlpModel:
+    """The teacher at `path`; FormatError names the file if it is malformed or misfits `spec`."""
     if not path.exists():
         raise UsageError(f"missing teacher checkpoint {path}; run `cdbench teachers` first")
-    return deserialize_model(path.read_bytes())
+    try:
+        model = deserialize_model(path.read_bytes())
+        if (model.input_dim, model.num_classes) != (spec.feature_dim, spec.n_classes):
+            raise FormatError(
+                f"the teacher maps {model.input_dim} features to {model.num_classes} classes, "
+                f"the scenario has {spec.feature_dim} features and {spec.n_classes} classes"
+            )
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return model
 
 
 def cmd_teachers(config: ExperimentConfig) -> Path:
@@ -302,8 +308,8 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
         # Trained one by one, not with train_benchmark_teachers, to hold one teacher at a time.
         teacher = train_benchmark_teacher(scenario, config.run, t)
         domain_ids = spec.teacher_domain_ids(t)
-        save_checkpoint(teacher.model, path)
-        accs = {str(d): evaluate(teacher.model, ts) for d, ts in sorted(scenario.test_sets.items())}
+        save_checkpoint(teacher, path)
+        accs = {str(d): evaluate(teacher, ts) for d, ts in sorted(scenario.test_sets.items())}
         in_domain = min(accs[str(d)] for d in domain_ids)
         report["teachers"].append(
             {
@@ -318,12 +324,9 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     return config.output_dir / "teacher_report.json"
 
 
-def _load_teachers(config: ExperimentConfig) -> list[TeacherModel]:
+def _load_teachers(config: ExperimentConfig) -> list[MlpModel]:
     spec = config.scenario
-    return [
-        TeacherModel(_read_teacher(path), frozenset(spec.teacher_domain_ids(t)))
-        for t, path in enumerate(_teacher_paths(config.output_dir, spec))
-    ]
+    return [_read_teacher(path, spec) for path in _teacher_paths(config.output_dir, spec)]
 
 
 def _filter_external_by_entropy(scenario, teachers, threshold: float):
@@ -336,18 +339,17 @@ def _filter_external_by_entropy(scenario, teachers, threshold: float):
     if not ds.external_mask.any():
         return scenario
     ext = ds.features[ds.external_mask]
-    per_teacher = [teacher_entropy(forward(t.model, ext)[0], 1.0) for t in teachers]
+    per_teacher = [teacher_entropy(forward(t, ext)[0], 1.0) for t in teachers]
     keep_ext = np.mean(per_teacher, axis=0) <= threshold
     keep = ~ds.external_mask
     keep[np.flatnonzero(ds.external_mask)[keep_ext]] = True
-    filtered = DistillSet(ds.features[keep], ds.domain_ids[keep], ds.external_mask[keep])
+    filtered = DistillSet(ds.features[keep], ds.external_mask[keep])
     return replace(scenario, distill_set=filtered)
 
 
 def _run_cell(args: tuple) -> tuple[list[dict], list[tuple]]:
     """One (method, seed) grid cell; executed possibly in a worker process."""
-    scenario, method_name, extras, run, seed, teachers = args
-    method = MethodConfig(method_name, temperature=run.temperature, **extras)
+    scenario, method, run, seed, teachers = args
     student = new_student(scenario.spec.feature_dim, scenario.spec.n_classes, run, seed)
     rows: list[dict] = []
     curve_rows: list[tuple] = []
@@ -358,11 +360,11 @@ def _run_cell(args: tuple) -> tuple[list[dict], list[tuple]]:
     for log in logs:
         t = log.task_index
         for d, acc in sorted(log.accuracies.items()):
-            rows.append(dict(zip(RESULT_COLUMNS, (seed, method_name, t, t, d, acc, per_task))))
+            rows.append(dict(zip(RESULT_COLUMNS, (seed, method.method, t, t, d, acc, per_task))))
         if log.epoch_accuracies is not None:
             for e, accs in enumerate(log.epoch_accuracies):
                 for d, acc in sorted(accs.items()):
-                    curve_rows.append((method_name, seed, t, e, d, acc))
+                    curve_rows.append((method.method, seed, t, e, d, acc))
     return rows, curve_rows
 
 
@@ -396,7 +398,7 @@ def _single_threaded_blas() -> Iterator[None]:
 
 
 def run_grid(
-    spec: ScenarioSpec, teachers: list[TeacherModel], config: ExperimentConfig, jobs: int = 1
+    spec: ScenarioSpec, teachers: list[MlpModel], config: ExperimentConfig, jobs: int = 1
 ) -> tuple[list[dict], list[tuple]]:
     """Run config's method x seed grid on `spec` in memory.
 
@@ -409,7 +411,7 @@ def run_grid(
     if config.external_entropy_max is not None:
         scenario = _filter_external_by_entropy(scenario, teachers, config.external_entropy_max)
     cells = [
-        (scenario, m, config.run_extras, config.run, s, teachers)
+        (scenario, m, config.run, s, teachers)
         for m in config.methods
         for s in config.run.seeds
     ]
@@ -502,7 +504,7 @@ def _summarize(spec: ScenarioSpec, config: ExperimentConfig, rows: list[dict]) -
         "n_tasks": n_tasks,
         "methods": {},
     }
-    for method in config.methods:
+    for method in (m.method for m in config.methods):
         runs = [matrices[method, seed] for seed in config.run.seeds]
         summary["methods"][method] = {
             "final_accuracy": {
@@ -617,7 +619,7 @@ def cmd_analyze(results_dir: Path) -> Path:
     if (results_dir / "checkpoints").exists():
         scenario = build_scenario(spec)
         for t, path in enumerate(_teacher_paths(results_dir, spec)):
-            model = _read_teacher(path)
+            model = _read_teacher(path, spec)
             for d, test in sorted(scenario.test_sets.items()):
                 profile = entropy_histogram(model, test.features, 1.0, bins=20)
                 metrics_doc["entropy"].append(

@@ -25,10 +25,9 @@ _STD_EPS = 1e-8
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """A distillation method plus its hyperparameters."""
+    """A distillation method plus its hyperparameters; the temperature is RunConfig's."""
 
     method: str
-    temperature: float = 10.0
     dkd_alpha: float = 1.0
     dkd_beta: float = 8.0
     mds_low_q: float = 0.25
@@ -40,8 +39,6 @@ class MethodConfig:
                 f"unknown method {self.method!r}, expected one of {METHODS}"
             )
         # Written so that NaN fails each check.
-        if not self.temperature > 0:
-            raise InvalidArgumentError(f"temperature must be > 0, got {self.temperature}")
         if not (self.dkd_alpha >= 0 and self.dkd_beta >= 0):
             raise InvalidArgumentError("dkd_alpha and dkd_beta must be nonnegative")
         if not (0.0 <= self.mds_low_q < self.mds_high_q <= 1.0):

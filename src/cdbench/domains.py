@@ -54,12 +54,11 @@ _SAMPLES_TAG = 12
 class LabeledSet:
     """Column-oriented store for labeled samples from one or more domains."""
 
-    def __init__(self, features: Matrix, labels: np.ndarray, domains: np.ndarray):
+    def __init__(self, features: Matrix, labels: np.ndarray):
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=int)
-        self.domains = np.asarray(domains, dtype=int)
-        if not (len(self.features) == len(self.labels) == len(self.domains)):
-            raise InvalidArgumentError("features, labels and domains must have equal length")
+        if len(self.features) != len(self.labels):
+            raise InvalidArgumentError("features and labels must have equal length")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -71,17 +70,11 @@ class LabeledSet:
         return LabeledSet(
             np.concatenate([s.features for s in sets]),
             np.concatenate([s.labels for s in sets]),
-            np.concatenate([s.domains for s in sets]),
         )
-
-    def take(self, idx: np.ndarray) -> "LabeledSet":
-        return LabeledSet(self.features[idx], self.labels[idx], self.domains[idx])
 
     @staticmethod
     def empty(feature_dim: int) -> "LabeledSet":
-        return LabeledSet(
-            np.zeros((0, feature_dim)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-        )
+        return LabeledSet(np.zeros((0, feature_dim)), np.zeros(0, dtype=int))
 
 
 @dataclass(frozen=True)
@@ -93,17 +86,16 @@ class DomainDataset:
 
 @dataclass(frozen=True)
 class DistillSet:
-    """The fixed distillation inputs: features plus hidden domain tags.
+    """The fixed distillation inputs: features and which rows are external.
 
     Labels are stripped at construction; nothing downstream can read them.
     """
 
     features: Matrix
-    domain_ids: np.ndarray
     external_mask: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.domain_ids)
+        return len(self.external_mask)
 
 
 @dataclass(frozen=True)
@@ -283,12 +275,9 @@ def generate_domain(
         train_labels.append(np.full(n_train, c))
         test_labels.append(np.full(n_per_class - n_train, c))
 
-    def pack(feats: list[Matrix], labels: list[np.ndarray]) -> LabeledSet:
-        f = np.concatenate(feats)
-        l = np.concatenate(labels)
-        return LabeledSet(f, l, np.full(len(l), domain_id))
-
-    return DomainDataset(domain_id, pack(train_feats, train_labels), pack(test_feats, test_labels))
+    train = LabeledSet(np.concatenate(train_feats), np.concatenate(train_labels))
+    test = LabeledSet(np.concatenate(test_feats), np.concatenate(test_labels))
+    return DomainDataset(domain_id, train, test)
 
 
 def _mix_selection(n_internal: int, n_external: int, ed_ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -318,14 +307,12 @@ def mix_ratio(internal: LabeledSet, external: LabeledSet, ed_ratio: float) -> Di
     """Assemble the distillation set at the requested external-data fraction.
 
     An empty internal pool yields every external row at any ratio. Labels
-    are stripped; only features and domain tags survive.
+    are stripped; only features and the external mask survive.
     """
     idx_i, idx_e = _mix_selection(len(internal), len(external), ed_ratio)
-    sel_i, sel_e = internal.take(idx_i), external.take(idx_e)
-    features = np.concatenate([sel_i.features, sel_e.features])
-    domain_ids = np.concatenate([sel_i.domains, sel_e.domains])
-    mask = np.concatenate([np.zeros(len(sel_i), dtype=bool), np.ones(len(sel_e), dtype=bool)])
-    return DistillSet(features, domain_ids, mask)
+    features = np.concatenate([internal.features[idx_i], external.features[idx_e]])
+    mask = np.concatenate([np.zeros(len(idx_i), dtype=bool), np.ones(len(idx_e), dtype=bool)])
+    return DistillSet(features, mask)
 
 
 def build_scenario(spec: ScenarioSpec) -> CdScenario:
@@ -393,4 +380,4 @@ def write_domain_csv(dataset: DomainDataset, path: str | Path) -> None:
         for part in (dataset.train, dataset.test):
             for i in range(len(part)):
                 row = [repr(float(v)) for v in part.features[i]]
-                writer.writerow(row + [int(part.labels[i]), int(part.domains[i])])
+                writer.writerow(row + [int(part.labels[i]), dataset.domain_id])

@@ -30,7 +30,7 @@ from .distill import (
     teacher_entropy,
 )
 from .domains import CdScenario, DistillSet, DomainDataset, LabeledSet, balance_pair_stream
-from .errors import FormatError, InvalidArgumentError
+from .errors import DivergenceError, FormatError, InvalidArgumentError
 from .nn_core import (
     OPTIMIZER_KINDS,
     Layer,
@@ -102,21 +102,17 @@ class RunConfig:
 
 
 @dataclass
-class TeacherModel:
-    model: MlpModel
-    trained_domain_ids: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.trained_domain_ids:
-            raise InvalidArgumentError("a teacher must have trained on at least one domain")
-
-
-@dataclass
 class TaskLog:
     task_index: int
     accuracies: dict[int, float]  # domain id -> accuracy after this task
     epoch_losses: list[float]
     epoch_accuracies: list[dict[int, float]] | None = None
+
+
+def _single(values: np.ndarray) -> np.ndarray:
+    """Values as little-endian float32; those beyond its range become infinite."""
+    with np.errstate(over="ignore"):
+        return values.astype("<f4")
 
 
 def serialize_model(model: MlpModel) -> bytes:
@@ -127,10 +123,8 @@ def serialize_model(model: MlpModel) -> bytes:
     Raises FormatError, naming the layer, if a value is not finite in
     single precision, so a diverged model is never written.
     """
-    with np.errstate(over="ignore"):
-        single = model.params.astype("<f4")
     parts = [CHECKPOINT_MAGIC + CHECKPOINT_VERSION, struct.pack("<I", len(model.layers))]
-    for k, (weight, bias) in enumerate(model.layer_views(single)):
+    for k, (weight, bias) in enumerate(model.layer_views(_single(model.params))):
         if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
             raise FormatError(f"layer {k} has a weight or bias that is not finite as float32")
         parts.append(struct.pack("<II", *weight.shape))
@@ -142,8 +136,9 @@ def serialize_model(model: MlpModel) -> bytes:
 def deserialize_model(data: bytes) -> MlpModel:
     """Decode serialize_model's bytes; a malformed payload raises FormatError.
 
-    Malformed includes layers that do not chain: each layer must take as
-    many inputs as the layer before it gives outputs.
+    Malformed includes layers that do not chain (each layer must take as
+    many inputs as the layer before it gives outputs) and values that are
+    not finite, which serialize_model never writes.
     """
     if len(data) < 8 or data[:6] != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic")
@@ -175,6 +170,8 @@ def deserialize_model(data: bytes) -> MlpModel:
             )
         weight = np.frombuffer(take(4 * rows * cols), dtype="<f4")
         bias = np.frombuffer(take(4 * rows), dtype="<f4")
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            raise FormatError(f"checkpoint layer {k} has a weight or bias that is not finite")
         layers.append(Layer(weight.reshape(rows, cols), bias))
     if pos != len(data):
         raise FormatError("trailing bytes after checkpoint payload")
@@ -209,7 +206,7 @@ def train_teacher(
     config: RunConfig,
     seed: int = 0,
     n_classes: int | None = None,
-) -> TeacherModel:
+) -> MlpModel:
     """Supervised cross-entropy training on the union of the given domains."""
     if not domains:
         raise InvalidArgumentError("train_teacher needs at least one domain")
@@ -234,7 +231,7 @@ def train_teacher(
             logits, cache = forward(model, train.features[idx])
             _, dlogits = cross_entropy(logits, train.labels[idx])
             model, opt = optimizer_step(model, backward(model, cache, dlogits), opt)
-    return TeacherModel(model, frozenset(int(d.domain_id) for d in domains))
+    return model
 
 
 def _frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
@@ -251,7 +248,7 @@ def _frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
 
 def distill_task(
     student: MlpModel,
-    teacher: TeacherModel,
+    teacher: MlpModel,
     distill_set: DistillSet,
     method: MethodConfig,
     config: RunConfig,
@@ -269,17 +266,20 @@ def distill_task(
     student is updated. With internal and external rows, a se2d step
     concatenates one internal and one external batch; its teacher term sees
     both and its checkpoint term the external one.
+
+    Raises DivergenceError at the end of an epoch whose mean loss, or after
+    which a student parameter, is not finite as float32.
     """
-    if student.num_classes != teacher.model.num_classes:
+    if student.num_classes != teacher.num_classes:
         raise InvalidArgumentError(
-            f"student has {student.num_classes} classes, teacher has {teacher.model.num_classes}"
+            f"student has {student.num_classes} classes, teacher has {teacher.num_classes}"
         )
     if len(distill_set) == 0:
         raise InvalidArgumentError("distillation set is empty")
 
     features = distill_set.features
-    name, t = method.method, method.temperature
-    teacher_logits = _frozen_logits(teacher.model, features, config.batch_size)
+    name, t = method.method, config.temperature
+    teacher_logits = _frozen_logits(teacher, features, config.batch_size)
     make_targets = {"ls": ls_targets, "dkd": dkd_targets}.get(name, soft_targets)
     targets = make_targets(teacher_logits, t)
     entropies = teacher_entropy(teacher_logits, t) if name == "mds" else None
@@ -346,6 +346,13 @@ def distill_task(
             student, opt = optimizer_step(student, backward(student, cache, dlogits), opt)
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
+        # Checked in float32, the checkpoint precision: a diverging float64
+        # student can run far past its range without ever overflowing.
+        if not np.isfinite(_single(np.append(student.params, epoch_losses[-1]))).all():
+            raise DivergenceError(
+                f"method {name}, seed {seed}, task {task_index}, epoch {epoch}: the student "
+                f"diverged (epoch loss {epoch_losses[-1]:.3g})"
+            )
         if epoch_accuracies is not None and test_sets:
             epoch_accuracies.append(
                 {d: evaluate(student, ts) for d, ts in sorted(test_sets.items())}
@@ -360,7 +367,7 @@ def distill_task(
 
 def run_sequence(
     student: MlpModel,
-    teachers: Iterable[TeacherModel],
+    teachers: Iterable[MlpModel],
     scenario: CdScenario,
     method: MethodConfig,
     config: RunConfig,
@@ -374,7 +381,7 @@ def run_sequence(
     the next task.
     """
     needs_checkpoint = method.method in ("se2d", "self_distill")
-    teacher_stream: Iterator[TeacherModel] = iter(teachers)
+    teacher_stream: Iterator[MlpModel] = iter(teachers)
     logs: list[TaskLog] = []
     checkpoint: bytes | None = None
     for t, teacher in enumerate(teacher_stream):

@@ -19,3 +19,7 @@ class ConfigError(ValueError):
 
 class DegenerateVarianceError(InvalidArgumentError):
     """A statistic that requires nonzero variance was given constant data."""
+
+
+class DivergenceError(RuntimeError):
+    """Training produced a loss or a parameter that is not finite as float32."""

@@ -76,7 +76,7 @@ def benchmark_runs():
                     student,
                     iter(teachers),
                     scenario,
-                    MethodConfig(method, temperature=config.temperature),
+                    MethodConfig(method),
                     config,
                     seed=seed,
                 )
@@ -305,7 +305,7 @@ def test_criterion_7_scope_identity_with_empty_internal():
             student,
             iter(teachers),
             scenario,
-            MethodConfig(method, temperature=config.temperature),
+            MethodConfig(method),
             config,
             seed=3,
         )
@@ -348,11 +348,11 @@ def test_criterion_9_entropy_and_kurtosis(benchmark_runs):
     gaps = []
     for t, teacher in enumerate(benchmark_runs["teachers"]):
         own = [
-            entropy_histogram(teacher.model, scenario.test_sets[d].features, 1.0, 20).mean
-            for d in sorted(teacher.trained_domain_ids)
+            entropy_histogram(teacher, scenario.test_sets[d].features, 1.0, 20).mean
+            for d in spec.teacher_domain_ids(t)
         ]
         unrelated = generate_domain(t + 1, 9, 4, 8, 200, relation="unrelated")
-        far = entropy_histogram(teacher.model, unrelated.test.features, 1.0, 20).mean
+        far = entropy_histogram(teacher, unrelated.test.features, 1.0, 20).mean
         assert far > float(np.mean(own)), (
             f"teacher {t}: unrelated entropy {far:.3f} not above own {np.mean(own):.3f}"
         )

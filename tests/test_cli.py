@@ -34,6 +34,7 @@ import cdbench.benchmark
 import cdbench.cli
 import cdbench.domains
 from cdbench.benchmark import train_benchmark_teachers
+from cdbench.distill import MethodConfig
 from cdbench.domains import build_scenario
 from cdbench.engine import RunConfig, deserialize_model, serialize_model
 from cdbench.errors import ConfigError, FormatError
@@ -84,7 +85,7 @@ def write_config(tmp_path, doc):
 class TestConfigValidation:
     def test_valid_config_parses(self, tmp_path):
         cfg = parse_config(base_config(tmp_path / "out"))
-        assert cfg.methods == ("kl", "se2d")
+        assert cfg.methods == (MethodConfig("kl"), MethodConfig("se2d"))
         assert cfg.run.seeds == (1, 2, 3)
 
     def test_missing_field_is_named(self, tmp_path):
@@ -168,7 +169,7 @@ class TestConfigValidation:
         assert config.scenario.ed_ratio == 0.0
         assert config.scenario.external_relation == "related"
         assert config.run == RunConfig()
-        assert config.run_extras == {}
+        assert config.methods == (MethodConfig("kl"), MethodConfig("se2d"))
 
     @pytest.mark.parametrize(
         "key, value, named",
@@ -324,6 +325,53 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 3
         assert "layer 1" in capsys.readouterr().err
 
+    def test_non_finite_teacher_checkpoint_is_a_data_error(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        ckpt = out / "checkpoints" / "teacher_1.ckpt"
+        data = bytearray(ckpt.read_bytes())
+        # Layer 1's first weight: after the 12-byte header, layer 0's shape
+        # (8 bytes), 16 x 6 weights and 16 biases, and layer 1's shape.
+        offset = 12 + 8 + 4 * (16 * 6 + 16) + 8
+        data[offset : offset + 4] = np.float32("nan").tobytes()
+        ckpt.write_bytes(bytes(data))
+        path = write_config(tmp_path, base_config(out))
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "teacher_1.ckpt" in err and "layer 1" in err
+        assert (out / "results.csv").read_bytes() == (finished_run[0] / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("widths", [[5, 32, 32, 3], [6, 32, 32, 4]], ids=["input", "output"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "analyze"])
+    def test_teacher_width_mismatch_is_a_data_error(
+        self, finished_run, tmp_path, capsys, command, widths
+    ):
+        # The scenario has 6 features and 3 classes.
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        (out / "checkpoints" / "teacher_1.ckpt").write_bytes(serialize_model(init_mlp(3, widths)))
+        path = str(write_config(tmp_path, base_config(out)))
+        argv = {
+            "run": ["run", "--config", path],
+            "sweep": ["sweep", "--config", path, "--ratio", "0,0.5"],
+            "analyze": ["analyze", "--out", str(out)],
+        }[command]
+        assert main(argv) == 3
+        assert "teacher_1.ckpt" in capsys.readouterr().err
+
+    def test_diverging_student_fails_loudly(self, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["methods"] = ["kl", "se2d"]
+        doc["run"].update(seeds=[1], optimizer="sgd", learning_rate=1e4, teacher_learning_rate=0.01)
+        doc["output_dir"] = str(tmp_path / "out")
+        path = str(write_config(tmp_path, doc))
+        assert main(["gen", "--config", path]) == 0
+        assert main(["teachers", "--config", path]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", path]) == 4
+        assert "method kl, seed 1, task 0, epoch 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_three_task_five_domain_grid(self, tmp_path):
         # 2 methods x 3 seeds x 3 tasks x 5 domains -> 90 rows
         doc = base_config(tmp_path / "out")
@@ -361,7 +409,7 @@ class TestRun:
         out, config = finished_run
         par_dir = tmp_path / "par"
         par = ExperimentConfig(
-            config.scenario, config.methods, config.run, config.run_extras, par_dir, None
+            config.scenario, config.methods, config.run, par_dir, None
         )
         cmd_gen(par)
         cmd_teachers(par)
@@ -425,7 +473,7 @@ class TestExternalEntropyFilter:
         out, config = finished_run
         filtered_dir = tmp_path / "filtered"
         filtered = ExperimentConfig(
-            config.scenario, config.methods, config.run, config.run_extras,
+            config.scenario, config.methods, config.run,
             filtered_dir, None, external_entropy_max=100.0,
         )
         cmd_gen(filtered)
@@ -722,7 +770,7 @@ class TestSingleScenarioPath:
         assert len(teachers) == config.scenario.n_teachers
         for t, teacher in enumerate(teachers):
             ckpt = out / "checkpoints" / f"teacher_{t}.ckpt"
-            assert serialize_model(teacher.model) == ckpt.read_bytes()
+            assert serialize_model(teacher) == ckpt.read_bytes()
 
 
 class TestEndToEndDeterminism:

@@ -372,16 +372,12 @@ class TestMethodConfig:
         with pytest.raises(InvalidArgumentError):
             MethodConfig("mds", mds_low_q=0.9, mds_high_q=0.1)
 
-    def test_bad_temperature(self):
-        with pytest.raises(InvalidArgumentError):
-            MethodConfig("kl", temperature=0.0)
-
-    @pytest.mark.parametrize("field", ["temperature", "dkd_alpha", "dkd_beta"])
+    @pytest.mark.parametrize("field", ["dkd_alpha", "dkd_beta"])
     def test_nan_rejected(self, field):
         with pytest.raises(InvalidArgumentError, match=field):
             MethodConfig("dkd", **{field: float("nan")})
 
     def test_defaults(self):
         cfg = MethodConfig("dkd")
-        assert cfg.temperature == 10.0 and cfg.dkd_alpha == 1.0 and cfg.dkd_beta == 8.0
+        assert cfg.dkd_alpha == 1.0 and cfg.dkd_beta == 8.0
         assert (cfg.mds_low_q, cfg.mds_high_q) == (0.25, 0.75)

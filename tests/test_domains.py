@@ -61,7 +61,7 @@ class TestGenerateDomain:
     def test_generated_domain_is_learnable(self, desk_config):
         ds = generate_domain(5, 0, 4, 8, 100)
         teacher = train_teacher([ds], desk_config, seed=9)
-        assert evaluate(teacher.model, ds.test) >= 0.90
+        assert evaluate(teacher, ds.test) >= 0.90
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -177,47 +177,45 @@ class TestBuildScenario:
         a = build_scenario(spec_for())
         b = build_scenario(spec_for())
         assert np.array_equal(a.distill_set.features, b.distill_set.features)
-        assert np.array_equal(a.distill_set.domain_ids, b.distill_set.domain_ids)
+        assert np.array_equal(a.distill_set.external_mask, b.distill_set.external_mask)
         assert a.domains.keys() == b.domains.keys()
         for m in a.domains:
             assert np.array_equal(a.domains[m].train.features, b.domains[m].train.features)
 
 
-def labeled(n, dim=4, domain=0, seed=0):
+def labeled(n, dim=4, seed=0):
     rng = np.random.default_rng(seed)
-    return LabeledSet(
-        rng.normal(size=(n, dim)), rng.integers(0, 3, size=n), np.full(n, domain)
-    )
+    return LabeledSet(rng.normal(size=(n, dim)), rng.integers(0, 3, size=n))
 
 
 class TestMixRatio:
     def test_half_ratio(self):
-        out = mix_ratio(labeled(100), labeled(150, domain=1, seed=1), 0.5)
+        out = mix_ratio(labeled(100), labeled(150, seed=1), 0.5)
         assert len(out) == 200
         assert out.external_mask.sum() == 100
 
     def test_zero_ratio(self):
-        out = mix_ratio(labeled(100), labeled(50, domain=1, seed=1), 0.0)
+        out = mix_ratio(labeled(100), labeled(50, seed=1), 0.0)
         assert len(out) == 100 and not out.external_mask.any()
 
     def test_two_thirds_ratio(self):
-        out = mix_ratio(labeled(100), labeled(300, domain=1, seed=1), 2.0 / 3.0)
+        out = mix_ratio(labeled(100), labeled(300, seed=1), 2.0 / 3.0)
         assert out.external_mask.sum() == 200 and len(out) == 300
 
     def test_larger_internal_pool_is_thinned(self):
-        out = mix_ratio(labeled(100), labeled(100, domain=1, seed=1), 2.0 / 3.0)
+        out = mix_ratio(labeled(100), labeled(100, seed=1), 2.0 / 3.0)
         kept_internal = int((~out.external_mask).sum())
         assert out.external_mask.sum() == 100 and kept_internal == 50
 
     def test_ratio_within_one_sample(self):
         for ratio in (0.1, 0.25, 1 / 3, 0.5, 0.75):
-            out = mix_ratio(labeled(97), labeled(113, domain=1, seed=1), ratio)
+            out = mix_ratio(labeled(97), labeled(113, seed=1), ratio)
             achieved = out.external_mask.sum() / len(out)
             assert abs(achieved - ratio) <= 1.0 / len(out) + 1e-12
 
     @pytest.mark.parametrize("ratio", [0.0, 0.5])
     def test_empty_internal_pool_keeps_every_external_row(self, ratio):
-        external = labeled(30, domain=1, seed=1)
+        external = labeled(30, seed=1)
         out = mix_ratio(LabeledSet.empty(4), external, ratio)
         assert len(out) == 30 and out.external_mask.all()
         assert np.array_equal(out.features, external.features)

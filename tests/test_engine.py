@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from cdbench import engine
 from cdbench import (
+    DivergenceError,
     FormatError,
     InvalidArgumentError,
     MethodConfig,
     RunConfig,
     ScenarioSpec,
-    TeacherModel,
     build_scenario,
     distill_task,
     evaluate,
@@ -86,7 +86,7 @@ def per_batch_distill(student, teacher, distill_set, method, config, seed, prev_
     batch and calls the public losses on their logits."""
     features, ext = distill_set.features, distill_set.external_mask
     internal, external = features[~ext], features[ext]
-    t = method.temperature
+    t = config.temperature
     opt = make_optimizer(student, config.optimizer, config.learning_rate)
     paired = method.method == "se2d" and prev_student is not None and len(internal) and len(external)
     losses = []
@@ -105,7 +105,7 @@ def per_batch_distill(student, teacher, distill_set, method, config, seed, prev_
             ]
         for x, x_ext in batches:
             x_all = x if x_ext is None else np.concatenate([x, x_ext])
-            zt, _ = forward(teacher.model, x_all)
+            zt, _ = forward(teacher, x_all)
             zs, cache = forward(student, x_all)
             if paired:
                 zp, _ = forward(prev_student, x_ext)
@@ -151,13 +151,13 @@ class TestTrainTeacher:
     def test_single_domain_reaches_floor(self, desk_config):
         ds = generate_domain(7, 0, 4, 8, 100)
         teacher = train_teacher([ds], desk_config, seed=1)
-        assert evaluate(teacher.model, ds.test) >= 0.90
+        assert evaluate(teacher, ds.test) >= 0.90
 
     def test_near_chance_on_unrelated_domain(self, desk_config):
         datasets = [generate_domain(7, 0, 4, 8, 100), generate_domain(7, 1, 4, 8, 100)]
         teacher = train_teacher(datasets, desk_config, seed=1)
         unrelated = generate_domain(7, 9, 4, 8, 100, relation="unrelated")
-        assert evaluate(teacher.model, unrelated.test) <= 0.25 + 0.15
+        assert evaluate(teacher, unrelated.test) <= 0.25 + 0.15
 
     def test_zero_epochs_returns_initialization(self, tiny_config):
         cfg = RunConfig(
@@ -171,9 +171,9 @@ class TestTrainTeacher:
         ds = generate_domain(3, 0, 3, 6, 10)
         teacher = train_teacher([ds], cfg, seed=5)
         # untouched initialization: zero biases and fan-in-bounded weights
-        assert all(np.all(l.bias == 0.0) for l in teacher.model.layers)
+        assert all(np.all(l.bias == 0.0) for l in teacher.layers)
         again = train_teacher([ds], cfg, seed=5)
-        assert model_params_equal(teacher.model, again.model)
+        assert model_params_equal(teacher, again)
 
     def test_empty_domain_list_rejected(self, tiny_config):
         with pytest.raises(InvalidArgumentError):
@@ -183,10 +183,7 @@ class TestTrainTeacher:
         ds = generate_domain(3, 0, 3, 6, 12)
         a = train_teacher([ds], tiny_config, seed=2)
         b = train_teacher([ds], tiny_config, seed=2)
-        assert model_params_equal(a.model, b.model)
-
-    def test_records_domain_ids(self, tiny_teachers):
-        assert sorted(tiny_teachers[0].trained_domain_ids) == [0, 1]
+        assert model_params_equal(a, b)
 
 
 class TestRunConfig:
@@ -196,19 +193,22 @@ class TestRunConfig:
         with pytest.raises(InvalidArgumentError, match=field):
             RunConfig(**{field: float("nan")})
 
+    def test_bad_temperature(self):
+        with pytest.raises(InvalidArgumentError):
+            RunConfig(temperature=0.0)
+
 
 class TestDistillTask:
     def test_student_equal_to_teacher_has_zero_loss(self, tiny_scenario, tiny_config):
         spec = tiny_scenario.spec
-        teacher_model = init_mlp(4, [spec.feature_dim, 16, 16, spec.n_classes])
-        teacher = TeacherModel(teacher_model, frozenset({0}))
-        student = teacher_model.copy()
+        teacher = init_mlp(4, [spec.feature_dim, 16, 16, spec.n_classes])
+        student = teacher.copy()
         student, log = distill_task(
-            student, teacher, tiny_scenario.distill_set, MethodConfig("kl", temperature=3.0),
+            student, teacher, tiny_scenario.distill_set, MethodConfig("kl"),
             tiny_config, task_index=0, seed=0,
         )
         assert log.epoch_losses[0] == 0.0
-        assert model_params_equal(student, teacher_model)
+        assert model_params_equal(student, teacher)
 
     def test_student_approaches_teacher_on_distill_domains(self, tiny_scenario, tiny_config, tiny_teachers):
         cfg = RunConfig(
@@ -222,11 +222,11 @@ class TestDistillTask:
         teacher = tiny_teachers[0]
         student = new_student(6, 3, cfg, seed=3)
         student, _ = distill_task(
-            student, teacher, tiny_scenario.distill_set, MethodConfig("kl", temperature=3.0),
+            student, teacher, tiny_scenario.distill_set, MethodConfig("kl"),
             cfg, task_index=0, seed=3,
         )
         # shared domain 0 is the teacher-known domain present in the distillation set
-        gap = evaluate(teacher.model, tiny_scenario.test_sets[0]) - evaluate(
+        gap = evaluate(teacher, tiny_scenario.test_sets[0]) - evaluate(
             student, tiny_scenario.test_sets[0]
         )
         assert gap <= 0.03
@@ -234,8 +234,8 @@ class TestDistillTask:
     def test_mds_full_band_matches_kl(self, tiny_scenario, tiny_config, tiny_teachers):
         results = []
         for method in (
-            MethodConfig("kl", temperature=3.0),
-            MethodConfig("mds", temperature=3.0, mds_low_q=0.0, mds_high_q=1.0),
+            MethodConfig("kl"),
+            MethodConfig("mds", mds_low_q=0.0, mds_high_q=1.0),
         ):
             student = new_student(6, 3, tiny_config, seed=4)
             student, log = distill_task(
@@ -247,12 +247,23 @@ class TestDistillTask:
         assert model_params_equal(results[0][0], results[1][0])
 
     def test_class_count_mismatch_rejected(self, tiny_scenario, tiny_config):
-        teacher = TeacherModel(init_mlp(0, [6, 8, 5]), frozenset({0}))
+        teacher = init_mlp(0, [6, 8, 5])
         student = init_mlp(1, [6, 8, 3])
         with pytest.raises(InvalidArgumentError):
             distill_task(
                 student, teacher, tiny_scenario.distill_set,
                 MethodConfig("kl"), tiny_config,
+            )
+
+    # 1e39 is finite in float64 but not in float32; NaN makes the loss NaN too.
+    @pytest.mark.parametrize("value", [1e39, float("nan")])
+    def test_diverged_student_raises(self, value, tiny_scenario, tiny_config, tiny_teachers):
+        student = new_student(6, 3, tiny_config, seed=2)
+        student.layers[-1].bias[0] = value
+        with pytest.raises(DivergenceError, match="method kl, seed 2, task 4, epoch 0"):
+            distill_task(
+                student, tiny_teachers[0], tiny_scenario.distill_set, MethodConfig("kl"),
+                tiny_config, task_index=4, seed=2,
             )
 
     @pytest.mark.parametrize("method", METHODS)
@@ -261,7 +272,7 @@ class TestDistillTask:
     ):
         cfg = RunConfig(**{**tiny_config.__dict__, "epochs": 2})
         prev = new_student(6, 3, cfg, seed=5)
-        mc = MethodConfig(method, temperature=3.0)
+        mc = MethodConfig(method)
         ref, ref_losses = per_batch_distill(
             new_student(6, 3, cfg, seed=6), tiny_teachers[0], tiny_scenario.distill_set,
             mc, cfg, seed=6, prev_student=prev,
@@ -287,7 +298,7 @@ class TestDistillTask:
         cfg = RunConfig(**{**tiny_config.__dict__, "epochs": epochs})
         teacher = tiny_teachers[0]
         prev = new_student(6, 3, cfg, seed=2)
-        calls = {id(teacher.model): 0, id(prev): 0}
+        calls = {id(teacher): 0, id(prev): 0}
 
         def counting_forward(model, batch):
             if id(model) in calls:
@@ -297,13 +308,13 @@ class TestDistillTask:
         monkeypatch.setattr(engine, "forward", counting_forward)
         distill_task(
             new_student(6, 3, cfg, seed=2), teacher, tiny_scenario.distill_set,
-            MethodConfig(method, temperature=3.0), cfg, prev_student=prev,
+            MethodConfig(method), cfg, prev_student=prev,
         )
         distill_set = tiny_scenario.distill_set
         n_ext = int(distill_set.external_mask.sum())
         assert 0 < n_ext < len(distill_set)  # se2d takes the paired path
         prev_rows = {"self_distill": len(distill_set), "se2d": n_ext}.get(method, 0)
-        assert calls[id(teacher.model)] == math.ceil(len(distill_set) / cfg.batch_size)
+        assert calls[id(teacher)] == math.ceil(len(distill_set) / cfg.batch_size)
         assert calls[id(prev)] == math.ceil(prev_rows / cfg.batch_size)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -332,7 +343,7 @@ class TestDistillTask:
         prev = new_student(6, 3, tiny_config, seed=3)
         distill_task(
             new_student(6, 3, tiny_config, seed=2), tiny_teachers[0], tiny_scenario.distill_set,
-            MethodConfig(method, temperature=3.0), tiny_config, prev_student=prev,
+            MethodConfig(method), tiny_config, prev_student=prev,
         )
         assert {name for name, n in calls.items() if n} == expected[method]
 
@@ -349,7 +360,7 @@ class TestDistillTask:
         student = new_student(6, 3, cfg, seed=7)
         _, log = distill_task(
             student, tiny_teachers[0], tiny_scenario.distill_set,
-            MethodConfig("kl", temperature=3.0), cfg, task_index=0, seed=7,
+            MethodConfig("kl"), cfg, task_index=0, seed=7,
             test_sets=tiny_scenario.test_sets,
         )
         assert log.epoch_accuracies is not None and len(log.epoch_accuracies) == 3
@@ -363,7 +374,7 @@ class TestRunSequence:
             student = new_student(6, 3, tiny_config, seed=8)
             logs = run_sequence(
                 student, iter(tiny_teachers[:1]), tiny_scenario,
-                MethodConfig(method, temperature=3.0), tiny_config, seed=8,
+                MethodConfig(method), tiny_config, seed=8,
             )
             finals.append((student, logs[0].epoch_losses, logs[0].accuracies))
         assert finals[0][1] == finals[1][1]
@@ -374,7 +385,7 @@ class TestRunSequence:
         student = new_student(6, 3, tiny_config, seed=9)
         logs = run_sequence(
             student, (t for t in tiny_teachers), tiny_scenario,
-            MethodConfig("kl", temperature=3.0), tiny_config, seed=9,
+            MethodConfig("kl"), tiny_config, seed=9,
         )
         assert [log.task_index for log in logs] == [0, 1]
         assert all(sorted(log.accuracies) == [0, 1, 2, 3] for log in logs)
@@ -391,7 +402,7 @@ class TestRunSequence:
             student = new_student(6, 3, tiny_config, seed=10)
             logs = run_sequence(
                 student, iter(tiny_teachers), tiny_scenario,
-                MethodConfig(method, temperature=3.0), tiny_config, seed=10,
+                MethodConfig(method), tiny_config, seed=10,
             )
             outs[method] = [log.epoch_losses for log in logs]
         assert outs["kl"][0] == outs["self_distill"][0]  # first task has no checkpoint
@@ -411,7 +422,7 @@ class TestRunSequence:
                 student = new_student(6, 3, cfg, seed=seed)
                 logs = run_sequence(
                     student, iter(tiny_teachers), tiny_scenario,
-                    MethodConfig(method, temperature=3.0), cfg, seed=seed,
+                    MethodConfig(method), cfg, seed=seed,
                 )
                 for log in logs:
                     assert log.epoch_losses[-1] <= log.epoch_losses[0], (method, seed)
@@ -422,19 +433,19 @@ class TestEvaluate:
         model = MlpModel([Layer(np.eye(3), np.zeros(3))])
         labels = np.array([0, 1, 2, 1])
         features = 10.0 * np.eye(3)[labels]
-        test = LabeledSet(features, labels, np.zeros(4))
+        test = LabeledSet(features, labels)
         assert evaluate(model, test) == 1.0
 
     def test_constant_output_on_balanced_set(self):
         model = MlpModel([Layer(np.zeros((4, 2)), np.zeros(4))])
         labels = np.repeat(np.arange(4), 5)
-        test = LabeledSet(np.random.default_rng(0).normal(size=(20, 2)), labels, np.zeros(20))
+        test = LabeledSet(np.random.default_rng(0).normal(size=(20, 2)), labels)
         assert evaluate(model, test) == 0.25
 
     def test_matches_per_sample_oracle(self):
         rng = np.random.default_rng(12)
         model = init_mlp(3, [4, 8, 3])
-        test = LabeledSet(rng.normal(size=(50, 4)), rng.integers(0, 3, size=50), np.zeros(50))
+        test = LabeledSet(rng.normal(size=(50, 4)), rng.integers(0, 3, size=50))
         correct = 0
         from cdbench.nn_core import forward
 
@@ -467,6 +478,17 @@ class TestCheckpoints:
         with pytest.raises(FormatError, match="layer 1"):
             serialize_model(model)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    def test_non_finite_value_read_refused(self, part, value):
+        data = bytearray(serialize_model(init_mlp(24, [5, 7, 4])))
+        # Layer 1's first weight follows the header and layer 0 (7 x 5 plus
+        # 7 biases); its first bias follows its 4 x 7 weights.
+        offset = 8 + 4 + (8 + 4 * (7 * 5 + 7)) + 8 + (4 * 4 * 7 if part == "bias" else 0)
+        data[offset : offset + 4] = np.float32(value).tobytes()
+        with pytest.raises(FormatError, match="layer 1 has a weight or bias that is not finite"):
+            deserialize_model(bytes(data))
+
     def test_reload_is_idempotent(self, tmp_path):
         model = init_mlp(22, [5, 7, 4])
         first = deserialize_model(serialize_model(model))
@@ -476,9 +498,9 @@ class TestCheckpoints:
     def test_re_evaluation_matches(self, tmp_path, desk_config):
         ds = generate_domain(8, 0, 4, 8, 50)
         teacher = train_teacher([ds], desk_config, seed=4)
-        before = evaluate(teacher.model, ds.test)
+        before = evaluate(teacher, ds.test)
         path = tmp_path / "t.ckpt"
-        save_checkpoint(teacher.model, path)
+        save_checkpoint(teacher, path)
         after = evaluate(load_checkpoint(path), ds.test)
         assert abs(before - after) <= 1e-6
 
@@ -529,16 +551,14 @@ _VALID_CHECKPOINT = serialize_model(init_mlp(5, [3, 4, 5, 2]))
 
 
 def _refused_or_chained(data: bytes) -> None:
-    """The parser raises FormatError, or returns layers that chain; nothing else."""
+    """The parser raises FormatError, or returns finite layers that chain; nothing else."""
     try:
-        # A changed byte can make a signalling NaN, whose widening to
-        # float64 numpy flags as invalid; reading does not refuse NaN.
-        with np.errstate(invalid="ignore"):
-            model = deserialize_model(data)
+        model = deserialize_model(data)
     except FormatError:
         return
     for k in range(1, len(model.shapes)):
         assert model.shapes[k][1] == model.shapes[k - 1][0]
+    assert np.isfinite(model.params).all()
 
 
 class TestCheckpointFuzz:

@@ -209,7 +209,7 @@ def test_accuracy_matrix_matches_checkpoint_re_evaluation(tmp_path):
     ]
     student = new_student(6, 3, config, seed=1)
     logs = run_sequence(
-        student, iter(teachers), scenario, MethodConfig("kl", temperature=3.0), config, seed=1
+        student, iter(teachers), scenario, MethodConfig("kl"), config, seed=1
     )
     m = accuracy_matrix(logs)
     path = tmp_path / "final_student.ckpt"

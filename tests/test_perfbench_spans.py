@@ -2,11 +2,18 @@
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from cdbench.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _spans() -> list[str]:
@@ -20,3 +27,29 @@ def _spans() -> list[str]:
 def test_traced_span_exists(span):
     layer, fn = span.split(".")
     assert callable(getattr(importlib.import_module(f"cdbench.{layer}"), fn, None))
+
+
+def test_tracer_reads_its_positional_arguments(tmp_path):
+    # The tracer takes distill_task's student from args[0], to tell trained
+    # from frozen forwards, and run_sequence's method from args[3].method.
+    doc = json.loads((ROOT / "configs" / "quick.json").read_text())
+    doc.update(methods=["se2d"], output_dir=str(tmp_path / "out"))
+    doc["run"]["seeds"] = [1]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["gen", "--config", str(config)]) == 0
+    assert main(["teachers", "--config", str(config)]) == 0
+    trace = tmp_path / "run.trace.json"
+    subprocess.run(
+        [sys.executable, str(TRACER), "run", "--config", str(config), "--jobs", "1"],
+        env=dict(os.environ, PERFBENCH_TRACE_FILE=str(trace)),
+        check=True,
+        capture_output=True,
+    )
+    got = json.loads(trace.read_text())
+    assert [cell["method"] for cell in got["cells"]] == ["se2d"]
+    steps = got["counts"]["engine.distill_task.steps"]
+    assert steps > 0
+    # One trained forward per step; the teachers and the checkpoint are frozen.
+    assert got["stats"]["nn_core.forward.trained"][0] == steps
+    assert got["stats"]["nn_core.forward.frozen"][0] > 0
