@@ -29,6 +29,7 @@ from .domains import (
     write_domain_csv,
 )
 from .engine import (
+    FrozenTeacher,
     RunConfig,
     TaskLog,
     distill_task,

@@ -18,7 +18,6 @@ import json
 import multiprocessing
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -33,6 +32,7 @@ from .benchmark import train_benchmark_teacher
 from .distill import METHODS, MethodConfig, teacher_entropy
 from .domains import DistillSet, ScenarioSpec, build_scenario, write_domain_csv
 from .engine import (
+    FrozenTeacher,
     RunConfig,
     deserialize_model,
     evaluate,
@@ -297,13 +297,29 @@ def _read_teacher(path: Path, spec: ScenarioSpec) -> MlpModel:
     return model
 
 
+def _teacher_settings(run: RunConfig) -> dict:
+    """The run settings that shape a teacher, as teacher_report.json records them."""
+    return {
+        "teacher_hidden": list(run.teacher_hidden),
+        "teacher_epochs": run.teacher_epochs,
+        "teacher_learning_rate": run.teacher_lr,
+        "optimizer": run.optimizer,
+        "batch_size": run.batch_size,
+    }
+
+
 def cmd_teachers(config: ExperimentConfig) -> Path:
     """Pretrain one teacher per task and write checkpoints plus a quality report."""
     _require_manifest(config)
     spec = config.scenario
     scenario = build_scenario(spec)
     (config.output_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
-    report = {"schema_version": SCHEMA_VERSION, "floor": config.run.teacher_accuracy_floor, "teachers": []}
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "floor": config.run.teacher_accuracy_floor,
+        "settings": _teacher_settings(config.run),
+        "teachers": [],
+    }
     for t, path in enumerate(_teacher_paths(config.output_dir, spec)):
         # Trained one by one, not with train_benchmark_teachers, to hold one teacher at a time.
         teacher = train_benchmark_teacher(scenario, config.run, t)
@@ -325,6 +341,20 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
 
 
 def _load_teachers(config: ExperimentConfig) -> list[MlpModel]:
+    """The checkpointed teachers, once teacher_report.json shows config's settings made them."""
+    path = config.output_dir / "teacher_report.json"
+    if not path.exists():
+        raise UsageError(f"no teacher report at {path}; run `cdbench teachers` first")
+    try:
+        recorded = json.loads(path.read_text(encoding="utf-8")).get("settings", {})
+    except (json.JSONDecodeError, AttributeError):  # AttributeError: not an object
+        raise FormatError(f"{path} is not a JSON object") from None
+    for key, value in _teacher_settings(config.run).items():
+        if recorded.get(key) != value:
+            raise ConfigError(
+                f"run.{key} is {value!r}, but the teachers were trained with "
+                f"{recorded.get(key)!r}; rerun `cdbench teachers`"
+            )
     spec = config.scenario
     return [_read_teacher(path, spec) for path in _teacher_paths(config.output_dir, spec)]
 
@@ -353,14 +383,11 @@ def _run_cell(args: tuple) -> tuple[list[dict], list[tuple]]:
     student = new_student(scenario.spec.feature_dim, scenario.spec.n_classes, run, seed)
     rows: list[dict] = []
     curve_rows: list[tuple] = []
-    t0 = time.perf_counter()
-    logs = run_sequence(student, iter(teachers), scenario, method, run, seed=seed)
-    elapsed_total = time.perf_counter() - t0
-    per_task = elapsed_total / max(1, len(logs))
-    for log in logs:
+    for log in run_sequence(student, iter(teachers), scenario, method, run, seed=seed):
         t = log.task_index
         for d, acc in sorted(log.accuracies.items()):
-            rows.append(dict(zip(RESULT_COLUMNS, (seed, method.method, t, t, d, acc, per_task))))
+            row = (seed, method.method, t, t, d, acc, log.elapsed_seconds)
+            rows.append(dict(zip(RESULT_COLUMNS, row)))
         if log.epoch_accuracies is not None:
             for e, accs in enumerate(log.epoch_accuracies):
                 for d, acc in sorted(accs.items()):
@@ -403,15 +430,19 @@ def run_grid(
     """Run config's method x seed grid on `spec` in memory.
 
     The scenario is built, and its external rows screened, once for all
-    cells. Returns the result rows, keyed by RESULT_COLUMNS and sorted by
+    cells. The cells share one FrozenTeacher per teacher, so each teacher
+    runs over the distillation set once per call, not once per cell (with
+    jobs > 1, each cell is pickled on its own and makes its own pass).
+    Returns the result rows, keyed by RESULT_COLUMNS and sorted by
     method, seed, task and domain, and the sorted per-epoch curve rows.
     """
     jobs = _max_jobs(jobs)
     scenario = build_scenario(spec)
     if config.external_entropy_max is not None:
         scenario = _filter_external_by_entropy(scenario, teachers, config.external_entropy_max)
+    frozen = [FrozenTeacher(t) for t in teachers]
     cells = [
-        (scenario, m, config.run, s, teachers)
+        (scenario, m, config.run, s, frozen)
         for m in config.methods
         for s in config.run.seeds
     ]

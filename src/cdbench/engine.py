@@ -10,6 +10,7 @@ earlier teacher.
 from __future__ import annotations
 
 import struct
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -52,6 +53,12 @@ _SEED_TEACHER = 21
 _SEED_STUDENT = 22
 _SEED_SHUFFLE = 23
 
+# An epoch whose mean loss exceeds this multiple of its task's first-batch
+# loss has diverged. In legitimate runs of configs/quick.json and of both
+# perfbench workloads, with all six methods, the ratio stays below 2; a
+# student that blew up and settled inside float32's range sits above 1e3.
+DIVERGENCE_FACTOR = 100.0
+
 
 def derive_seed(*parts: int) -> int:
     """Collapse a tuple of integers into one deterministic 32-bit seed."""
@@ -74,6 +81,13 @@ class RunConfig:
     teacher_hidden: tuple[int, ...] = (32, 32)
     student_hidden: tuple[int, ...] = (32, 32)
     teacher_accuracy_floor: float = 0.9
+
+    @property
+    def teacher_lr(self) -> float:
+        """The learning rate teachers train with: teacher_learning_rate, else learning_rate."""
+        if self.teacher_learning_rate is None:
+            return self.learning_rate
+        return self.teacher_learning_rate
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -107,6 +121,7 @@ class TaskLog:
     accuracies: dict[int, float]  # domain id -> accuracy after this task
     epoch_losses: list[float]
     epoch_accuracies: list[dict[int, float]] | None = None
+    elapsed_seconds: float = 0.0  # wall time of the whole task, set by run_sequence
 
 
 def _single(values: np.ndarray) -> np.ndarray:
@@ -219,10 +234,7 @@ def train_teacher(
         derive_seed(_SEED_TEACHER, seed),
         [train.features.shape[1], *config.teacher_hidden, n_classes],
     )
-    lr = config.teacher_learning_rate
-    if lr is None:
-        lr = config.learning_rate
-    opt = make_optimizer(model, config.optimizer, lr)
+    opt = make_optimizer(model, config.optimizer, config.teacher_lr)
     rng = np.random.default_rng([_SEED_SHUFFLE, derive_seed(_SEED_TEACHER, seed)])
     for _ in range(config.teacher_epochs):
         order = rng.permutation(len(train))
@@ -246,9 +258,30 @@ def _frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
     return out
 
 
+class FrozenTeacher:
+    """A teacher model and its logits over the last distillation set it was asked about.
+
+    The logits depend only on the teacher, the set and the chunk size, not
+    on the student, method or seed, so every grid cell that shares one
+    FrozenTeacher shares one pass over the set. The set is matched by
+    identity: a rebuilt or screened set gets a fresh pass.
+    """
+
+    def __init__(self, model: MlpModel) -> None:
+        self.model = model
+        self._seen: tuple[DistillSet, int] | None = None
+        self._logits: Matrix | None = None
+
+    def logits(self, distill_set: DistillSet, chunk: int) -> Matrix:
+        if self._seen is None or self._seen[0] is not distill_set or self._seen[1] != chunk:
+            self._logits = _frozen_logits(self.model, distill_set.features, chunk)
+            self._seen = (distill_set, chunk)
+        return self._logits
+
+
 def distill_task(
     student: MlpModel,
-    teacher: MlpModel,
+    teacher: MlpModel | FrozenTeacher,
     distill_set: DistillSet,
     method: MethodConfig,
     config: RunConfig,
@@ -261,25 +294,31 @@ def distill_task(
     """Distill one teacher into the student over the fixed distillation set.
 
     Teacher and checkpoint targets (dkd's teacher-side terms included) are
-    computed once per task, since both models are frozen within it; each
+    computed once per task, since both models are frozen within it. The
+    teacher's logits come from a FrozenTeacher, so a teacher shared that
+    way runs over the set once for every task that uses it; each
     step gathers its rows and calls the method's public loss. Only the
     student is updated. With internal and external rows, a se2d step
     concatenates one internal and one external batch; its teacher term sees
     both and its checkpoint term the external one.
 
     Raises DivergenceError at the end of an epoch whose mean loss, or after
-    which a student parameter, is not finite as float32.
+    which a student parameter, is not finite as float32, and at the end of
+    an epoch whose mean loss exceeds DIVERGENCE_FACTOR times the task's
+    first-batch loss.
     """
-    if student.num_classes != teacher.num_classes:
+    if not isinstance(teacher, FrozenTeacher):
+        teacher = FrozenTeacher(teacher)
+    if student.num_classes != teacher.model.num_classes:
         raise InvalidArgumentError(
-            f"student has {student.num_classes} classes, teacher has {teacher.num_classes}"
+            f"student has {student.num_classes} classes, teacher has {teacher.model.num_classes}"
         )
     if len(distill_set) == 0:
         raise InvalidArgumentError("distillation set is empty")
 
     features = distill_set.features
     name, t = method.method, config.temperature
-    teacher_logits = _frozen_logits(teacher, features, config.batch_size)
+    teacher_logits = teacher.logits(distill_set, config.batch_size)
     make_targets = {"ls": ls_targets, "dkd": dkd_targets}.get(name, soft_targets)
     targets = make_targets(teacher_logits, t)
     entropies = teacher_entropy(teacher_logits, t) if name == "mds" else None
@@ -345,13 +384,18 @@ def distill_task(
             loss, dlogits = step_loss(student_logits, idx)
             student, opt = optimizer_step(student, backward(student, cache, dlogits), opt)
             losses.append(loss)
+        if epoch == 0:
+            first_loss = losses[0]
         epoch_losses.append(float(np.mean(losses)))
         # Checked in float32, the checkpoint precision: a diverging float64
         # student can run far past its range without ever overflowing.
-        if not np.isfinite(_single(np.append(student.params, epoch_losses[-1]))).all():
+        if (
+            not np.isfinite(_single(np.append(student.params, epoch_losses[-1]))).all()
+            or epoch_losses[-1] > DIVERGENCE_FACTOR * first_loss
+        ):
             raise DivergenceError(
                 f"method {name}, seed {seed}, task {task_index}, epoch {epoch}: the student "
-                f"diverged (epoch loss {epoch_losses[-1]:.3g})"
+                f"diverged (epoch loss {epoch_losses[-1]:.3g}, first batch {first_loss:.3g})"
             )
         if epoch_accuracies is not None and test_sets:
             epoch_accuracies.append(
@@ -367,7 +411,7 @@ def distill_task(
 
 def run_sequence(
     student: MlpModel,
-    teachers: Iterable[MlpModel],
+    teachers: Iterable[MlpModel | FrozenTeacher],
     scenario: CdScenario,
     method: MethodConfig,
     config: RunConfig,
@@ -378,13 +422,14 @@ def run_sequence(
     Teachers are pulled one at a time from a forward-only iterator; once a
     task ends its teacher is unreachable. Checkpoint-based methods serialize
     the student at each task end and distill from that frozen copy during
-    the next task.
+    the next task. Each log's elapsed_seconds is its task's wall time.
     """
     needs_checkpoint = method.method in ("se2d", "self_distill")
-    teacher_stream: Iterator[MlpModel] = iter(teachers)
+    teacher_stream: Iterator[MlpModel | FrozenTeacher] = iter(teachers)
     logs: list[TaskLog] = []
     checkpoint: bytes | None = None
     for t, teacher in enumerate(teacher_stream):
+        start = time.perf_counter()
         prev_model = deserialize_model(checkpoint) if checkpoint is not None else None
         student, log = distill_task(
             student,
@@ -399,6 +444,7 @@ def run_sequence(
         )
         if needs_checkpoint:
             checkpoint = serialize_model(student)
+        log.elapsed_seconds = time.perf_counter() - start
         logs.append(log)
     if not logs:
         raise InvalidArgumentError("teacher sequence is empty")

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import shutil
+import time
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -29,14 +30,22 @@ from cdbench.cli import (
     main,
     parse_config,
     read_results_csv,
+    run_grid,
 )
 import cdbench.benchmark
 import cdbench.cli
 import cdbench.domains
+import cdbench.engine
 from cdbench.benchmark import train_benchmark_teachers
 from cdbench.distill import MethodConfig
 from cdbench.domains import build_scenario
-from cdbench.engine import RunConfig, deserialize_model, serialize_model
+from cdbench.engine import (
+    RunConfig,
+    deserialize_model,
+    new_student,
+    run_sequence,
+    serialize_model,
+)
 from cdbench.errors import ConfigError, FormatError
 from cdbench.metrics import entropy_histogram
 from cdbench.nn_core import Layer, MlpModel, init_mlp
@@ -268,6 +277,13 @@ class TestTeachers:
             for acc in teacher["accuracy"].values():
                 assert 0.0 <= acc <= 1.0
         assert (tmp_path / "out" / "checkpoints" / "teacher_0.ckpt").exists()
+        assert report["settings"] == {
+            "teacher_hidden": [16, 16],
+            "teacher_epochs": 15,
+            "teacher_learning_rate": 0.01,
+            "optimizer": "adam",
+            "batch_size": 16,
+        }
 
     def test_meets_floor_on_separable_scenario(self, tmp_path):
         # single-domain teachers: separability of one generated domain
@@ -299,6 +315,20 @@ def finished_run(tmp_path_factory):
     cmd_teachers(config)
     cmd_run(config)
     return tmp_path / "out", config
+
+
+@pytest.fixture(scope="module")
+def diverging_quick(tmp_path_factory):
+    """quick.json's teachers, and a config whose sgd student diverges at lr 1e4."""
+    tmp_path = tmp_path_factory.mktemp("diverging")
+    doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+    doc["methods"] = ["kl"]
+    doc["run"].update(seeds=[1], optimizer="sgd", learning_rate=1e4, teacher_learning_rate=0.01)
+    doc["output_dir"] = str(tmp_path / "out")
+    path = str(write_config(tmp_path, doc))
+    assert main(["gen", "--config", path]) == 0
+    assert main(["teachers", "--config", path]) == 0
+    return tmp_path / "out", path
 
 
 class TestRun:
@@ -371,6 +401,15 @@ class TestRun:
         assert main(["run", "--config", path]) == 4
         assert "method kl, seed 1, task 0, epoch 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_student_diverging_inside_float32_fails_loudly(self, diverging_quick, capsys, seed):
+        # These seeds reach epoch-0 losses of 1e12 to 1e38, then settle near
+        # 3e4 at chance accuracy, with every value finite in float32.
+        out, path = diverging_quick
+        assert main(["run", "--config", path, "--seeds", str(seed)]) == 4
+        assert f"method kl, seed {seed}, task 0, epoch 0" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
 
     def test_three_task_five_domain_grid(self, tmp_path):
         # 2 methods x 3 seeds x 3 tasks x 5 domains -> 90 rows
@@ -468,6 +507,127 @@ class TestRun:
         assert not target.exists()
 
 
+class TestStaleTeachers:
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("teacher_hidden", [7], "teacher_hidden"),
+            ("teacher_epochs", 16, "teacher_epochs"),
+            ("teacher_learning_rate", 0.02, "teacher_learning_rate"),
+            # Without teacher_learning_rate, teachers train at learning_rate.
+            ("learning_rate", 0.02, "teacher_learning_rate"),
+            ("optimizer", "sgd", "optimizer"),
+            ("batch_size", 8, "batch_size"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_changed_teacher_setting_is_refused(
+        self, finished_run, tmp_path, capsys, command, key, value, named
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        doc = base_config(out)
+        doc["run"][key] = value
+        path = str(write_config(tmp_path, doc))
+        ratio = ["--ratio", "0,0.5"] if command == "sweep" else []
+        assert main([command, "--config", path, *ratio]) == 2
+        assert f"run.{named}" in capsys.readouterr().err
+        assert (out / "results.csv").read_bytes() == (finished_run[0] / "results.csv").read_bytes()
+        assert not (out / "sweep.csv").exists()
+
+    def test_report_without_settings_is_refused(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        report = json.loads((out / "teacher_report.json").read_text())
+        del report["settings"]
+        (out / "teacher_report.json").write_text(json.dumps(report))
+        path = str(write_config(tmp_path, base_config(out)))
+        assert main(["run", "--config", path]) == 2
+        assert "run.teacher_hidden" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{", "[]"])
+    def test_malformed_report_is_a_data_error(self, finished_run, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        (out / "teacher_report.json").write_text(text)
+        path = str(write_config(tmp_path, base_config(out)))
+        assert main(["run", "--config", path]) == 3
+        assert "teacher_report.json" in capsys.readouterr().err
+
+    def test_student_settings_reuse_the_teachers(self, finished_run, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        doc = base_config(out)
+        doc["run"].update(epochs=1, seeds=[4], student_hidden=[8], temperature=2.0)
+        assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 0
+
+
+@pytest.fixture(scope="module")
+def three_teacher_grid():
+    """A 2-method x 2-seed grid over 3 teachers, with the teachers in memory."""
+    doc = base_config("unused", methods=["kl", "dkd"])
+    doc["scenario"].update(
+        n_domains=5,
+        teacher_exclusive_domains=[[1], [2], [3]],
+        external_domains=[4],
+        samples_per_class=16,
+    )
+    doc["run"].update(epochs=1, seeds=[1, 2], teacher_epochs=5)
+    config = parse_config(doc)
+    return config, train_benchmark_teachers(build_scenario(config.scenario), config.run)
+
+
+class TestGridCells:
+    def test_each_teacher_runs_over_the_set_once_per_grid(self, three_teacher_grid, monkeypatch):
+        config, teachers = three_teacher_grid
+        original = cdbench.engine._frozen_logits
+        passes = []
+
+        def counted(model, features, chunk):
+            passes.append(model)
+            return original(model, features, chunk)
+
+        monkeypatch.setattr(cdbench.engine, "_frozen_logits", counted)
+        run_grid(config.scenario, teachers, config)
+        # kl and dkd read no checkpoint, so every pass is a teacher's: one
+        # each for the grid's four cells, not one per cell.
+        assert [id(m) for m in passes] == [id(t) for t in teachers]
+
+    def test_rows_match_a_run_sequence_per_cell(self, three_teacher_grid):
+        config, teachers = three_teacher_grid
+        spec = config.scenario
+        scenario = build_scenario(spec)
+        want = []
+        for method, seed in product(config.methods, config.run.seeds):
+            student = new_student(spec.feature_dim, spec.n_classes, config.run, seed)
+            for log in run_sequence(student, teachers, scenario, method, config.run, seed=seed):
+                for d, acc in sorted(log.accuracies.items()):
+                    want.append((method.method, seed, log.task_index, d, acc))
+        rows, _ = run_grid(spec, teachers, config)
+        got = [(r["method"], r["seed"], r["task"], r["domain"], r["accuracy"]) for r in rows]
+        assert got == sorted(want)
+
+    def test_elapsed_seconds_is_each_tasks_own(self, three_teacher_grid, monkeypatch):
+        config, teachers = three_teacher_grid
+        original = cdbench.engine.distill_task
+
+        def slow_second_task(*args, **kwargs):
+            if kwargs["task_index"] == 1:
+                time.sleep(0.2)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cdbench.engine, "distill_task", slow_second_task)
+        one_cell = replace(
+            config, methods=config.methods[:1], run=replace(config.run, seeds=(1,))
+        )
+        rows, _ = run_grid(config.scenario, teachers, one_cell)
+        elapsed = {}
+        for r in rows:
+            elapsed.setdefault(r["task"], set()).add(r["elapsed_seconds"])
+        assert all(len(values) == 1 for values in elapsed.values())
+        assert min(elapsed[1]) - max(elapsed[0] | elapsed[2]) > 0.15
+
+
 class TestExternalEntropyFilter:
     def test_generous_threshold_changes_nothing(self, finished_run, tmp_path):
         out, config = finished_run
@@ -506,6 +666,8 @@ class TestExternalEntropyFilter:
 
 class TestSweep:
     def test_blocks_and_ratio_zero_equivalence(self, tmp_path):
+        # Each ratio's block equals a plain run at that ratio, so no teacher
+        # logits from one ratio's distillation set reach another's grid.
         doc = base_config(tmp_path / "out", sweep_ratios=[0.0, 0.5])
         config = parse_config(doc)
         cmd_gen(config)

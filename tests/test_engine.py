@@ -32,7 +32,7 @@ from cdbench.distill import (
     se2d_loss,
     self_distill_loss,
 )
-from cdbench.domains import LabeledSet, balance_pair_stream
+from cdbench.domains import DistillSet, LabeledSet, balance_pair_stream
 from cdbench.engine import deserialize_model, serialize_model
 from cdbench.nn_core import (
     Layer,
@@ -426,6 +426,29 @@ class TestRunSequence:
                 )
                 for log in logs:
                     assert log.epoch_losses[-1] <= log.epoch_losses[0], (method, seed)
+
+
+class TestFrozenTeacher:
+    def test_one_pass_per_set_and_chunk(self, tiny_scenario, tiny_teachers, monkeypatch):
+        original = engine._frozen_logits
+        calls = []
+
+        def counted(model, features, chunk):
+            calls.append(chunk)
+            return original(model, features, chunk)
+
+        monkeypatch.setattr(engine, "_frozen_logits", counted)
+        ds = tiny_scenario.distill_set
+        frozen = engine.FrozenTeacher(tiny_teachers[0])
+        first = frozen.logits(ds, 16)
+        assert frozen.logits(ds, 16) is first
+        assert calls == [16]
+        assert first.tobytes() == original(tiny_teachers[0], ds.features, 16).tobytes()
+        # An equal set that is another object, or another chunk size, is a new pass.
+        twin = DistillSet(ds.features.copy(), ds.external_mask.copy())
+        assert frozen.logits(twin, 16) is not first
+        frozen.logits(twin, 8)
+        assert calls == [16, 16, 8]
 
 
 class TestEvaluate:
