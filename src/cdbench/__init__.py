@@ -63,6 +63,7 @@ from .nn_core import (
     Layer,
     MlpModel,
     OptimizerState,
+    Workspace,
     backward,
     cross_entropy,
     forward,

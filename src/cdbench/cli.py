@@ -267,7 +267,12 @@ def _manifest_scenario(results_dir: Path) -> ScenarioSpec:
     path = results_dir / "manifest.json"
     if not path.exists():
         raise UsageError(f"no scenario found at {path}; run `cdbench gen` first")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path} is not a JSON object")
     return _scenario_from_json(manifest.get("scenario"), "manifest.scenario")
 
 
@@ -324,7 +329,10 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
         # Trained one by one, not with train_benchmark_teachers, to hold one teacher at a time.
         teacher = train_benchmark_teacher(scenario, config.run, t)
         domain_ids = spec.teacher_domain_ids(t)
-        save_checkpoint(teacher, path)
+        try:
+            save_checkpoint(teacher, path)
+        except FormatError as exc:
+            raise FormatError(f"teacher {t} ({path}): {exc}") from None
         accs = {str(d): evaluate(teacher, ts) for d, ts in sorted(scenario.test_sets.items())}
         in_domain = min(accs[str(d)] for d in domain_ids)
         report["teachers"].append(
@@ -347,7 +355,8 @@ def _load_teachers(config: ExperimentConfig) -> list[MlpModel]:
         raise UsageError(f"no teacher report at {path}; run `cdbench teachers` first")
     try:
         recorded = json.loads(path.read_text(encoding="utf-8")).get("settings", {})
-    except (json.JSONDecodeError, AttributeError):  # AttributeError: not an object
+    # AttributeError: valid JSON but not an object.
+    except (json.JSONDecodeError, UnicodeDecodeError, AttributeError):
         raise FormatError(f"{path} is not a JSON object") from None
     for key, value in _teacher_settings(config.run).items():
         if recorded.get(key) != value:

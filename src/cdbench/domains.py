@@ -371,13 +371,15 @@ def write_domain_csv(dataset: DomainDataset, path: str | Path) -> None:
     """Write one domain, train rows then test rows, as a write-only export.
 
     Columns are feature_0..feature_{d-1}, label and domain; features print
-    as repr, so they parse back to the same float64 values.
+    as repr, so they parse back to the same float64 values. The bytes are
+    those of csv.writer's excel dialect: no field needs quoting, since a
+    float's repr has no comma, quote or line break.
     """
     d = dataset.train.features.shape[1]
+    lines = [",".join([f"feature_{i}" for i in range(d)] + ["label", "domain"])]
+    for part in (dataset.train, dataset.test):
+        for row, label in zip(part.features.tolist(), part.labels.tolist()):
+            lines.append(f"{','.join(map(repr, row))},{label},{dataset.domain_id}")
+    end = csv.excel.lineterminator
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feature_{i}" for i in range(d)] + ["label", "domain"])
-        for part in (dataset.train, dataset.test):
-            for i in range(len(part)):
-                row = [repr(float(v)) for v in part.features[i]]
-                writer.writerow(row + [int(part.labels[i]), dataset.domain_id])
+        fh.write(end.join(lines) + end)

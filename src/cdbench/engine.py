@@ -37,6 +37,7 @@ from .nn_core import (
     Layer,
     Matrix,
     MlpModel,
+    Workspace,
     backward,
     cross_entropy,
     forward,
@@ -235,14 +236,15 @@ def train_teacher(
         [train.features.shape[1], *config.teacher_hidden, n_classes],
     )
     opt = make_optimizer(model, config.optimizer, config.teacher_lr)
+    ws = Workspace(model)
     rng = np.random.default_rng([_SEED_SHUFFLE, derive_seed(_SEED_TEACHER, seed)])
     for _ in range(config.teacher_epochs):
         order = rng.permutation(len(train))
         for start in range(0, len(train), config.batch_size):
             idx = order[start : start + config.batch_size]
-            logits, cache = forward(model, train.features[idx])
+            logits, cache = forward(model, train.features[idx], ws=ws)
             _, dlogits = cross_entropy(logits, train.labels[idx])
-            model, opt = optimizer_step(model, backward(model, cache, dlogits), opt)
+            model, opt = optimizer_step(model, backward(model, cache, dlogits, ws=ws), opt)
     return model
 
 
@@ -363,6 +365,7 @@ def distill_task(
         return res.loss, res.dlogits
 
     opt = make_optimizer(student, config.optimizer, config.learning_rate)
+    ws = Workspace(student)
     epoch_losses: list[float] = []
     epoch_accuracies: list[dict[int, float]] | None = [] if config.eval_every_epoch else None
     for epoch in range(config.epochs):
@@ -380,9 +383,9 @@ def distill_task(
             )
         losses: list[float] = []
         for idx in batches:
-            student_logits, cache = forward(student, features[idx])
+            student_logits, cache = forward(student, features[idx], ws=ws)
             loss, dlogits = step_loss(student_logits, idx)
-            student, opt = optimizer_step(student, backward(student, cache, dlogits), opt)
+            student, opt = optimizer_step(student, backward(student, cache, dlogits, ws=ws), opt)
             losses.append(loss)
         if epoch == 0:
             first_loss = losses[0]

@@ -9,11 +9,17 @@ with per-layer weight and bias views into it. `backward` returns a flat
 gradient and the Adam moments are flat vectors of the same layout, so
 `optimizer_step` updates every parameter with a few whole-vector
 operations.
+
+A training loop passes a `Workspace` to `forward` and `backward`, and
+`make_optimizer` gives Adam its scratch vectors, so a step reuses its
+buffers instead of allocating them. Every operation and its order is the
+same with or without one, so the results are bitwise equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +99,66 @@ class ForwardCache:
     activations: list[Matrix]  # hidden-layer outputs, after the rectifier
 
 
+class _RowBuffers(NamedTuple):
+    """The `out=` targets of one step; None entries make numpy allocate."""
+
+    pre: list[Matrix | None]  # per hidden layer
+    post: list[Matrix | None]
+    deltas: list[Matrix | None]
+    logits: Matrix | None
+
+
+class Workspace:
+    """Buffers that one model's training steps reuse instead of allocating.
+
+    It holds the flat gradient and the row buffers: per hidden layer the
+    pre-activations, activations and deltas, then the logits. The row
+    buffers are sized from the first batch and grow only when a batch has
+    more rows; a shorter batch gets leading-row views of them, made once
+    per row count. With a workspace, the logits and cache that `forward`
+    returns and the gradient that `backward` returns are overwritten by the
+    next call with the same workspace.
+    """
+
+    def __init__(self, model: MlpModel) -> None:
+        self.shapes = model.shapes
+        self.grads = np.empty_like(model.params)
+        self.grad_views = model.layer_views(self.grads)
+        self._full: _RowBuffers | None = None
+        self._views: dict[int, _RowBuffers] = {}
+
+    def rows(self, n: int) -> _RowBuffers:
+        """Views of the row buffers for an n-row batch."""
+        views = self._views.get(n)
+        if views is None:
+            if self._full is None or n > len(self._full.logits):
+                widths = [rows for rows, _ in self.shapes]
+                self._full = _RowBuffers(
+                    [np.empty((n, w)) for w in widths[:-1]],
+                    [np.empty((n, w)) for w in widths[:-1]],
+                    [np.empty((n, w)) for w in widths[:-1]],
+                    np.empty((n, widths[-1])),
+                )
+                self._views = {}
+            full = self._full
+            views = self._views[n] = _RowBuffers(
+                [b[:n] for b in full.pre],
+                [b[:n] for b in full.post],
+                [b[:n] for b in full.deltas],
+                full.logits[:n],
+            )
+        return views
+
+
+def _row_buffers(model: MlpModel, n: int, ws: Workspace | None) -> _RowBuffers:
+    if ws is None:
+        none = [None] * (len(model.layers) - 1)
+        return _RowBuffers(none, none, none, None)
+    if ws.shapes != model.shapes:
+        raise ShapeError(f"workspace is for layers {ws.shapes}, the model has {model.shapes}")
+    return ws.rows(n)
+
+
 @dataclass
 class OptimizerState:
     kind: str
@@ -101,6 +167,9 @@ class OptimizerState:
     # Adam's moment estimates, laid out like the model's params.
     moment1: np.ndarray | None = field(default=None, repr=False)
     moment2: np.ndarray | None = field(default=None, repr=False)
+    # Reused by every step in place of temporaries; None makes a step allocate them.
+    scratch: np.ndarray | None = field(default=None, repr=False)
+    update: np.ndarray | None = field(default=None, repr=False)
 
 
 def init_mlp(seed: int, layer_dims: list[int]) -> MlpModel:
@@ -122,8 +191,14 @@ def init_mlp(seed: int, layer_dims: list[int]) -> MlpModel:
     return MlpModel(layers)
 
 
-def forward(model: MlpModel, batch: Matrix) -> tuple[Matrix, ForwardCache]:
-    """Run the net on a batch, returning logits and the cache for backward()."""
+def forward(
+    model: MlpModel, batch: Matrix, ws: Workspace | None = None
+) -> tuple[Matrix, ForwardCache]:
+    """Run the net on a batch, returning logits and the cache for backward().
+
+    With a workspace the logits and the cache live in its buffers, valid
+    until the next call with that workspace; without one they are fresh.
+    """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2:
         raise ShapeError(f"batch must be 2-D, got shape {batch.shape}")
@@ -131,15 +206,18 @@ def forward(model: MlpModel, batch: Matrix) -> tuple[Matrix, ForwardCache]:
         raise ShapeError(
             f"batch has {batch.shape[1]} features, model expects {model.input_dim}"
         )
+    out = _row_buffers(model, batch.shape[0], ws)
     pre, post = [], []
     a = batch
-    for layer in model.layers[:-1]:
-        z = a @ layer.weight.T + layer.bias
-        a = np.maximum(z, 0.0)
+    for layer, z_out, a_out in zip(model.layers[:-1], out.pre, out.post):
+        z = np.matmul(a, layer.weight.T, out=z_out)
+        z += layer.bias
+        a = np.maximum(z, 0.0, out=a_out)
         pre.append(z)
         post.append(a)
     last = model.layers[-1]
-    logits = a @ last.weight.T + last.bias
+    logits = np.matmul(a, last.weight.T, out=out.logits)
+    logits += last.bias
     return logits, ForwardCache(batch, pre, post)
 
 
@@ -181,11 +259,14 @@ def cross_entropy(logits: Matrix, labels: np.ndarray) -> tuple[float, Matrix]:
     return loss, dlogits / n
 
 
-def backward(model: MlpModel, cache: ForwardCache, dlogits: Matrix) -> np.ndarray:
+def backward(
+    model: MlpModel, cache: ForwardCache, dlogits: Matrix, ws: Workspace | None = None
+) -> np.ndarray:
     """Exact reverse-mode gradients for the loss whose logit-gradient is dlogits.
 
     Returns one flat vector laid out like `model.params`; `model.layer_views`
-    splits it into per-layer (dweight, dbias) pairs.
+    splits it into per-layer (dweight, dbias) pairs. With a workspace the
+    vector is the workspace's, valid until the next call with it.
     """
     dlogits = np.asarray(dlogits, dtype=float)
     n = cache.inputs.shape[0]
@@ -193,8 +274,12 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: Matrix) -> np.ndarra
         raise ShapeError(
             f"dlogits shape {dlogits.shape}, expected {(n, model.num_classes)}"
         )
-    grads = np.empty_like(model.params)
-    views = model.layer_views(grads)
+    deltas = _row_buffers(model, n, ws).deltas
+    if ws is None:
+        grads = np.empty_like(model.params)
+        views = model.layer_views(grads)
+    else:
+        grads, views = ws.grads, ws.grad_views
     delta = dlogits
     for k in range(len(model.layers) - 1, -1, -1):
         a_prev = cache.activations[k - 1] if k > 0 else cache.inputs
@@ -202,7 +287,8 @@ def backward(model: MlpModel, cache: ForwardCache, dlogits: Matrix) -> np.ndarra
         np.matmul(delta.T, a_prev, out=dw)
         delta.sum(axis=0, out=db)
         if k > 0:
-            delta = (delta @ model.layers[k].weight) * (cache.pre_activations[k - 1] > 0)
+            delta = np.matmul(delta, model.layers[k].weight, out=deltas[k - 1])
+            delta *= cache.pre_activations[k - 1] > 0
     return grads
 
 
@@ -211,10 +297,11 @@ def make_optimizer(model: MlpModel, kind: str, learning_rate: float) -> Optimize
         raise InvalidArgumentError(f"unknown optimizer {kind!r}, expected one of {OPTIMIZER_KINDS}")
     if learning_rate <= 0:
         raise InvalidArgumentError(f"learning rate must be > 0, got {learning_rate}")
-    m1 = m2 = None
+    state = OptimizerState(kind, learning_rate, scratch=np.empty_like(model.params))
     if kind == "adam":
-        m1, m2 = np.zeros_like(model.params), np.zeros_like(model.params)
-    return OptimizerState(kind, learning_rate, 0, m1, m2)
+        state.moment1, state.moment2 = np.zeros_like(model.params), np.zeros_like(model.params)
+        state.update = np.empty_like(model.params)
+    return state
 
 
 def optimizer_step(
@@ -229,7 +316,7 @@ def optimizer_step(
         raise ShapeError(f"gradient shape {np.shape(grads)} does not match params {params.shape}")
     lr = state.learning_rate
     if state.kind == "sgd":
-        params -= lr * grads
+        params -= np.multiply(lr, grads, out=state.scratch)
         state.step += 1
         return model, state
     # Adam with bias-corrected moments:
@@ -242,7 +329,7 @@ def optimizer_step(
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     m1, m2 = state.moment1, state.moment2
-    buf = np.multiply(grads, 1 - b1)
+    buf = np.multiply(grads, 1 - b1, out=state.scratch)
     m1 *= b1
     m1 += buf
     np.multiply(grads, grads, out=buf)
@@ -252,7 +339,7 @@ def optimizer_step(
     np.divide(m2, corr2, out=buf)
     np.sqrt(buf, out=buf)
     buf += ADAM_EPS
-    update = np.divide(m1, corr1)
+    update = np.divide(m1, corr1, out=state.update)
     update *= lr
     update /= buf
     params -= update

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import shutil
 import time
 from dataclasses import replace
@@ -306,6 +307,22 @@ class TestTeachers:
         with pytest.raises(ConfigError, match="manifest"):
             cmd_teachers(changed)
 
+    def test_overflowing_teacher_is_named(self, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["methods"] = ["kl"]
+        doc["run"].update(optimizer="sgd", teacher_learning_rate=10.0)
+        doc["output_dir"] = str(tmp_path / "out")
+        path = str(write_config(tmp_path, doc))
+        assert main(["gen", "--config", path]) == 0
+        capsys.readouterr()
+        assert main(["teachers", "--config", path]) == 3
+        err = capsys.readouterr().err
+        match = re.search(r"teacher (\d+) \((.*)\): layer \d+ has a weight", err)
+        assert match, err
+        t = match.group(1)
+        assert match.group(2) == str(tmp_path / "out" / "checkpoints" / f"teacher_{t}.ckpt")
+        assert not (tmp_path / "out" / "teacher_report.json").exists()
+
 
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
@@ -554,12 +571,37 @@ class TestStaleTeachers:
         assert main(["run", "--config", path]) == 3
         assert "teacher_report.json" in capsys.readouterr().err
 
+    def test_report_that_is_not_utf8_is_a_data_error(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        (out / "teacher_report.json").write_bytes(b"\xff")
+        path = str(write_config(tmp_path, base_config(out)))
+        assert main(["run", "--config", path]) == 3
+        assert "teacher_report.json" in capsys.readouterr().err
+
     def test_student_settings_reuse_the_teachers(self, finished_run, tmp_path):
         out = tmp_path / "out"
         shutil.copytree(finished_run[0], out)
         doc = base_config(out)
         doc["run"].update(epochs=1, seeds=[4], student_hidden=[8], temperature=2.0)
         assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 0
+
+
+@pytest.mark.parametrize("data", [b"{", b"[]", b"\xff"], ids=["brace", "list", "not-utf8"])
+@pytest.mark.parametrize("command", ["teachers", "run", "sweep", "analyze"])
+def test_malformed_manifest_is_a_data_error(finished_run, tmp_path, capsys, command, data):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run[0], out)
+    (out / "manifest.json").write_bytes(data)
+    path = str(write_config(tmp_path, base_config(out)))
+    argv = {
+        "teachers": ["teachers", "--config", path],
+        "run": ["run", "--config", path],
+        "sweep": ["sweep", "--config", path, "--ratio", "0,0.5"],
+        "analyze": ["analyze", "--out", str(out)],
+    }[command]
+    assert main(argv) == 3
+    assert str(out / "manifest.json") in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

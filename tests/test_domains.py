@@ -14,7 +14,7 @@ from cdbench import (
     train_teacher,
     write_domain_csv,
 )
-from cdbench.domains import LabeledSet, _mix_selection
+from cdbench.domains import DomainDataset, LabeledSet, _mix_selection
 
 
 def row_set(features):
@@ -274,3 +274,27 @@ class TestCsv:
         labels = np.concatenate([ds.train.labels, ds.test.labels])
         assert [int(row[4]) for row in rows] == labels.tolist()
         assert {int(row[5]) for row in rows} == {1}
+
+    @staticmethod
+    def csv_writer_bytes(ds, path):
+        """What csv.writer writes for the same header and repr-formatted rows."""
+        d = ds.train.features.shape[1]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"feature_{i}" for i in range(d)] + ["label", "domain"])
+            for part in (ds.train, ds.test):
+                for row, label in zip(part.features, part.labels):
+                    writer.writerow([repr(float(v)) for v in row] + [int(label), ds.domain_id])
+        return path.read_bytes()
+
+    def test_bytes_match_a_csv_writer(self, tmp_path):
+        # Negative, tiny, subnormal, huge, integral and signed-zero values.
+        crafted = DomainDataset(
+            4,
+            LabeledSet([[-1.5, 1e-300, 3.0, -0.0], [5e-324, -2.5e300, 0.1, 7.0]], [2, 0]),
+            LabeledSet([[1.0 / 3.0, -1e-7, 123456789.0, 2.0**-40]], [1]),
+        )
+        for ds in (crafted, generate_domain(2, 1, 3, 4, 10)):
+            path = tmp_path / "domain.csv"
+            write_domain_csv(ds, path)
+            assert path.read_bytes() == self.csv_writer_bytes(ds, tmp_path / "reference.csv")

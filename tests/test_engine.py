@@ -300,10 +300,10 @@ class TestDistillTask:
         prev = new_student(6, 3, cfg, seed=2)
         calls = {id(teacher): 0, id(prev): 0}
 
-        def counting_forward(model, batch):
+        def counting_forward(model, batch, *args, **kwargs):
             if id(model) in calls:
                 calls[id(model)] += 1
-            return forward(model, batch)
+            return forward(model, batch, *args, **kwargs)
 
         monkeypatch.setattr(engine, "forward", counting_forward)
         distill_task(

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cdbench import (
     InvalidArgumentError,
     ShapeError,
+    Workspace,
     backward,
     cross_entropy,
     forward,
@@ -263,6 +265,10 @@ class TestFlatLayout:
         arrays = [a.copy() for layer in model.layers for a in (layer.weight, layer.bias)]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
         state = make_optimizer(model, kind, 1e-2)
+        # The same steps with no scratch vectors, so each allocates its temporaries.
+        twin = model.copy()
+        twin_state = make_optimizer(twin, kind, 1e-2)
+        twin_state.scratch = twin_state.update = None
         for t in range(1, 51):
             grads = rng.normal(size=model.params.size) * 10.0 ** rng.uniform(-4, 2)
             per_layer = [a for pair in model.layer_views(grads) for a in pair]
@@ -270,6 +276,8 @@ class TestFlatLayout:
             stepped, same_state = optimizer_step(model, grads, state)
             assert stepped is model and same_state is state
             assert np.array_equal(model.params, np.concatenate([a.ravel() for a in arrays]))
+            optimizer_step(twin, grads, twin_state)
+            assert twin.params.tobytes() == model.params.tobytes()
         assert state.step == 50
 
     def test_backward_matches_per_layer_products_bitwise(self):
@@ -285,6 +293,56 @@ class TestFlatLayout:
             assert np.array_equal(grads[k][1], delta.sum(0))
             if k > 0:
                 delta = (delta @ model.layers[k].weight) * (cache.pre_activations[k - 1] > 0)
+
+        # One workspace through a full batch, a shorter one, a doubled one
+        # (which grows it) and a full one again: every byte as allocated.
+        ws, previous = Workspace(model), None
+        for n in (64, 23, 128, 64):
+            batch, dlogits = rng.normal(size=(n, 8)), rng.normal(size=(n, 4))
+            logits, cache = forward(model, batch)
+            ws_logits, ws_cache = forward(model, batch, ws=ws)
+            assert ws_logits.tobytes() == logits.tobytes()
+            for mine, fresh in zip(
+                ws_cache.pre_activations + ws_cache.activations,
+                cache.pre_activations + cache.activations,
+            ):
+                assert mine.tobytes() == fresh.tobytes()
+            ws_grads = backward(model, ws_cache, dlogits, ws=ws)
+            assert ws_grads is ws.grads
+            assert ws_grads.tobytes() == backward(model, cache, dlogits).tobytes()
+            # Only the doubled batch outgrows the buffers of the call before.
+            assert n == 128 or previous is None or np.shares_memory(ws_logits, previous)
+            previous = ws_logits
+
+    def test_workspace_of_another_model_rejected(self):
+        ws = Workspace(init_mlp(36, [8, 32, 32, 4]))
+        with pytest.raises(ShapeError):
+            forward(init_mlp(36, [8, 16, 32, 4]), np.zeros((4, 8)), ws=ws)
+
+    def test_training_steps_reuse_their_buffers(self):
+        # Without a workspace and scratch vectors, 20 steps at this width
+        # peak near 700 KB above their baseline.
+        rng = np.random.default_rng(37)
+        model = init_mlp(37, [8, 128, 128, 4])
+        state = make_optimizer(model, "adam", 1e-3)
+        ws = Workspace(model)
+        batches = [(rng.normal(size=(64, 8)), rng.integers(0, 4, 64)) for _ in range(21)]
+
+        def step(batch, labels):
+            logits, cache = forward(model, batch, ws=ws)
+            _, dlogits = cross_entropy(logits, labels)
+            optimizer_step(model, backward(model, cache, dlogits, ws=ws), state)
+
+        step(*batches[0])
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            for batch in batches[1:]:
+                step(*batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline <= 128 * 1024
 
     def test_layer_views_write_through(self):
         model = init_mlp(33, [3, 4, 2])
