@@ -1,48 +1,14 @@
-"""Canonical desk-scale benchmark: the fixed scenario family and training
-settings used by the bundled configs and the acceptance suite.
+"""The one way to train teacher t of a scenario.
 
-Three teachers share domain 0 and each own one private domain (1-3);
-domain 4 provides the external data. Teachers are owned by the scenario,
-so their seeds derive from the scenario seed rather than the run grid.
+Teachers are owned by the scenario, so teacher t's seed derives from the
+scenario seed (`spec.seed * 1000 + t`) rather than from the run grid.
 """
 
 from __future__ import annotations
 
-from .domains import CdScenario, ScenarioSpec
+from .domains import CdScenario
 from .engine import RunConfig, train_teacher
 from .nn_core import MlpModel
-
-BENCHMARK_SEEDS = (1, 2, 3)
-
-
-def benchmark_spec(ed_ratio: float, seed: int = 1, relation: str = "related") -> ScenarioSpec:
-    return ScenarioSpec(
-        n_classes=4,
-        feature_dim=8,
-        n_domains=5,
-        shared_domains=(0,),
-        teacher_exclusive_domains=((1,), (2,), (3,)),
-        external_domains=(4,),
-        ed_ratio=ed_ratio,
-        samples_per_class=200,
-        seed=seed,
-        external_relation=relation,
-    )
-
-
-def benchmark_run_config(**overrides) -> RunConfig:
-    settings = dict(
-        epochs=40,
-        batch_size=64,
-        learning_rate=0.01,
-        temperature=3.0,
-        seeds=BENCHMARK_SEEDS,
-        teacher_epochs=150,
-        teacher_hidden=(128, 128),
-        student_hidden=(32, 32),
-    )
-    settings.update(overrides)
-    return RunConfig(**settings)
 
 
 def train_benchmark_teacher(scenario: CdScenario, config: RunConfig, t: int) -> MlpModel:

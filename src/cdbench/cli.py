@@ -40,7 +40,7 @@ from .engine import (
     run_sequence,
     save_checkpoint,
 )
-from .errors import ConfigError, FormatError, InvalidArgumentError
+from .errors import ConfigError, DivergenceError, FormatError, InvalidArgumentError
 from .metrics import AccuracyMatrix, average_forgetting, entropy_histogram, forgetting, ukt_gain
 from .nn_core import MlpModel, forward
 
@@ -273,7 +273,10 @@ def _manifest_scenario(results_dir: Path) -> ScenarioSpec:
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"{path} is not a JSON object")
-    return _scenario_from_json(manifest.get("scenario"), "manifest.scenario")
+    try:
+        return _scenario_from_json(manifest.get("scenario"), "manifest.scenario")
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _require_manifest(config: ExperimentConfig) -> None:
@@ -327,12 +330,13 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     }
     for t, path in enumerate(_teacher_paths(config.output_dir, spec)):
         # Trained one by one, not with train_benchmark_teachers, to hold one teacher at a time.
-        teacher = train_benchmark_teacher(scenario, config.run, t)
-        domain_ids = spec.teacher_domain_ids(t)
         try:
-            save_checkpoint(teacher, path)
-        except FormatError as exc:
-            raise FormatError(f"teacher {t} ({path}): {exc}") from None
+            teacher = train_benchmark_teacher(scenario, config.run, t)
+        except DivergenceError as exc:
+            raise DivergenceError(f"teacher {t}, {exc}") from None
+        # The teacher passed the divergence check, so serialize_model accepts it.
+        save_checkpoint(teacher, path)
+        domain_ids = spec.teacher_domain_ids(t)
         accs = {str(d): evaluate(teacher, ts) for d, ts in sorted(scenario.test_sets.items())}
         in_domain = min(accs[str(d)] for d in domain_ids)
         report["teachers"].append(
@@ -354,10 +358,12 @@ def _load_teachers(config: ExperimentConfig) -> list[MlpModel]:
     if not path.exists():
         raise UsageError(f"no teacher report at {path}; run `cdbench teachers` first")
     try:
-        recorded = json.loads(path.read_text(encoding="utf-8")).get("settings", {})
-    # AttributeError: valid JSON but not an object.
-    except (json.JSONDecodeError, UnicodeDecodeError, AttributeError):
-        raise FormatError(f"{path} is not a JSON object") from None
+        report = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        report = None
+    recorded = report.get("settings", {}) if isinstance(report, dict) else None
+    if not isinstance(recorded, dict):
+        raise FormatError(f"{path} is not a JSON object with a settings object")
     for key, value in _teacher_settings(config.run).items():
         if recorded.get(key) != value:
             raise ConfigError(

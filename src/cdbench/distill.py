@@ -19,6 +19,9 @@ from .errors import InvalidArgumentError, ShapeError
 from .nn_core import Matrix, log_softmax_t, softmax_t
 
 METHODS = ("kl", "ls", "dkd", "mds", "self_distill", "se2d")
+# The methods that also distill from the student checkpointed at the end of
+# the previous task.
+CHECKPOINT_METHODS = ("self_distill", "se2d")
 
 _STD_EPS = 1e-8
 

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .distill import (
+    CHECKPOINT_METHODS,
     MethodConfig,
     dkd_loss,
     dkd_targets,
@@ -54,10 +55,11 @@ _SEED_TEACHER = 21
 _SEED_STUDENT = 22
 _SEED_SHUFFLE = 23
 
-# An epoch whose mean loss exceeds this multiple of its task's first-batch
-# loss has diverged. In legitimate runs of configs/quick.json and of both
-# perfbench workloads, with all six methods, the ratio stays below 2; a
-# student that blew up and settled inside float32's range sits above 1e3.
+# An epoch whose mean loss exceeds this multiple of the first-batch loss (of
+# its task, for a student) has diverged. In legitimate runs of
+# configs/quick.json, configs/benchmark.json and both perfbench workloads,
+# with all six methods, the ratio stays below 2 for students and teachers; a
+# model that blew up and settled inside float32's range sits above 1e3.
 DIVERGENCE_FACTOR = 100.0
 
 
@@ -129,6 +131,21 @@ def _single(values: np.ndarray) -> np.ndarray:
     """Values as little-endian float32; those beyond its range become infinite."""
     with np.errstate(over="ignore"):
         return values.astype("<f4")
+
+
+def _check_epoch(model: MlpModel, epoch_loss: float, first_loss: float, where: str) -> None:
+    """Raise DivergenceError, prefixed by `where`, if the epoch just ended diverged:
+    its mean loss or a parameter is not finite as float32, the checkpoint
+    precision (a diverging float64 model can run far past it without ever
+    overflowing), or its mean loss exceeds DIVERGENCE_FACTOR times first_loss.
+    """
+    if (
+        not np.isfinite(_single(np.append(model.params, epoch_loss))).all()
+        or epoch_loss > DIVERGENCE_FACTOR * first_loss
+    ):
+        raise DivergenceError(
+            f"{where} diverged (epoch loss {epoch_loss:.3g}, first batch {first_loss:.3g})"
+        )
 
 
 def serialize_model(model: MlpModel) -> bytes:
@@ -223,7 +240,11 @@ def train_teacher(
     seed: int = 0,
     n_classes: int | None = None,
 ) -> MlpModel:
-    """Supervised cross-entropy training on the union of the given domains."""
+    """Supervised cross-entropy training on the union of the given domains.
+
+    Raises DivergenceError, naming the epoch, at the end of an epoch that
+    fails _check_epoch against the first batch's loss.
+    """
     if not domains:
         raise InvalidArgumentError("train_teacher needs at least one domain")
     train = LabeledSet.concat([d.train for d in domains])
@@ -238,13 +259,18 @@ def train_teacher(
     opt = make_optimizer(model, config.optimizer, config.teacher_lr)
     ws = Workspace(model)
     rng = np.random.default_rng([_SEED_SHUFFLE, derive_seed(_SEED_TEACHER, seed)])
-    for _ in range(config.teacher_epochs):
+    for epoch in range(config.teacher_epochs):
         order = rng.permutation(len(train))
+        losses: list[float] = []
         for start in range(0, len(train), config.batch_size):
             idx = order[start : start + config.batch_size]
             logits, cache = forward(model, train.features[idx], ws=ws)
-            _, dlogits = cross_entropy(logits, train.labels[idx])
+            loss, dlogits = cross_entropy(logits, train.labels[idx])
             model, opt = optimizer_step(model, backward(model, cache, dlogits, ws=ws), opt)
+            losses.append(loss)
+        if epoch == 0:
+            first_loss = losses[0]
+        _check_epoch(model, float(np.mean(losses)), first_loss, f"epoch {epoch}: the teacher")
     return model
 
 
@@ -304,10 +330,9 @@ def distill_task(
     concatenates one internal and one external batch; its teacher term sees
     both and its checkpoint term the external one.
 
-    Raises DivergenceError at the end of an epoch whose mean loss, or after
-    which a student parameter, is not finite as float32, and at the end of
-    an epoch whose mean loss exceeds DIVERGENCE_FACTOR times the task's
-    first-batch loss.
+    Raises DivergenceError, naming the method, seed, task and epoch, at the
+    end of an epoch that fails _check_epoch against the task's first-batch
+    loss.
     """
     if not isinstance(teacher, FrozenTeacher):
         teacher = FrozenTeacher(teacher)
@@ -327,7 +352,7 @@ def distill_task(
     # The checkpoint term covers every row for self_distill and the external
     # rows for se2d; `slot` maps a distillation row to its checkpoint target.
     prev_targets = None
-    if prev_student is not None and name in ("self_distill", "se2d"):
+    if prev_student is not None and name in CHECKPOINT_METHODS:
         prev_rows = np.arange(len(features))
         if name == "se2d":
             prev_rows = np.flatnonzero(distill_set.external_mask)
@@ -390,16 +415,8 @@ def distill_task(
         if epoch == 0:
             first_loss = losses[0]
         epoch_losses.append(float(np.mean(losses)))
-        # Checked in float32, the checkpoint precision: a diverging float64
-        # student can run far past its range without ever overflowing.
-        if (
-            not np.isfinite(_single(np.append(student.params, epoch_losses[-1]))).all()
-            or epoch_losses[-1] > DIVERGENCE_FACTOR * first_loss
-        ):
-            raise DivergenceError(
-                f"method {name}, seed {seed}, task {task_index}, epoch {epoch}: the student "
-                f"diverged (epoch loss {epoch_losses[-1]:.3g}, first batch {first_loss:.3g})"
-            )
+        where = f"method {name}, seed {seed}, task {task_index}, epoch {epoch}: the student"
+        _check_epoch(student, epoch_losses[-1], first_loss, where)
         if epoch_accuracies is not None and test_sets:
             epoch_accuracies.append(
                 {d: evaluate(student, ts) for d, ts in sorted(test_sets.items())}
@@ -427,7 +444,6 @@ def run_sequence(
     the student at each task end and distill from that frozen copy during
     the next task. Each log's elapsed_seconds is its task's wall time.
     """
-    needs_checkpoint = method.method in ("se2d", "self_distill")
     teacher_stream: Iterator[MlpModel | FrozenTeacher] = iter(teachers)
     logs: list[TaskLog] = []
     checkpoint: bytes | None = None
@@ -445,7 +461,7 @@ def run_sequence(
             prev_student=prev_model,
             test_sets=scenario.test_sets,
         )
-        if needs_checkpoint:
+        if method.method in CHECKPOINT_METHODS:
             checkpoint = serialize_model(student)
         log.elapsed_seconds = time.perf_counter() - start
         logs.append(log)

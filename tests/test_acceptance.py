@@ -3,6 +3,8 @@ one PASS line with the measured quantities (run with `pytest -s` to see the
 lines for passing criteria as well)."""
 
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from cdbench import (
     AccuracyMatrix,
     MethodConfig,
     ScenarioSpec,
-    accuracy_matrix,
     average_forgetting,
     backward,
     build_scenario,
@@ -36,19 +37,23 @@ from cdbench import (
     softmax_t,
     train_teacher,
 )
-from cdbench.benchmark import (
-    BENCHMARK_SEEDS,
-    benchmark_run_config,
-    benchmark_spec,
-    train_benchmark_teachers,
+from cdbench.benchmark import train_benchmark_teachers
+from cdbench.cli import (
+    _accuracy_matrices,
+    cmd_analyze,
+    cmd_gen,
+    cmd_run,
+    cmd_teachers,
+    load_config,
+    parse_config,
+    run_grid,
 )
-from cdbench.cli import cmd_analyze, cmd_gen, cmd_run, cmd_teachers, parse_config
 
 from conftest import max_relative_error
 
+BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
 KNOWN_DOMAINS = (0, 1, 2, 3)
 UNSEEN_DOMAINS = (1, 2, 3)
-RATIOS = (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0)
 
 
 def params_equal(a, b):
@@ -59,38 +64,40 @@ def params_equal(a, b):
 
 
 @pytest.fixture(scope="module")
-def benchmark_runs():
-    """Teachers plus the full kl ratio grid and se2d at ratio 0.5, 3 seeds each."""
+def benchmark_config():
+    return load_config(BENCHMARK_CONFIG)
+
+
+@pytest.fixture(scope="module")
+def benchmark_runs(benchmark_config):
+    """The shipped config's teachers, then its grid through run_grid: kl at
+    every sweep ratio and se2d at ratio 0.5, every configured seed."""
     start = time.perf_counter()
-    config = benchmark_run_config()
-    spec0 = benchmark_spec(0.0)
-    teachers = train_benchmark_teachers(build_scenario(spec0), config)
+    config = benchmark_config
+    teachers = train_benchmark_teachers(build_scenario(config.scenario), config.run)
     matrices: dict[tuple, AccuracyMatrix] = {}
-    for ratio in RATIOS:
-        scenario = build_scenario(benchmark_spec(ratio))
-        methods = ("kl", "se2d") if ratio == 0.5 else ("kl",)
-        for method in methods:
-            for seed in BENCHMARK_SEEDS:
-                student = new_student(8, 4, config, seed)
-                logs = run_sequence(
-                    student,
-                    iter(teachers),
-                    scenario,
-                    MethodConfig(method),
-                    config,
-                    seed=seed,
-                )
-                matrices[(method, ratio, seed)] = accuracy_matrix(logs)
+    for ratio in config.sweep_ratios:
+        names = ("kl", "se2d") if ratio == 0.5 else ("kl",)
+        grid = replace(config, methods=tuple(m for m in config.methods if m.method in names))
+        rows, _ = run_grid(replace(config.scenario, ed_ratio=ratio), teachers, grid)
+        for (method, seed), matrix in _accuracy_matrices(rows, f"ratio {ratio}").items():
+            matrices[method, ratio, seed] = matrix
     elapsed = time.perf_counter() - start
-    return {"teachers": teachers, "matrices": matrices, "elapsed": elapsed}
+    return {
+        "teachers": teachers,
+        "matrices": matrices,
+        "ratios": config.sweep_ratios,
+        "seeds": config.run.seeds,
+        "elapsed": elapsed,
+    }
 
 
-def mean_unseen_final(matrices, method, ratio):
+def mean_unseen_final(runs, method, ratio):
     return float(
         np.mean(
             [
-                [matrices[(method, ratio, s)].final(d) for d in UNSEEN_DOMAINS]
-                for s in BENCHMARK_SEEDS
+                [runs["matrices"][(method, ratio, s)].final(d) for d in UNSEEN_DOMAINS]
+                for s in runs["seeds"]
             ]
         )
     )
@@ -207,8 +214,8 @@ def test_criterion_3_unseen_knowledge_transfer(benchmark_runs):
     """Distilling with external data must lift mean unseen-domain accuracy by
     at least 10 points over internal-only distillation."""
     assert benchmark_runs["elapsed"] < 300.0, "benchmark grid exceeded the 5-minute budget"
-    with_ed = mean_unseen_final(benchmark_runs["matrices"], "kl", 0.5)
-    without = mean_unseen_final(benchmark_runs["matrices"], "kl", 0.0)
+    with_ed = mean_unseen_final(benchmark_runs, "kl", 0.5)
+    without = mean_unseen_final(benchmark_runs, "kl", 0.0)
     gain = with_ed - without
     assert gain >= 0.10, f"UKT gain {gain:.3f} below 0.10"
     print(
@@ -218,16 +225,18 @@ def test_criterion_3_unseen_knowledge_transfer(benchmark_runs):
 
 
 def test_criterion_4_ratio_trend(benchmark_runs):
-    means = [mean_unseen_final(benchmark_runs["matrices"], "kl", r) for r in RATIOS]
-    rho = float(spearmanr(RATIOS, means).statistic)
+    ratios = benchmark_runs["ratios"]
+    means = [mean_unseen_final(benchmark_runs, "kl", r) for r in ratios]
+    rho = float(spearmanr(ratios, means).statistic)
     assert rho > 0.0, f"Spearman {rho:.3f} not positive (means {means})"
     print(f"PASS criterion 4: ratio trend {[round(m, 3) for m in means]}, Spearman {rho:+.2f}")
 
 
 def test_criterion_5_forgetting_exists(benchmark_runs):
+    seeds = benchmark_runs["seeds"]
     values = [
         average_forgetting(benchmark_runs["matrices"][("kl", 0.5, s)], domains=KNOWN_DOMAINS)
-        for s in BENCHMARK_SEEDS
+        for s in seeds
     ]
     mean_f = float(np.mean(values))
     assert mean_f >= 0.05, f"average forgetting {mean_f:.3f} below the 5-point margin"
@@ -237,7 +246,7 @@ def test_criterion_5_forgetting_exists(benchmark_runs):
             [
                 benchmark_runs["matrices"][("kl", 0.5, s)].row(1)[0]
                 - benchmark_runs["matrices"][("kl", 0.5, s)].final(1)
-                for s in BENCHMARK_SEEDS
+                for s in seeds
             ]
         )
     )
@@ -250,22 +259,23 @@ def test_criterion_5_forgetting_exists(benchmark_runs):
 
 def test_criterion_6_se2d_ordering(benchmark_runs):
     mats = benchmark_runs["matrices"]
+    seeds = benchmark_runs["seeds"]
     f_kl = np.mean(
-        [average_forgetting(mats[("kl", 0.5, s)], domains=KNOWN_DOMAINS) for s in BENCHMARK_SEEDS]
+        [average_forgetting(mats[("kl", 0.5, s)], domains=KNOWN_DOMAINS) for s in seeds]
     )
     f_se = np.mean(
-        [average_forgetting(mats[("se2d", 0.5, s)], domains=KNOWN_DOMAINS) for s in BENCHMARK_SEEDS]
+        [average_forgetting(mats[("se2d", 0.5, s)], domains=KNOWN_DOMAINS) for s in seeds]
     )
     acc_kl = np.mean(
-        [[mats[("kl", 0.5, s)].final(d) for d in KNOWN_DOMAINS] for s in BENCHMARK_SEEDS]
+        [[mats[("kl", 0.5, s)].final(d) for d in KNOWN_DOMAINS] for s in seeds]
     )
     acc_se = np.mean(
-        [[mats[("se2d", 0.5, s)].final(d) for d in KNOWN_DOMAINS] for s in BENCHMARK_SEEDS]
+        [[mats[("se2d", 0.5, s)].final(d) for d in KNOWN_DOMAINS] for s in seeds]
     )
     assert f_se < f_kl, f"se2d forgetting {f_se:.3f} not below kl {f_kl:.3f}"
     assert acc_se >= acc_kl, f"se2d known-domain accuracy {acc_se:.3f} below kl {acc_kl:.3f}"
-    d1_se = np.mean([mats[("se2d", 0.5, s)].final(1) for s in BENCHMARK_SEEDS])
-    d1_kl = np.mean([mats[("kl", 0.5, s)].final(1) for s in BENCHMARK_SEEDS])
+    d1_se = np.mean([mats[("se2d", 0.5, s)].final(1) for s in seeds])
+    d1_kl = np.mean([mats[("kl", 0.5, s)].final(1) for s in seeds])
     assert d1_se > d1_kl, f"se2d final domain-1 accuracy {d1_se:.3f} not above kl {d1_kl:.3f}"
     print(
         f"PASS criterion 6: forgetting se2d {f_se:+.3f} < kl {f_kl:+.3f}; "
@@ -274,7 +284,7 @@ def test_criterion_6_se2d_ordering(benchmark_runs):
     )
 
 
-def test_criterion_7_scope_identity_with_empty_internal():
+def test_criterion_7_scope_identity_with_empty_internal(benchmark_config):
     spec = ScenarioSpec(
         n_classes=4,
         feature_dim=8,
@@ -289,7 +299,7 @@ def test_criterion_7_scope_identity_with_empty_internal():
     scenario = build_scenario(spec)
     assert scenario.distill_set.external_mask.all()
     assert len(scenario.distill_set) == len(scenario.domains[4].train)
-    config = benchmark_run_config(epochs=4, teacher_epochs=30, teacher_hidden=(32, 32))
+    config = replace(benchmark_config.run, epochs=4, teacher_epochs=30, teacher_hidden=(32, 32))
     teachers = [
         train_teacher(
             [scenario.domains[m] for m in spec.teacher_domain_ids(t)],
@@ -342,8 +352,9 @@ def test_criterion_8_forgetting_bruteforce_oracle():
     print(f"PASS criterion 8: {total} trajectories matched in {elapsed:.2f}s")
 
 
-def test_criterion_9_entropy_and_kurtosis(benchmark_runs):
-    spec = benchmark_spec(0.0)
+def test_criterion_9_entropy_and_kurtosis(benchmark_config, benchmark_runs):
+    # Domains and their test sets do not depend on ed_ratio.
+    spec = benchmark_config.scenario
     scenario = build_scenario(spec)
     gaps = []
     for t, teacher in enumerate(benchmark_runs["teachers"]):

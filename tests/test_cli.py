@@ -308,6 +308,8 @@ class TestTeachers:
             cmd_teachers(changed)
 
     def test_overflowing_teacher_is_named(self, tmp_path, capsys):
+        # At this rate the teacher overflows float32. The per-epoch check
+        # stops it before its checkpoint is written.
         doc = json.loads((CONFIG_DIR / "quick.json").read_text())
         doc["methods"] = ["kl"]
         doc["run"].update(optimizer="sgd", teacher_learning_rate=10.0)
@@ -315,13 +317,27 @@ class TestTeachers:
         path = str(write_config(tmp_path, doc))
         assert main(["gen", "--config", path]) == 0
         capsys.readouterr()
-        assert main(["teachers", "--config", path]) == 3
+        assert main(["teachers", "--config", path]) == 4
         err = capsys.readouterr().err
-        match = re.search(r"teacher (\d+) \((.*)\): layer \d+ has a weight", err)
-        assert match, err
-        t = match.group(1)
-        assert match.group(2) == str(tmp_path / "out" / "checkpoints" / f"teacher_{t}.ckpt")
+        assert re.search(r"teacher \d+, epoch \d+: the teacher diverged", err), err
         assert not (tmp_path / "out" / "teacher_report.json").exists()
+
+    def test_teacher_diverging_inside_float32_fails_loudly(self, tmp_path, capsys):
+        # At sgd rate 3.0 the epoch-0 loss is 2e5 times the first batch's for
+        # teacher 0 and 2e27 times for teacher 1, with every value finite in
+        # float32; unchecked, both end at chance accuracy. At rate 1.0 the
+        # ratios stay at 1.4 and 3.0.
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["methods"] = ["kl"]
+        doc["run"].update(optimizer="sgd", teacher_learning_rate=3.0)
+        doc["output_dir"] = str(tmp_path / "out")
+        path = str(write_config(tmp_path, doc))
+        assert main(["gen", "--config", path]) == 0
+        capsys.readouterr()
+        assert main(["teachers", "--config", path]) == 4
+        assert "teacher 0, epoch 0: the teacher diverged" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "teacher_report.json").exists()
+        assert main(["run", "--config", path]) == 2
 
 
 @pytest.fixture(scope="module")
@@ -562,7 +578,7 @@ class TestStaleTeachers:
         assert main(["run", "--config", path]) == 2
         assert "run.teacher_hidden" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{", "[]"])
+    @pytest.mark.parametrize("text", ["{", "[]", '{"settings": []}'])
     def test_malformed_report_is_a_data_error(self, finished_run, tmp_path, capsys, text):
         out = tmp_path / "out"
         shutil.copytree(finished_run[0], out)
@@ -587,7 +603,17 @@ class TestStaleTeachers:
         assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 0
 
 
-@pytest.mark.parametrize("data", [b"{", b"[]", b"\xff"], ids=["brace", "list", "not-utf8"])
+def _manifest_without_feature_dim() -> bytes:
+    scenario = dict(base_config("unused")["scenario"])
+    del scenario["feature_dim"]
+    return json.dumps({"scenario": scenario}).encode()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"{", b"[]", b"\xff", b"{}", _manifest_without_feature_dim()],
+    ids=["brace", "list", "not-utf8", "no-scenario", "no-feature-dim"],
+)
 @pytest.mark.parametrize("command", ["teachers", "run", "sweep", "analyze"])
 def test_malformed_manifest_is_a_data_error(finished_run, tmp_path, capsys, command, data):
     out = tmp_path / "out"
