@@ -139,10 +139,10 @@ def _check_epoch(model: MlpModel, epoch_loss: float, first_loss: float, where: s
     precision (a diverging float64 model can run far past it without ever
     overflowing), or its mean loss exceeds DIVERGENCE_FACTOR times first_loss.
     """
-    if (
-        not np.isfinite(_single(np.append(model.params, epoch_loss))).all()
-        or epoch_loss > DIVERGENCE_FACTOR * first_loss
-    ):
+    # The float32 cast is monotonic and NaN survives min and max, so checking
+    # the extremes checks every parameter without a copy of them all.
+    extremes = np.array([model.params.min(), model.params.max(), epoch_loss])
+    if not np.isfinite(_single(extremes)).all() or epoch_loss > DIVERGENCE_FACTOR * first_loss:
         raise DivergenceError(
             f"{where} diverged (epoch loss {epoch_loss:.3g}, first batch {first_loss:.3g})"
         )

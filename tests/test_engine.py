@@ -255,8 +255,8 @@ class TestDistillTask:
                 MethodConfig("kl"), tiny_config,
             )
 
-    # 1e39 is finite in float64 but not in float32; NaN makes the loss NaN too.
-    @pytest.mark.parametrize("value", [1e39, float("nan")])
+    # +-1e39 is finite in float64 but not in float32; NaN makes the loss NaN too.
+    @pytest.mark.parametrize("value", [1e39, float("nan"), -1e39])
     def test_diverged_student_raises(self, value, tiny_scenario, tiny_config, tiny_teachers):
         student = new_student(6, 3, tiny_config, seed=2)
         student.layers[-1].bias[0] = value
