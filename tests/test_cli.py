@@ -92,6 +92,18 @@ def write_config(tmp_path, doc):
     return path
 
 
+def teachers_at_sgd_rate(tmp_path, capsys, rate):
+    """gen, then teachers on quick.json at this sgd teacher rate: its exit code, stderr and config."""
+    doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+    doc["methods"] = ["kl"]
+    doc["run"].update(optimizer="sgd", teacher_learning_rate=rate)
+    doc["output_dir"] = str(tmp_path / "out")
+    path = str(write_config(tmp_path, doc))
+    assert main(["gen", "--config", path]) == 0
+    capsys.readouterr()
+    return main(["teachers", "--config", path]), capsys.readouterr().err, path
+
+
 class TestConfigValidation:
     def test_valid_config_parses(self, tmp_path):
         cfg = parse_config(base_config(tmp_path / "out"))
@@ -310,32 +322,19 @@ class TestTeachers:
     def test_overflowing_teacher_is_named(self, tmp_path, capsys):
         # At this rate the teacher overflows float32. The per-epoch check
         # stops it before its checkpoint is written.
-        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
-        doc["methods"] = ["kl"]
-        doc["run"].update(optimizer="sgd", teacher_learning_rate=10.0)
-        doc["output_dir"] = str(tmp_path / "out")
-        path = str(write_config(tmp_path, doc))
-        assert main(["gen", "--config", path]) == 0
-        capsys.readouterr()
-        assert main(["teachers", "--config", path]) == 4
-        err = capsys.readouterr().err
+        code, err, _ = teachers_at_sgd_rate(tmp_path, capsys, 10.0)
+        assert code == 4
         assert re.search(r"teacher \d+, epoch \d+: the teacher diverged", err), err
         assert not (tmp_path / "out" / "teacher_report.json").exists()
 
     def test_teacher_diverging_inside_float32_fails_loudly(self, tmp_path, capsys):
-        # At sgd rate 3.0 the epoch-0 loss is 2e5 times the first batch's for
+        # At this rate the epoch-0 loss is 2e5 times the first batch's for
         # teacher 0 and 2e27 times for teacher 1, with every value finite in
         # float32; unchecked, both end at chance accuracy. At rate 1.0 the
         # ratios stay at 1.4 and 3.0.
-        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
-        doc["methods"] = ["kl"]
-        doc["run"].update(optimizer="sgd", teacher_learning_rate=3.0)
-        doc["output_dir"] = str(tmp_path / "out")
-        path = str(write_config(tmp_path, doc))
-        assert main(["gen", "--config", path]) == 0
-        capsys.readouterr()
-        assert main(["teachers", "--config", path]) == 4
-        assert "teacher 0, epoch 0: the teacher diverged" in capsys.readouterr().err
+        code, err, path = teachers_at_sgd_rate(tmp_path, capsys, 3.0)
+        assert code == 4
+        assert "teacher 0, epoch 0: the teacher diverged" in err
         assert not (tmp_path / "out" / "teacher_report.json").exists()
         assert main(["run", "--config", path]) == 2
 
