@@ -45,13 +45,21 @@ from .metrics import AccuracyMatrix, average_forgetting, entropy_histogram, forg
 from .nn_core import MlpModel, forward
 
 SCHEMA_VERSION = 1
-THREAD_CAP_ENV = "CD_BENCH_THREADS"
 BLAS_THREAD_ENVS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 RESULT_COLUMNS = ("seed", "method", "task", "teacher", "domain", "accuracy", "elapsed_seconds")
 SWEEP_COLUMNS = ("ed_ratio",) + RESULT_COLUMNS
+
+
+def _accuracy(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # False for NaN too
+        raise ValueError(f"accuracy {text!r} lies outside [0, 1]")
+    return value
+
+
 # Parsers of the results.csv and sweep.csv columns that are not integers.
-_CSV_TYPES = {"ed_ratio": float, "method": str, "accuracy": float, "elapsed_seconds": float}
+_CSV_TYPES = {"ed_ratio": float, "method": str, "accuracy": _accuracy, "elapsed_seconds": float}
 
 _REQUIRED_KEYS = ("schema_version", "scenario", "methods", "run", "output_dir")
 _OPTIONAL_KEYS = ("sweep_ratios", "external_entropy_max")
@@ -80,7 +88,7 @@ class UsageError(ConfigError):
     """A command was invoked before its inputs exist."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     scenario: ScenarioSpec
     methods: tuple[MethodConfig, ...]
@@ -205,15 +213,31 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(spec, methods, run, Path(out), ratios, ent_max)
 
 
+def _read_file(path: Path, error: type[Exception], missing: str) -> bytes:
+    """A stage input's bytes; UsageError(missing) if it is absent, `error` if it is unreadable."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise UsageError(missing) from None
+    except OSError as exc:
+        raise error(f"{path}: cannot be read: {exc.strerror}") from None
+
+
+def _read_json(path: Path, error: type[Exception], missing: str) -> dict:
+    """A stage input's JSON object; `error` names a file that is not UTF-8, JSON or an object."""
+    data = _read_file(path, error, missing)
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise error(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: not a JSON object")
+    return doc
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise UsageError(f"config file {path} does not exist")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    return parse_config(raw)
+    return parse_config(_read_json(path, ConfigError, f"config file {path} does not exist"))
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -265,14 +289,8 @@ def cmd_gen(config: ExperimentConfig) -> Path:
 
 def _manifest_scenario(results_dir: Path) -> ScenarioSpec:
     path = results_dir / "manifest.json"
-    if not path.exists():
-        raise UsageError(f"no scenario found at {path}; run `cdbench gen` first")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{path} is not a JSON object")
+    missing = f"no scenario found at {path}; run `cdbench gen` first"
+    manifest = _read_json(path, FormatError, missing)
     try:
         return _scenario_from_json(manifest.get("scenario"), "manifest.scenario")
     except ConfigError as exc:
@@ -291,10 +309,10 @@ def _teacher_paths(out_dir: Path, spec: ScenarioSpec) -> list[Path]:
 
 def _read_teacher(path: Path, spec: ScenarioSpec) -> MlpModel:
     """The teacher at `path`; FormatError names the file if it is malformed or misfits `spec`."""
-    if not path.exists():
-        raise UsageError(f"missing teacher checkpoint {path}; run `cdbench teachers` first")
+    missing = f"missing teacher checkpoint {path}; run `cdbench teachers` first"
+    data = _read_file(path, FormatError, missing)
     try:
-        model = deserialize_model(path.read_bytes())
+        model = deserialize_model(data)
         if (model.input_dim, model.num_classes) != (spec.feature_dim, spec.n_classes):
             raise FormatError(
                 f"the teacher maps {model.input_dim} features to {model.num_classes} classes, "
@@ -355,15 +373,11 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
 def _load_teachers(config: ExperimentConfig) -> list[MlpModel]:
     """The checkpointed teachers, once teacher_report.json shows config's settings made them."""
     path = config.output_dir / "teacher_report.json"
-    if not path.exists():
-        raise UsageError(f"no teacher report at {path}; run `cdbench teachers` first")
-    try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        report = None
-    recorded = report.get("settings", {}) if isinstance(report, dict) else None
+    missing = f"no teacher report at {path}; run `cdbench teachers` first"
+    report = _read_json(path, FormatError, missing)
+    recorded = report.get("settings", {})
     if not isinstance(recorded, dict):
-        raise FormatError(f"{path} is not a JSON object with a settings object")
+        raise FormatError(f"{path}: settings is not a JSON object")
     for key, value in _teacher_settings(config.run).items():
         if recorded.get(key) != value:
             raise ConfigError(
@@ -410,19 +424,6 @@ def _run_cell(args: tuple) -> tuple[list[dict], list[tuple]]:
     return rows, curve_rows
 
 
-def _max_jobs(requested: int) -> int:
-    if requested < 1:
-        raise UsageError(f"--jobs must be >= 1, got {requested}")
-    cap = os.environ.get(THREAD_CAP_ENV)
-    jobs = requested
-    if cap:
-        try:
-            jobs = min(jobs, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"{THREAD_CAP_ENV} must be an integer, got {cap!r}") from None
-    return jobs
-
-
 @contextmanager
 def _single_threaded_blas() -> Iterator[None]:
     """Default each BLAS thread variable to 1 for processes started in the block.
@@ -451,7 +452,8 @@ def run_grid(
     Returns the result rows, keyed by RESULT_COLUMNS and sorted by
     method, seed, task and domain, and the sorted per-epoch curve rows.
     """
-    jobs = _max_jobs(jobs)
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
     scenario = build_scenario(spec)
     if config.external_entropy_max is not None:
         scenario = _filter_external_by_entropy(scenario, teachers, config.external_entropy_max)
@@ -511,9 +513,17 @@ def cmd_run(config: ExperimentConfig, jobs: int = 1) -> Path:
 def _accuracy_matrices(rows: list[dict], where: str) -> dict[tuple[str, int], AccuracyMatrix]:
     """(method, seed) -> AccuracyMatrix over every domain and task in the rows.
 
-    The rows must hold every method x seed x task x domain combination.
+    The rows must hold every method x seed x task x domain combination once.
     """
-    acc = {(r["method"], r["seed"], r["task"], r["domain"]): r["accuracy"] for r in rows}
+    acc = {}
+    for r in rows:
+        key = (r["method"], r["seed"], r["task"], r["domain"])
+        if key in acc:
+            raise FormatError(
+                f"{where}: repeated result for method {key[0]}, seed {key[1]}, task {key[2]}, "
+                f"domain {key[3]}"
+            )
+        acc[key] = r["accuracy"]
     methods, seeds, tasks, domains = (sorted({key[i] for key in acc}) for i in range(4))
     matrices = {}
     for method in methods:
@@ -568,8 +578,9 @@ def _summarize(spec: ScenarioSpec, config: ExperimentConfig, rows: list[dict]) -
     return summary
 
 
-def cmd_sweep(config: ExperimentConfig, ratios: tuple[float, ...] | None, jobs: int = 1) -> Path:
-    """Run the grid once per external-data ratio, sharing the teachers."""
+def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
+    """Run the grid once per ratio of config.sweep_ratios, sharing the teachers."""
+    ratios = config.sweep_ratios
     _check_ratios(ratios)
     _require_manifest(config)
     teachers = _load_teachers(config)
@@ -586,19 +597,21 @@ def cmd_sweep(config: ExperimentConfig, ratios: tuple[float, ...] | None, jobs: 
 
 def read_results_csv(path: Path, columns: tuple[str, ...] = RESULT_COLUMNS) -> list[dict]:
     """Parse results.csv, or sweep.csv with SWEEP_COLUMNS, reporting the offending line."""
-    if not path.exists():
-        raise UsageError(f"no results at {path}")
+    data = _read_file(path, FormatError, f"no results at {path}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    missing = [c for c in columns if c not in (reader.fieldnames or [])]
+    if missing:
+        raise FormatError(f"{path}: missing columns {missing}")
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
-        if missing:
-            raise FormatError(f"{path}: missing columns {missing}")
-        for row in reader:
-            try:
-                rows.append({c: _CSV_TYPES.get(c, int)(row[c]) for c in columns})
-            except (TypeError, ValueError) as exc:  # TypeError: a short row
-                raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    for row in reader:
+        try:
+            rows.append({c: _CSV_TYPES.get(c, int)(row[c]) for c in columns})
+        except (TypeError, ValueError) as exc:  # TypeError: a short row
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return rows
@@ -711,18 +724,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _comma_list(text: str, kind: type, flag: str) -> tuple:
+    try:
+        return tuple(kind(s) for s in text.split(",") if s)
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma-separated {kind.__name__} list, got {text!r}")
+
+
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    """The config with the --out, --seeds and --ratio flags that were given applied."""
     if getattr(args, "out", None):
-        config.output_dir = Path(args.out)
+        config = replace(config, output_dir=Path(args.out))
     if getattr(args, "seeds", None):
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(",") if s)
-        except ValueError:
-            raise ConfigError(f"--seeds must be a comma-separated integer list, got {args.seeds!r}")
+        seeds = _comma_list(args.seeds, int, "--seeds")
         try:
             config = replace(config, run=replace(config.run, seeds=seeds))
         except InvalidArgumentError as exc:
             raise ConfigError(f"--seeds: {exc}") from None
+    if getattr(args, "ratio", None):
+        config = replace(config, sweep_ratios=_comma_list(args.ratio, float, "--ratio"))
     return config
 
 
@@ -730,8 +750,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "analyze":
-            path = cmd_analyze(Path(args.out))
-            print(path)
+            print(cmd_analyze(Path(args.out)))
             return 0
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "gen":
@@ -741,15 +760,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "run":
             print(cmd_run(config, jobs=args.jobs))
         elif args.command == "sweep":
-            ratios = config.sweep_ratios
-            if getattr(args, "ratio", None):
-                try:
-                    ratios = tuple(float(r) for r in args.ratio.split(",") if r)
-                except ValueError:
-                    raise ConfigError(f"--ratio must be a comma-separated list, got {args.ratio!r}")
-            print(cmd_sweep(config, ratios, jobs=args.jobs))
+            print(cmd_sweep(config, jobs=args.jobs))
         return 0
-    except (UsageError,) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

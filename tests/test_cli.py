@@ -20,7 +20,6 @@ from cdbench.cli import (
     _apply_overrides,
     _atomic_write,
     _check_ratios,
-    _max_jobs,
     _single_threaded_blas,
     cmd_analyze,
     cmd_gen,
@@ -92,6 +91,15 @@ def write_config(tmp_path, doc):
     return path
 
 
+def overwrite(path, data):
+    """Replace the file at `path` with these bytes, or with an empty directory for None."""
+    path.unlink(missing_ok=True)
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+
+
 def teachers_at_sgd_rate(tmp_path, capsys, rate):
     """gen, then teachers on quick.json at this sgd teacher rate: its exit code, stderr and config."""
     doc = json.loads((CONFIG_DIR / "quick.json").read_text())
@@ -151,6 +159,13 @@ class TestConfigValidation:
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert main(["gen", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("data", [b"\xff", None], ids=["not-utf8", "directory"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, data):
+        path = tmp_path / "config.json"
+        overwrite(path, data)
+        assert main(["gen", "--config", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -403,15 +418,19 @@ class TestRun:
         assert "teacher_1.ckpt" in err and "layer 1" in err
         assert (out / "results.csv").read_bytes() == (finished_run[0] / "results.csv").read_bytes()
 
-    @pytest.mark.parametrize("widths", [[5, 32, 32, 3], [6, 32, 32, 4]], ids=["input", "output"])
+    @pytest.mark.parametrize(
+        "widths", [[5, 32, 32, 3], [6, 32, 32, 4], None], ids=["input", "output", "directory"]
+    )
     @pytest.mark.parametrize("command", ["run", "sweep", "analyze"])
     def test_teacher_width_mismatch_is_a_data_error(
         self, finished_run, tmp_path, capsys, command, widths
     ):
-        # The scenario has 6 features and 3 classes.
+        # The scenario has 6 features and 3 classes; None puts a directory
+        # in place of the checkpoint.
         out = tmp_path / "out"
         shutil.copytree(finished_run[0], out)
-        (out / "checkpoints" / "teacher_1.ckpt").write_bytes(serialize_model(init_mlp(3, widths)))
+        data = None if widths is None else serialize_model(init_mlp(3, widths))
+        overwrite(out / "checkpoints" / "teacher_1.ckpt", data)
         path = str(write_config(tmp_path, base_config(out)))
         argv = {
             "run": ["run", "--config", path],
@@ -493,13 +512,6 @@ class TestRun:
 
         assert strip_elapsed(serial) == strip_elapsed(parallel)
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("CD_BENCH_THREADS", "2")
-        assert _max_jobs(8) == 2
-        monkeypatch.setenv("CD_BENCH_THREADS", "bogus")
-        with pytest.raises(ConfigError):
-            _max_jobs(8)
-
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_rejected(self, tmp_path, capsys, command, jobs):
@@ -577,11 +589,14 @@ class TestStaleTeachers:
         assert main(["run", "--config", path]) == 2
         assert "run.teacher_hidden" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{", "[]", '{"settings": []}'])
+    # None puts a directory in place of the report.
+    @pytest.mark.parametrize(
+        "text", ["{", "[]", '{"settings": []}', pytest.param(None, id="directory")]
+    )
     def test_malformed_report_is_a_data_error(self, finished_run, tmp_path, capsys, text):
         out = tmp_path / "out"
         shutil.copytree(finished_run[0], out)
-        (out / "teacher_report.json").write_text(text)
+        overwrite(out / "teacher_report.json", None if text is None else text.encode())
         path = str(write_config(tmp_path, base_config(out)))
         assert main(["run", "--config", path]) == 3
         assert "teacher_report.json" in capsys.readouterr().err
@@ -610,14 +625,14 @@ def _manifest_without_feature_dim() -> bytes:
 
 @pytest.mark.parametrize(
     "data",
-    [b"{", b"[]", b"\xff", b"{}", _manifest_without_feature_dim()],
-    ids=["brace", "list", "not-utf8", "no-scenario", "no-feature-dim"],
+    [b"{", b"[]", b"\xff", b"{}", _manifest_without_feature_dim(), None],
+    ids=["brace", "list", "not-utf8", "no-scenario", "no-feature-dim", "directory"],
 )
 @pytest.mark.parametrize("command", ["teachers", "run", "sweep", "analyze"])
 def test_malformed_manifest_is_a_data_error(finished_run, tmp_path, capsys, command, data):
     out = tmp_path / "out"
     shutil.copytree(finished_run[0], out)
-    (out / "manifest.json").write_bytes(data)
+    overwrite(out / "manifest.json", data)
     path = str(write_config(tmp_path, base_config(out)))
     argv = {
         "teachers": ["teachers", "--config", path],
@@ -739,7 +754,7 @@ class TestSweep:
         config = parse_config(doc)
         cmd_gen(config)
         cmd_teachers(config)
-        cmd_sweep(config, config.sweep_ratios)
+        cmd_sweep(config)
         with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         ratios = sorted({r["ed_ratio"] for r in rows})
@@ -782,7 +797,7 @@ class TestSweep:
     def test_empty_ratio_list_rejected(self, tmp_path):
         config = parse_config(base_config(tmp_path / "out"))
         with pytest.raises(ConfigError):
-            cmd_sweep(config, ())
+            cmd_sweep(replace(config, sweep_ratios=()))
 
     def test_cli_ratio_flag_validation(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -871,6 +886,22 @@ class TestAnalyze:
         assert "method kl, seed 2, task 1, domain 3" in err
         assert name in err
 
+    @pytest.mark.parametrize("name", ["results.csv", "sweep.csv"])
+    def test_repeated_row_names_the_cell(self, tmp_path, capsys, name):
+        # Every row of a one-seed grid, then each cell again at accuracy 0.
+        out = tmp_path / "out"
+        cmd_gen(parse_config(base_config(out)))
+        sweep = name == "sweep.csv"
+        prefix = "0.5," if sweep else ""
+        cells = [f"{prefix}1,kl,{t},{t},{d}" for t, d in product((0, 1), range(4))]
+        lines = [",".join(SWEEP_COLUMNS if sweep else RESULT_COLUMNS)]
+        lines += [f"{cell},0.5,0.0" for cell in cells] + [f"{cell},0.0,0.0" for cell in cells]
+        (out / name).write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "method kl, seed 1, task 0, domain 0" in err
+        assert name in err
+
     def test_sweep_csv_is_checked_like_results(self, tmp_path):
         out = tmp_path / "out"
         cmd_gen(parse_config(base_config(out)))
@@ -900,6 +931,32 @@ class TestAnalyze:
         cmd_gen(config)
         (out / "results.csv").write_text("seed,method\n1,kl\n")
         assert main(["analyze", "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize(
+        "name, data, named",
+        [
+            pytest.param("results.csv", b"\xff", "UTF-8", id="results.csv-not-utf8"),
+            pytest.param("sweep.csv", b"\xff", "UTF-8", id="sweep.csv-not-utf8"),
+            *(
+                pytest.param(
+                    "results.csv",
+                    f"{','.join(RESULT_COLUMNS)}\n1,kl,0,0,0,{acc},0.0\n".encode(),
+                    "line 2",
+                    id=f"accuracy-{acc}",
+                )
+                for acc in ("nan", "inf", "7.5", "-0.25")
+            ),
+        ],
+    )
+    def test_undecodable_or_out_of_range_results_are_data_errors(
+        self, tmp_path, capsys, name, data, named
+    ):
+        out = tmp_path / "out"
+        cmd_gen(parse_config(base_config(out)))
+        (out / name).write_bytes(data)
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert name in err and named in err
 
 
 @pytest.fixture(scope="module")
@@ -1016,10 +1073,10 @@ class TestEndToEndDeterminism:
             cmd_teachers(config)
             cmd_run(config)
             cmd_analyze(out)
-            sweep = replace(config, output_dir=out / "sweep")
+            sweep = replace(config, output_dir=out / "sweep", sweep_ratios=(0.0, 0.5))
             cmd_gen(sweep)
             cmd_teachers(sweep)
-            cmd_sweep(sweep, (0.0, 0.5))
+            cmd_sweep(sweep)
             cmd_analyze(sweep.output_dir)
             snapshot = {}
             for p in sorted(out.rglob("*")):
