@@ -24,7 +24,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 from types import UnionType
-from typing import Iterator, get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -51,15 +51,27 @@ RESULT_COLUMNS = ("seed", "method", "task", "teacher", "domain", "accuracy", "el
 SWEEP_COLUMNS = ("ed_ratio",) + RESULT_COLUMNS
 
 
-def _accuracy(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # False for NaN too
-        raise ValueError(f"accuracy {text!r} lies outside [0, 1]")
-    return value
+def _cell(name: str, parse: type, ok: Callable[[float], bool], span: str) -> Callable:
+    """Parser of one results.csv column that refuses a value ok() rejects."""
+
+    def read(text: str):
+        value = parse(text)
+        if not ok(value):  # False for NaN too
+            raise ValueError(f"{name} {text!r} lies outside {span}")
+        return value
+
+    return read
 
 
-# Parsers of the results.csv and sweep.csv columns that are not integers.
-_CSV_TYPES = {"ed_ratio": float, "method": str, "accuracy": _accuracy, "elapsed_seconds": float}
+# Parsers of the results.csv and sweep.csv columns; the other columns are integers.
+_CSV_TYPES = {
+    "ed_ratio": _cell("ed_ratio", float, lambda v: 0.0 <= v < 1.0, "[0, 1)"),
+    "method": str,
+    "task": _cell("task", int, lambda v: v >= 0, "[0, inf)"),
+    "domain": _cell("domain", int, lambda v: v >= 0, "[0, inf)"),
+    "accuracy": _cell("accuracy", float, lambda v: 0.0 <= v <= 1.0, "[0, 1]"),
+    "elapsed_seconds": float,
+}
 
 _REQUIRED_KEYS = ("schema_version", "scenario", "methods", "run", "output_dir")
 _OPTIONAL_KEYS = ("sweep_ratios", "external_entropy_max")
@@ -603,15 +615,18 @@ def read_results_csv(path: Path, columns: tuple[str, ...] = RESULT_COLUMNS) -> l
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8: {exc}") from None
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    missing = [c for c in columns if c not in (reader.fieldnames or [])]
-    if missing:
-        raise FormatError(f"{path}: missing columns {missing}")
     rows = []
-    for row in reader:
-        try:
+    try:
+        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        if missing:
+            raise FormatError(f"{path}: missing columns {missing}")
+        for row in reader:
             rows.append({c: _CSV_TYPES.get(c, int)(row[c]) for c in columns})
-        except (TypeError, ValueError) as exc:  # TypeError: a short row
-            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    except FormatError:
+        raise
+    except (TypeError, ValueError, csv.Error) as exc:  # TypeError: a short row
+        # The inner reader's count: DictReader's own lags a line on a csv.Error.
+        raise FormatError(f"{path}: line {reader.reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: no data rows")
     return rows

@@ -310,35 +310,19 @@ def teacher_entropy(teacher_logits: Matrix, temperature: float) -> np.ndarray:
     return batch_entropy(softmax_t(teacher_logits, temperature))
 
 
-def mds_filter(
-    teacher_logits: Matrix,
-    low_q: float,
-    high_q: float,
-    temperature: float,
-    *,
-    entropies: np.ndarray | None = None,
-) -> np.ndarray:
+def mds_filter(entropies: np.ndarray, low_q: float, high_q: float) -> np.ndarray:
     """Keep-mask for samples of medium difficulty by teacher entropy.
 
-    Samples whose tempered-softmax entropy falls within the [low_q, high_q]
-    empirical quantile band of the batch are kept; boundary ties are kept,
-    and at least one sample always survives. `entropies`, when given, are
-    the rows' precomputed teacher_entropy values and replace recomputing
-    them from `teacher_logits`.
+    `entropies` are the batch's teacher_entropy values. Samples whose
+    entropy falls within the [low_q, high_q] empirical quantile band of the
+    batch are kept; boundary ties are kept, and at least one sample always
+    survives.
     """
-    teacher_logits = np.asarray(teacher_logits, dtype=float)
-    if teacher_logits.shape[0] == 0:
+    ent = np.asarray(entropies, dtype=float)
+    if ent.size == 0:
         raise InvalidArgumentError("cannot filter an empty batch")
     if not (0.0 <= low_q < high_q <= 1.0):
         raise InvalidArgumentError(f"need 0 <= low < high <= 1, got [{low_q}, {high_q}]")
-    if entropies is None:
-        ent = teacher_entropy(teacher_logits, temperature)
-    else:
-        ent = np.asarray(entropies, dtype=float)
-        if ent.shape != teacher_logits.shape[:1]:
-            raise ShapeError(
-                f"mds_filter: {ent.shape} entropies for {teacher_logits.shape[0]} rows"
-            )
     lo, hi = np.quantile(ent, (low_q, high_q))
     keep = (ent >= lo) & (ent <= hi)
     if not keep.any():

@@ -360,16 +360,15 @@ def distill_task(
         prev_targets = soft_targets(prev_logits, t)
         slot = np.full(len(features), -1)
         slot[prev_rows] = np.arange(len(prev_rows))
-    # se2d with both internal and external rows balances the two per step.
-    paired = name == "se2d" and prev_targets is not None and 0 < len(prev_rows) < len(features)
+    # A checkpoint over some but not all rows (se2d's) pairs internal and external batches.
+    paired = prev_targets is not None and 0 < len(prev_rows) < len(features)
     internal_rows = np.flatnonzero(~distill_set.external_mask)
 
     def step_loss(student_logits: Matrix, idx: np.ndarray) -> tuple[float, Matrix]:
         if name == "dkd":
             res = dkd_loss(student_logits, targets[idx], t, method.dkd_alpha, method.dkd_beta)
         elif name == "mds":
-            low, high = method.mds_low_q, method.mds_high_q
-            keep = mds_filter(teacher_logits[idx], low, high, t, entropies=entropies[idx])
+            keep = mds_filter(entropies[idx], method.mds_low_q, method.mds_high_q)
             res = kl_kd_loss(student_logits[keep], targets[idx[keep]], t)
             dlogits = np.zeros_like(student_logits)
             dlogits[keep] = res.dlogits

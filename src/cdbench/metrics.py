@@ -67,17 +67,13 @@ def forgetting(matrix: AccuracyMatrix, domain: int, task: int) -> float:
     return float(row[:task].max() - row[task])
 
 
-def average_forgetting(
-    matrix: AccuracyMatrix, task: int | None = None, domains: tuple[int, ...] | None = None
-) -> float:
-    """Mean forgetting over domains, at the final task unless given."""
-    if task is None:
-        task = matrix.n_tasks - 1
+def average_forgetting(matrix: AccuracyMatrix, domains: tuple[int, ...] | None = None) -> float:
+    """Mean forgetting over domains (all by default) after the final task."""
     if domains is None:
         domains = matrix.domain_ids
     if not domains:
         raise InvalidArgumentError("no domains to average over")
-    return float(np.mean([forgetting(matrix, d, task) for d in domains]))
+    return float(np.mean([forgetting(matrix, d, matrix.n_tasks - 1) for d in domains]))
 
 
 def ukt_gain(

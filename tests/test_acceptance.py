@@ -48,6 +48,7 @@ from cdbench.cli import (
     parse_config,
     run_grid,
 )
+from cdbench.distill import teacher_entropy
 
 from conftest import max_relative_error
 
@@ -142,7 +143,7 @@ def test_criterion_1_gradient_suite():
         prev = rng.normal(0, 2, size=(b, c))
         labels = rng.integers(0, c, size=b)
         ext_rows = np.arange(b // 2, b)
-        keep = mds_filter(teacher, 0.25, 0.75, temp)
+        keep = mds_filter(teacher_entropy(teacher, temp), 0.25, 0.75)
 
         def masked_kl(logits):
             kept = kl_kd_loss(logits[keep], teacher[keep], temp)

@@ -946,6 +946,37 @@ class TestAnalyze:
                 )
                 for acc in ("nan", "inf", "7.5", "-0.25")
             ),
+            pytest.param(
+                "results.csv",
+                f"{','.join(RESULT_COLUMNS)}\n1,kl,0,0,0,0.5,{'0' * 200_000}\n".encode(),
+                "line 2",
+                id="field-over-csv-limit",
+            ),
+            *(
+                pytest.param(
+                    "sweep.csv",
+                    f"{','.join(SWEEP_COLUMNS)}\n{ratio},1,kl,0,0,0,0.5,0.0\n".encode(),
+                    "line 2",
+                    id=f"ed_ratio-{ratio}",
+                )
+                for ratio in ("nan", "inf", "7.5", "-0.1", "1.0")
+            ),
+            pytest.param(
+                "results.csv",
+                "\n".join(
+                    [",".join(RESULT_COLUMNS)]
+                    + [f"1,kl,{t},{t},{d},0.5,0.0" for t, d in product((0, 1), range(4))]
+                    + ["1,kl,-1,0,0,0.5,0.0\n"]
+                ).encode(),
+                "line 10",
+                id="task-below-0",
+            ),
+            pytest.param(
+                "results.csv",
+                f"{','.join(RESULT_COLUMNS)}\n1,kl,0,0,-1,0.5,0.0\n".encode(),
+                "line 2",
+                id="domain-below-0",
+            ),
         ],
     )
     def test_undecodable_or_out_of_range_results_are_data_errors(

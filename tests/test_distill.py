@@ -178,38 +178,38 @@ class TestDkdLoss:
 class TestMdsFilter:
     def test_full_band_keeps_everything(self):
         z = np.random.default_rng(9).normal(size=(6, 4))
-        assert mds_filter(z, 0.0, 1.0, 2.0).all()
+        assert mds_filter(teacher_entropy(z, 2.0), 0.0, 1.0).all()
 
     def test_middle_band_keeps_middle_two_of_four(self):
         # rows with strictly increasing entropy: shrinking logit magnitude
         z = np.array([[8.0, 0.0], [4.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
-        keep = mds_filter(z, 0.25, 0.75, 1.0)
+        keep = mds_filter(teacher_entropy(z, 1.0), 0.25, 0.75)
         assert keep.tolist() == [False, True, True, False]
 
     def test_all_ties_kept(self):
         z = np.tile(np.array([[1.0, 2.0, 0.5]]), (5, 1))
-        assert mds_filter(z, 0.3, 0.6, 2.0).all()
+        assert mds_filter(teacher_entropy(z, 2.0), 0.3, 0.6).all()
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
         z = rng.normal(0, 3, size=(8, 4))
-        keep = mds_filter(z, 0.25, 0.75, 2.0)
+        keep = mds_filter(teacher_entropy(z, 2.0), 0.25, 0.75)
         perm = rng.permutation(8)
-        keep_perm = mds_filter(z[perm], 0.25, 0.75, 2.0)
+        keep_perm = mds_filter(teacher_entropy(z[perm], 2.0), 0.25, 0.75)
         assert np.array_equal(keep_perm, keep[perm])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            mds_filter(np.zeros((0, 3)), 0.25, 0.75, 1.0)
+            mds_filter(teacher_entropy(np.zeros((0, 3)), 1.0), 0.25, 0.75)
 
     def test_at_least_one_kept(self):
         z = np.array([[9.0, 0.0], [5.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
-        keep = mds_filter(z, 0.40, 0.45, 1.0)
+        keep = mds_filter(teacher_entropy(z, 1.0), 0.40, 0.45)
         assert keep.sum() >= 1
 
     def test_invalid_band(self):
         with pytest.raises(InvalidArgumentError):
-            mds_filter(np.zeros((2, 2)), 0.75, 0.25, 1.0)
+            mds_filter(teacher_entropy(np.zeros((2, 2)), 1.0), 0.75, 0.25)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -225,15 +225,9 @@ class TestMdsFilter:
         # repeated rows make entropy ties, which the band keeps
         logits[32:] = logits[rng.integers(0, 32, size=32)]
         idx = rng.integers(0, 64, size=rows)
-        ent = teacher_entropy(logits, temp)
-        direct = mds_filter(logits[idx], *band, temp)
-        cached = mds_filter(logits[idx], *band, temp, entropies=ent[idx])
+        direct = mds_filter(teacher_entropy(logits[idx], temp), *band)
+        cached = mds_filter(teacher_entropy(logits, temp)[idx], *band)
         assert np.array_equal(cached, direct)
-
-    def test_entropies_must_match_rows(self):
-        z = np.zeros((3, 2))
-        with pytest.raises(ShapeError):
-            mds_filter(z, 0.25, 0.75, 1.0, entropies=np.zeros(2))
 
 
 class TestCompositeLosses:

@@ -31,6 +31,7 @@ from cdbench.distill import (
     mds_filter,
     se2d_loss,
     self_distill_loss,
+    teacher_entropy,
 )
 from cdbench.domains import DistillSet, LabeledSet, balance_pair_stream
 from cdbench.engine import deserialize_model, serialize_model
@@ -119,7 +120,7 @@ def per_batch_distill(student, teacher, distill_set, method, config, seed, prev_
                 res = dkd_loss(zs, zt, t, method.dkd_alpha, method.dkd_beta)
                 loss, dlogits = res.loss, res.dlogits
             elif method.method == "mds":
-                keep = mds_filter(zt, method.mds_low_q, method.mds_high_q, t)
+                keep = mds_filter(teacher_entropy(zt, t), method.mds_low_q, method.mds_high_q)
                 res = kl_kd_loss(zs[keep], zt[keep], t)
                 loss, dlogits = res.loss, np.zeros_like(zs)
                 dlogits[keep] = res.dlogits
