@@ -15,10 +15,8 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import product
@@ -30,7 +28,7 @@ import numpy as np
 
 from .benchmark import train_benchmark_teacher
 from .distill import METHODS, MethodConfig, teacher_entropy
-from .domains import DistillSet, ScenarioSpec, build_scenario, write_domain_csv
+from .domains import CdScenario, DistillSet, ScenarioSpec, build_scenario, write_domain_csv
 from .engine import (
     FrozenTeacher,
     RunConfig,
@@ -359,27 +357,32 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
         "teachers": [],
     }
     for t, path in enumerate(_teacher_paths(config.output_dir, spec)):
-        # Trained one by one, not with train_benchmark_teachers, to hold one teacher at a time.
-        try:
-            teacher = train_benchmark_teacher(scenario, config.run, t)
-        except DivergenceError as exc:
-            raise DivergenceError(f"teacher {t}, {exc}") from None
-        # The teacher passed the divergence check, so serialize_model accepts it.
-        save_checkpoint(teacher, path)
-        domain_ids = spec.teacher_domain_ids(t)
-        accs = {str(d): evaluate(teacher, ts) for d, ts in sorted(scenario.test_sets.items())}
-        in_domain = min(accs[str(d)] for d in domain_ids)
-        report["teachers"].append(
-            {
-                "index": t,
-                "trained_domains": list(domain_ids),
-                "accuracy": accs,
-                "in_domain_min": in_domain,
-                "meets_floor": in_domain >= config.run.teacher_accuracy_floor,
-            }
-        )
+        report["teachers"].append(_make_teacher(scenario, config.run, t, path))
     _write_json(config.output_dir / "teacher_report.json", report)
     return config.output_dir / "teacher_report.json"
+
+
+def _make_teacher(scenario: CdScenario, run: RunConfig, t: int, path: Path) -> dict:
+    """Train teacher t, checkpoint it at `path` and return its report entry.
+
+    The teacher is freed on return, so `teachers` holds one at a time.
+    """
+    try:
+        teacher = train_benchmark_teacher(scenario, run, t)
+    except DivergenceError as exc:
+        raise DivergenceError(f"teacher {t}, {exc}") from None
+    # The teacher passed the divergence check, so serialize_model accepts it.
+    save_checkpoint(teacher, path)
+    domain_ids = scenario.spec.teacher_domain_ids(t)
+    accs = {str(d): evaluate(teacher, ts) for d, ts in sorted(scenario.test_sets.items())}
+    in_domain = min(accs[str(d)] for d in domain_ids)
+    return {
+        "index": t,
+        "trained_domains": list(domain_ids),
+        "accuracy": accs,
+        "in_domain_min": in_domain,
+        "meets_floor": in_domain >= run.teacher_accuracy_floor,
+    }
 
 
 def _load_teachers(config: ExperimentConfig) -> list[MlpModel]:
@@ -476,6 +479,10 @@ def run_grid(
         for s in config.run.seeds
     ]
     if jobs > 1 and len(cells) > 1:
+        # Imported here, since a serial grid and the other stages never need them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # Grid cells already run in parallel, so each worker takes a
         # single-threaded BLAS; spawned workers import numpy afresh under it
         # instead of inheriting the parent's thread pool as forked ones would.
@@ -607,8 +614,23 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
     return out / "sweep.csv"
 
 
-def read_results_csv(path: Path, columns: tuple[str, ...] = RESULT_COLUMNS) -> list[dict]:
-    """Parse results.csv, or sweep.csv with SWEEP_COLUMNS, reporting the offending line."""
+def _check_row(row: dict, spec: ScenarioSpec) -> None:
+    """Raise ValueError if a result row names a domain, task or teacher the scenario lacks."""
+    if row["domain"] >= spec.n_domains:
+        raise ValueError(f"domain {row['domain']} is outside the scenario's [0, {spec.n_domains})")
+    if row["task"] >= spec.n_teachers:
+        raise ValueError(f"task {row['task']} is outside the scenario's [0, {spec.n_teachers})")
+    if row["teacher"] != row["task"]:
+        raise ValueError(f"teacher {row['teacher']} is not the row's task {row['task']}")
+
+
+def read_results_csv(
+    path: Path, spec: ScenarioSpec, columns: tuple[str, ...] = RESULT_COLUMNS
+) -> list[dict]:
+    """Parse results.csv, or sweep.csv with SWEEP_COLUMNS, reporting the offending line.
+
+    Every row must also fit `spec`, the scenario that made it (see _check_row).
+    """
     data = _read_file(path, FormatError, f"no results at {path}")
     try:
         text = data.decode("utf-8")
@@ -622,6 +644,7 @@ def read_results_csv(path: Path, columns: tuple[str, ...] = RESULT_COLUMNS) -> l
             raise FormatError(f"{path}: missing columns {missing}")
         for row in reader:
             rows.append({c: _CSV_TYPES.get(c, int)(row[c]) for c in columns})
+            _check_row(rows[-1], spec)
     except FormatError:
         raise
     except (TypeError, ValueError, csv.Error) as exc:  # TypeError: a short row
@@ -638,10 +661,10 @@ def cmd_analyze(results_dir: Path) -> Path:
     spec = _manifest_scenario(results_dir)
     path = results_dir / "sweep.csv"
     if path.exists():
-        rows = read_results_csv(path, SWEEP_COLUMNS)
+        rows = read_results_csv(path, spec, SWEEP_COLUMNS)
     else:
         path = results_dir / "results.csv"
-        rows = [{"ed_ratio": spec.ed_ratio, **r} for r in read_results_csv(path)]
+        rows = [{"ed_ratio": spec.ed_ratio, **r} for r in read_results_csv(path, spec)]
     blocks: dict[float, list[dict]] = {}
     for r in rows:
         blocks.setdefault(r["ed_ratio"], []).append(r)

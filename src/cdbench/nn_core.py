@@ -11,9 +11,16 @@ gradient and the Adam moments are flat vectors of the same layout, so
 operations.
 
 A training loop passes a `Workspace` to `forward` and `backward`, and
-`make_optimizer` gives Adam its scratch vectors, so a step reuses its
+`make_optimizer` gives Adam its scratch vector, so a step reuses its
 buffers instead of allocating them. Every operation and its order is the
 same with or without one, so the results are bitwise equal.
+
+Each hidden layer has one row buffer: `forward` applies the rectifier in
+place, and with a workspace `backward` writes each layer's delta over
+that layer's activations, which it has finished reading. So a cache is
+spent once `backward` has used it with a workspace. `optimizer_step`
+overwrites `grads`, which the update no longer needs once both Adam
+moments hold it.
 """
 
 from __future__ import annotations
@@ -95,29 +102,27 @@ class ForwardCache:
     """Intermediate values of one forward pass, consumed by backward()."""
 
     inputs: Matrix
-    pre_activations: list[Matrix]  # hidden-layer z, before the rectifier
     activations: list[Matrix]  # hidden-layer outputs, after the rectifier
 
 
 class _RowBuffers(NamedTuple):
     """The `out=` targets of one step; None entries make numpy allocate."""
 
-    pre: list[Matrix | None]  # per hidden layer
-    post: list[Matrix | None]
-    deltas: list[Matrix | None]
+    hidden: list[Matrix | None]  # per hidden layer: z, then the activations, then the delta
     logits: Matrix | None
 
 
 class Workspace:
     """Buffers that one model's training steps reuse instead of allocating.
 
-    It holds the flat gradient and the row buffers: per hidden layer the
-    pre-activations, activations and deltas, then the logits. The row
-    buffers are sized from the first batch and grow only when a batch has
-    more rows; a shorter batch gets leading-row views of them, made once
-    per row count. With a workspace, the logits and cache that `forward`
-    returns and the gradient that `backward` returns are overwritten by the
-    next call with the same workspace.
+    It holds the flat gradient and the row buffers: the logits and one
+    buffer per hidden layer, which holds the layer's activations and then
+    its delta. The row buffers are sized from the first batch and grow only when a batch
+    has more rows; a shorter batch gets leading-row views of them, made
+    once per row count. With a workspace, the logits and cache that
+    `forward` returns and the gradient that `backward` returns are
+    overwritten by the next call with the same workspace, and `backward`
+    overwrites the cache's activations.
     """
 
     def __init__(self, model: MlpModel) -> None:
@@ -134,29 +139,24 @@ class Workspace:
             if self._full is None or n > len(self._full.logits):
                 widths = [rows for rows, _ in self.shapes]
                 self._full = _RowBuffers(
-                    [np.empty((n, w)) for w in widths[:-1]],
-                    [np.empty((n, w)) for w in widths[:-1]],
-                    [np.empty((n, w)) for w in widths[:-1]],
-                    np.empty((n, widths[-1])),
+                    [np.empty((n, w)) for w in widths[:-1]], np.empty((n, widths[-1]))
                 )
                 self._views = {}
             full = self._full
-            views = self._views[n] = _RowBuffers(
-                [b[:n] for b in full.pre],
-                [b[:n] for b in full.post],
-                [b[:n] for b in full.deltas],
-                full.logits[:n],
-            )
+            views = self._views[n] = _RowBuffers([b[:n] for b in full.hidden], full.logits[:n])
         return views
 
 
 def _row_buffers(model: MlpModel, n: int, ws: Workspace | None) -> _RowBuffers:
     if ws is None:
-        none = [None] * (len(model.layers) - 1)
-        return _RowBuffers(none, none, none, None)
+        return _RowBuffers([None] * (len(model.layers) - 1), None)
+    _check_fits(model, ws)
+    return ws.rows(n)
+
+
+def _check_fits(model: MlpModel, ws: Workspace) -> None:
     if ws.shapes != model.shapes:
         raise ShapeError(f"workspace is for layers {ws.shapes}, the model has {model.shapes}")
-    return ws.rows(n)
 
 
 @dataclass
@@ -167,9 +167,8 @@ class OptimizerState:
     # Adam's moment estimates, laid out like the model's params.
     moment1: np.ndarray | None = field(default=None, repr=False)
     moment2: np.ndarray | None = field(default=None, repr=False)
-    # Reused by every step in place of temporaries; None makes a step allocate them.
+    # Adam's temporary, reused by every step; None makes a step allocate it.
     scratch: np.ndarray | None = field(default=None, repr=False)
-    update: np.ndarray | None = field(default=None, repr=False)
 
 
 def init_mlp(seed: int, layer_dims: list[int]) -> MlpModel:
@@ -207,18 +206,17 @@ def forward(
             f"batch has {batch.shape[1]} features, model expects {model.input_dim}"
         )
     out = _row_buffers(model, batch.shape[0], ws)
-    pre, post = [], []
+    activations = []
     a = batch
-    for layer, z_out, a_out in zip(model.layers[:-1], out.pre, out.post):
-        z = np.matmul(a, layer.weight.T, out=z_out)
-        z += layer.bias
-        a = np.maximum(z, 0.0, out=a_out)
-        pre.append(z)
-        post.append(a)
+    for layer, a_out in zip(model.layers[:-1], out.hidden):
+        a = np.matmul(a, layer.weight.T, out=a_out)
+        a += layer.bias
+        np.maximum(a, 0.0, out=a)
+        activations.append(a)
     last = model.layers[-1]
     logits = np.matmul(a, last.weight.T, out=out.logits)
     logits += last.bias
-    return logits, ForwardCache(batch, pre, post)
+    return logits, ForwardCache(batch, activations)
 
 
 def softmax_t(logits: Matrix, temperature: float = 1.0) -> Matrix:
@@ -266,7 +264,8 @@ def backward(
 
     Returns one flat vector laid out like `model.params`; `model.layer_views`
     splits it into per-layer (dweight, dbias) pairs. With a workspace the
-    vector is the workspace's, valid until the next call with it.
+    vector is the workspace's, valid until the next call with it, and each
+    hidden layer's delta is written over its activations in `cache`.
     """
     dlogits = np.asarray(dlogits, dtype=float)
     n = cache.inputs.shape[0]
@@ -274,11 +273,11 @@ def backward(
         raise ShapeError(
             f"dlogits shape {dlogits.shape}, expected {(n, model.num_classes)}"
         )
-    deltas = _row_buffers(model, n, ws).deltas
     if ws is None:
         grads = np.empty_like(model.params)
         views = model.layer_views(grads)
     else:
+        _check_fits(model, ws)
         grads, views = ws.grads, ws.grad_views
     delta = dlogits
     for k in range(len(model.layers) - 1, -1, -1):
@@ -287,8 +286,11 @@ def backward(
         np.matmul(delta.T, a_prev, out=dw)
         delta.sum(axis=0, out=db)
         if k > 0:
-            delta = np.matmul(delta, model.layers[k].weight, out=deltas[k - 1])
-            delta *= cache.pre_activations[k - 1] > 0
+            # max(z, 0) > 0 exactly where z > 0, for NaN and -0.0 too, so the
+            # activations give the rectifier's mask; take it before they are overwritten.
+            mask = a_prev > 0
+            delta = np.matmul(delta, model.layers[k].weight, out=None if ws is None else a_prev)
+            delta *= mask
     return grads
 
 
@@ -297,10 +299,10 @@ def make_optimizer(model: MlpModel, kind: str, learning_rate: float) -> Optimize
         raise InvalidArgumentError(f"unknown optimizer {kind!r}, expected one of {OPTIMIZER_KINDS}")
     if learning_rate <= 0:
         raise InvalidArgumentError(f"learning rate must be > 0, got {learning_rate}")
-    state = OptimizerState(kind, learning_rate, scratch=np.empty_like(model.params))
+    state = OptimizerState(kind, learning_rate)
     if kind == "adam":
         state.moment1, state.moment2 = np.zeros_like(model.params), np.zeros_like(model.params)
-        state.update = np.empty_like(model.params)
+        state.scratch = np.empty_like(model.params)
     return state
 
 
@@ -310,13 +312,15 @@ def optimizer_step(
     """Apply one update to `model.params` in place and return the (model, state) pair.
 
     `grads` is a flat vector laid out like `model.params`, as backward returns.
+    The step overwrites it.
     """
     params = model.params
     if np.shape(grads) != params.shape:
         raise ShapeError(f"gradient shape {np.shape(grads)} does not match params {params.shape}")
     lr = state.learning_rate
     if state.kind == "sgd":
-        params -= np.multiply(lr, grads, out=state.scratch)
+        grads *= lr
+        params -= grads
         state.step += 1
         return model, state
     # Adam with bias-corrected moments:
@@ -324,6 +328,7 @@ def optimizer_step(
     #   p -= lr*(m1/corr1) / (sqrt(m2/corr2) + eps).
     # Each operation is the formula's own, in its order, so the update is
     # bitwise the same as evaluating it term by term; only the buffers are reused.
+    # The gradient is dead once both moments hold it, so its vector takes the update.
     state.step += 1
     b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
     corr1 = 1.0 - b1**t
@@ -339,7 +344,7 @@ def optimizer_step(
     np.divide(m2, corr2, out=buf)
     np.sqrt(buf, out=buf)
     buf += ADAM_EPS
-    update = np.divide(m1, corr1, out=state.update)
+    update = np.divide(m1, corr1, out=grads)
     update *= lr
     update /= buf
     params -= update

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,17 @@ def finite_difference_logits(loss_fn, logits, h=1e-5):
 def max_relative_error(analytic, numeric):
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-6)
     return np.max(np.abs(analytic - numeric)) / scale
+
+
+def traced_peak(fn) -> int:
+    """Bytes that fn() allocated at its peak, by tracemalloc, above what was live before."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

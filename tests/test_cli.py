@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from itertools import product
@@ -36,7 +38,7 @@ import cdbench.benchmark
 import cdbench.cli
 import cdbench.domains
 import cdbench.engine
-from cdbench.benchmark import train_benchmark_teachers
+from cdbench.benchmark import train_benchmark_teacher, train_benchmark_teachers
 from cdbench.distill import MethodConfig
 from cdbench.domains import build_scenario
 from cdbench.engine import (
@@ -50,7 +52,10 @@ from cdbench.errors import ConfigError, FormatError
 from cdbench.metrics import entropy_histogram
 from cdbench.nn_core import Layer, MlpModel, init_mlp
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import traced_peak
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def base_config(out_dir, **overrides):
@@ -342,6 +347,24 @@ class TestTeachers:
         assert re.search(r"teacher \d+, epoch \d+: the teacher diverged", err), err
         assert not (tmp_path / "out" / "teacher_report.json").exists()
 
+    def test_holds_one_teacher_at_a_time(self, tmp_path):
+        # One 6-128-128-3 teacher's parameters take 139 KiB as float64, more
+        # than the slack, so keeping a teacher while the next one trains fails.
+        doc = base_config(tmp_path / "out")
+        doc["scenario"].update(
+            n_domains=5, teacher_exclusive_domains=[[1], [2], [3]], external_domains=[4]
+        )
+        doc["run"].update(teacher_epochs=2, teacher_hidden=[128, 128])
+        config = parse_config(doc)
+        cmd_gen(config)
+        one = max(
+            traced_peak(
+                lambda: train_benchmark_teacher(build_scenario(config.scenario), config.run, t)
+            )
+            for t in range(3)
+        )
+        assert traced_peak(lambda: cmd_teachers(config)) <= one + 32 * 1024
+
     def test_teacher_diverging_inside_float32_fails_loudly(self, tmp_path, capsys):
         # At this rate the epoch-0 loss is 2e5 times the first batch's for
         # teacher 0 and 2e27 times for teacher 1, with every value finite in
@@ -387,7 +410,7 @@ class TestRun:
 
     def test_grid_cardinality(self, finished_run):
         out, config = finished_run
-        rows = read_results_csv(out / "results.csv")
+        rows = read_results_csv(out / "results.csv", config.scenario)
         # 2 methods x 3 seeds x 2 tasks x 4 domains
         assert len(rows) == 2 * 3 * 2 * 4
         keys = {(r["seed"], r["method"], r["task"], r["domain"]) for r in rows}
@@ -479,12 +502,12 @@ class TestRun:
         cmd_gen(config)
         cmd_teachers(config)
         cmd_run(config)
-        rows = read_results_csv(tmp_path / "out" / "results.csv")
+        rows = read_results_csv(tmp_path / "out" / "results.csv", config.scenario)
         assert len(rows) == 90
 
     def test_summary_matches_independent_recomputation(self, finished_run):
         out, config = finished_run
-        rows = read_results_csv(out / "results.csv")
+        rows = read_results_csv(out / "results.csv", config.scenario)
         summary = json.loads((out / "summary.json").read_text())
         finals = {}
         for r in rows:
@@ -765,8 +788,8 @@ class TestSweep:
 
         # the ratio-0.5 block must match a plain run of the config (ed_ratio 0.5)
         cmd_run(config)
-        same = read_results_csv(tmp_path / "out" / "results.csv")
-        block = read_results_csv(tmp_path / "out" / "ratio_0_5" / "results.csv")
+        same = read_results_csv(tmp_path / "out" / "results.csv", config.scenario)
+        block = read_results_csv(tmp_path / "out" / "ratio_0_5" / "results.csv", config.scenario)
         assert [r["accuracy"] for r in block] == [r["accuracy"] for r in same]
         assert [float(r["accuracy"]) for r in rows if r["ed_ratio"] == "0.5"] == [
             r["accuracy"] for r in same
@@ -782,7 +805,7 @@ class TestSweep:
         cmd_gen(plain)
         cmd_teachers(plain)
         cmd_run(plain)
-        plain_rows = read_results_csv(tmp_path / "plain" / "results.csv")
+        plain_rows = read_results_csv(tmp_path / "plain" / "results.csv", plain.scenario)
         block = [r for r in rows if r["ed_ratio"] == "0.0"]
         assert len(block) == len(plain_rows)
         for swept, ref in zip(
@@ -843,7 +866,12 @@ class TestAnalyze:
     def test_known_trajectory_hand_check(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        config = parse_config(base_config(out))
+        doc = base_config(out)
+        # Three teachers, for the trajectory's three tasks, that know its four domains.
+        doc["scenario"].update(
+            n_domains=5, teacher_exclusive_domains=[[1], [2], [3]], external_domains=[4]
+        )
+        config = parse_config(doc)
         cmd_gen(config)
         lines = ["seed,method,task,teacher,domain,accuracy,elapsed_seconds"]
         traj = {0: (0.6, 0.7, 0.5), 1: (0.9, 0.8, 0.7), 2: (0.2, 0.4, 0.3), 3: (0.5, 0.5, 0.5)}
@@ -976,6 +1004,31 @@ class TestAnalyze:
                 f"{','.join(RESULT_COLUMNS)}\n1,kl,0,0,-1,0.5,0.0\n".encode(),
                 "line 2",
                 id="domain-below-0",
+            ),
+            # The manifest's scenario has domains 0 to 3 and tasks 0 and 1.
+            pytest.param(
+                "results.csv",
+                f"{','.join(RESULT_COLUMNS)}\n1,kl,0,0,0,0.5,0.0\n1,kl,0,0,9,0.5,0.0\n".encode(),
+                "line 3",
+                id="domain-outside-scenario",
+            ),
+            pytest.param(
+                "results.csv",
+                f"{','.join(RESULT_COLUMNS)}\n1,kl,2,2,0,0.5,0.0\n".encode(),
+                "line 2",
+                id="task-outside-scenario",
+            ),
+            pytest.param(
+                "results.csv",
+                f"{','.join(RESULT_COLUMNS)}\n1,kl,0,7,0,0.5,0.0\n".encode(),
+                "line 2",
+                id="teacher-not-task",
+            ),
+            pytest.param(
+                "sweep.csv",
+                f"{','.join(SWEEP_COLUMNS)}\n0.5,1,kl,1,0,0,0.5,0.0\n".encode(),
+                "line 2",
+                id="sweep-teacher-not-task",
             ),
         ],
     )
@@ -1122,6 +1175,24 @@ class TestEndToEndDeterminism:
         assert outputs[0].keys() == outputs[1].keys()
         for key in outputs[0]:
             assert outputs[0][key] == outputs[1][key], f"{key} differs between reruns"
+
+
+def test_cli_import_leaves_out_the_pool_modules():
+    # Only `run` and `sweep` with --jobs above 1 start a pool; the digest
+    # test checks that such a run writes what --jobs 1 does.
+    code = (
+        "import sys, cdbench.cli;"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_load_config_round_trip(tmp_path):

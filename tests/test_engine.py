@@ -33,7 +33,7 @@ from cdbench.distill import (
     self_distill_loss,
     teacher_entropy,
 )
-from cdbench.domains import DistillSet, LabeledSet, balance_pair_stream
+from cdbench.domains import DistillSet, DomainDataset, LabeledSet, balance_pair_stream
 from cdbench.engine import deserialize_model, serialize_model
 from cdbench.nn_core import (
     Layer,
@@ -44,6 +44,8 @@ from cdbench.nn_core import (
     make_optimizer,
     optimizer_step,
 )
+
+from conftest import traced_peak
 
 
 def model_params_equal(a, b):
@@ -185,6 +187,22 @@ class TestTrainTeacher:
         a = train_teacher([ds], tiny_config, seed=2)
         b = train_teacher([ds], tiny_config, seed=2)
         assert model_params_equal(a, b)
+
+    def test_epoch_holds_one_row_buffer_per_hidden_layer(self):
+        # Adam at 32-512-512-10, batch 256. The peak may hold five vectors of
+        # the parameters' size (the model, both moments, the scratch vector
+        # and the gradient) and one 256 x 512 buffer per hidden layer. The
+        # 1 MiB of slack covers the copied training data, one batch, the
+        # rectifier's mask and the loss's temporaries: about 0.5 MiB.
+        dims = [32, 512, 512, 10]
+        rng = np.random.default_rng(39)
+        train = LabeledSet(rng.normal(size=(512, 32)), rng.integers(0, 10, 512))
+        config = RunConfig(batch_size=256, teacher_epochs=1, teacher_hidden=(512, 512))
+        peak = traced_peak(
+            lambda: train_teacher([DomainDataset(0, train, train)], config, seed=39, n_classes=10)
+        )
+        vector = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+        assert peak <= 5 * vector + 2 * 256 * 512 * 8 + 2**20
 
 
 class TestRunConfig:

@@ -18,7 +18,15 @@ from cdbench import (
     optimizer_step,
     softmax_t,
 )
-from cdbench.nn_core import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Layer, MlpModel, log_softmax_t
+from cdbench.nn_core import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ForwardCache,
+    Layer,
+    MlpModel,
+    log_softmax_t,
+)
 
 from conftest import finite_difference_logits, max_relative_error
 
@@ -265,34 +273,58 @@ class TestFlatLayout:
         arrays = [a.copy() for layer in model.layers for a in (layer.weight, layer.bias)]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
         state = make_optimizer(model, kind, 1e-2)
-        # The same steps with no scratch vectors, so each allocates its temporaries.
+        # The same steps with no scratch vector, so each allocates its temporary.
         twin = model.copy()
         twin_state = make_optimizer(twin, kind, 1e-2)
-        twin_state.scratch = twin_state.update = None
+        twin_state.scratch = None
         for t in range(1, 51):
             grads = rng.normal(size=model.params.size) * 10.0 ** rng.uniform(-4, 2)
             per_layer = [a for pair in model.layer_views(grads) for a in pair]
             reference_step(arrays, per_layer, moments, kind, 1e-2, t)
+            # A step overwrites the gradient it is given, so the twin gets a copy.
+            optimizer_step(twin, grads.copy(), twin_state)
             stepped, same_state = optimizer_step(model, grads, state)
             assert stepped is model and same_state is state
             assert np.array_equal(model.params, np.concatenate([a.ravel() for a in arrays]))
-            optimizer_step(twin, grads, twin_state)
             assert twin.params.tobytes() == model.params.tobytes()
         assert state.step == 50
 
     def test_backward_matches_per_layer_products_bitwise(self):
         rng = np.random.default_rng(32)
         model = init_mlp(32, [8, 32, 32, 4])
-        _, cache = forward(model, rng.normal(size=(64, 8)))
+        batch = rng.normal(size=(64, 8))
+        batch[1] = 0.0  # the biases are 0, so every pre-activation of this row is exactly 0
+        _, cache = forward(model, batch)
         dlogits = rng.normal(size=(64, 4))
         grads = model.layer_views(backward(model, cache, dlogits))
+        # The reference recomputes each hidden layer's pre-activations
+        # z = a @ W.T + b and takes the rectifier's mask from z > 0.
+        layer_inputs, pre = [batch], []
+        for layer in model.layers[:-1]:
+            pre.append(layer_inputs[-1] @ layer.weight.T + layer.bias)
+            layer_inputs.append(np.maximum(pre[-1], 0.0))
+        assert not any(z[1].any() for z in pre)
         delta = dlogits
         for k in range(len(model.layers) - 1, -1, -1):
-            a_prev = cache.activations[k - 1] if k > 0 else cache.inputs
-            assert np.array_equal(grads[k][0], delta.T @ a_prev)
+            assert np.array_equal(grads[k][0], delta.T @ layer_inputs[k])
             assert np.array_equal(grads[k][1], delta.sum(0))
             if k > 0:
-                delta = (delta @ model.layers[k].weight) * (cache.pre_activations[k - 1] > 0)
+                delta = (delta @ model.layers[k].weight) * (pre[k - 1] > 0)
+
+        # Rows of pre-activations that are exactly 0, -0.0 and NaN pass no
+        # gradient. No forward pass yields -0.0 (its sums round to +0.0), so
+        # this cache is built by hand, with forward's rectifier.
+        shallow = init_mlp(38, [8, 32, 4])
+        z = rng.normal(size=(6, 32))
+        z[0], z[1], z[2] = 0.0, -0.0, np.nan
+        assert np.signbit(z[1]).all()
+        inputs, dlogits = rng.normal(size=(6, 8)), rng.normal(size=(6, 4))
+        cache = ForwardCache(inputs, [np.maximum(z, 0.0)])
+        (dw0, db0), _ = shallow.layer_views(backward(shallow, cache, dlogits))
+        delta = (dlogits @ shallow.layers[1].weight) * (z > 0)
+        assert not delta[:3].any()
+        assert dw0.tobytes() == (delta.T @ inputs).tobytes()
+        assert db0.tobytes() == delta.sum(0).tobytes()
 
         # One workspace through a full batch, a shorter one, a doubled one
         # (which grows it) and a full one again: every byte as allocated.
@@ -302,10 +334,7 @@ class TestFlatLayout:
             logits, cache = forward(model, batch)
             ws_logits, ws_cache = forward(model, batch, ws=ws)
             assert ws_logits.tobytes() == logits.tobytes()
-            for mine, fresh in zip(
-                ws_cache.pre_activations + ws_cache.activations,
-                cache.pre_activations + cache.activations,
-            ):
+            for mine, fresh in zip(ws_cache.activations, cache.activations):
                 assert mine.tobytes() == fresh.tobytes()
             ws_grads = backward(model, ws_cache, dlogits, ws=ws)
             assert ws_grads is ws.grads
