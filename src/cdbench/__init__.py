@@ -6,7 +6,6 @@ from .distill import (
     METHODS,
     LossResult,
     MethodConfig,
-    PairedLossResult,
     dkd_loss,
     entropy,
     kl_kd_loss,

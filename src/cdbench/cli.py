@@ -145,12 +145,10 @@ def _parse_section(doc, where: str, schema: dict) -> dict:
 
 
 def _scenario_from_json(doc, where: str = "scenario") -> ScenarioSpec:
-    spec = ScenarioSpec(**_parse_section(doc, where, _SCENARIO_SCHEMA))
     try:
-        spec.validate()
+        return ScenarioSpec(**_parse_section(doc, where, _SCENARIO_SCHEMA))
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid scenario: {exc}") from None
-    return spec
 
 
 def _scenario_to_json(spec: ScenarioSpec) -> dict:
@@ -456,9 +454,9 @@ def _single_threaded_blas() -> Iterator[None]:
 
 
 def run_grid(
-    spec: ScenarioSpec, teachers: list[MlpModel], config: ExperimentConfig, jobs: int = 1
+    config: ExperimentConfig, teachers: list[MlpModel], jobs: int = 1
 ) -> tuple[list[dict], list[tuple]]:
-    """Run config's method x seed grid on `spec` in memory.
+    """Run config's method x seed grid on config.scenario in memory.
 
     The scenario is built, and its external rows screened, once for all
     cells. The cells share one FrozenTeacher per teacher, so each teacher
@@ -469,7 +467,7 @@ def run_grid(
     """
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    scenario = build_scenario(spec)
+    scenario = build_scenario(config.scenario)
     if config.external_entropy_max is not None:
         scenario = _filter_external_by_entropy(scenario, teachers, config.external_entropy_max)
     frozen = [FrozenTeacher(t) for t in teachers]
@@ -508,7 +506,7 @@ def _write_results_csv(path: Path, rows: list[dict], columns=RESULT_COLUMNS) -> 
 
 
 def _write_grid(
-    out: Path, spec: ScenarioSpec, config: ExperimentConfig, rows: list[dict], curves: list[tuple]
+    out: Path, config: ExperimentConfig, rows: list[dict], curves: list[tuple]
 ) -> Path:
     """Write one grid's results.csv, optional per-epoch curves and summary.json."""
     _write_results_csv(out / "results.csv", rows)
@@ -518,15 +516,15 @@ def _write_grid(
             ("method", "seed", "task", "epoch", "domain", "accuracy"),
             curves,
         )
-    _write_json(out / "summary.json", _summarize(spec, config, rows))
+    _write_json(out / "summary.json", _summarize(config, rows))
     return out / "summary.json"
 
 
 def cmd_run(config: ExperimentConfig, jobs: int = 1) -> Path:
     """Execute the full method x seed grid and write results + summary."""
     _require_manifest(config)
-    rows, curves = run_grid(config.scenario, _load_teachers(config), config, jobs)
-    return _write_grid(config.output_dir, config.scenario, config, rows, curves)
+    rows, curves = run_grid(config, _load_teachers(config), jobs)
+    return _write_grid(config.output_dir, config, rows, curves)
 
 
 def _accuracy_matrices(rows: list[dict], where: str) -> dict[tuple[str, int], AccuracyMatrix]:
@@ -567,13 +565,13 @@ def _seed_mean(per_seed: list[dict[int, float]]) -> dict[str, float]:
     return {str(d): float(np.mean([v[d] for v in per_seed])) for d in per_seed[0]}
 
 
-def _summarize(spec: ScenarioSpec, config: ExperimentConfig, rows: list[dict]) -> dict:
-    known = spec.teacher_known_domains
+def _summarize(config: ExperimentConfig, rows: list[dict]) -> dict:
+    known = config.scenario.teacher_known_domains
     matrices = _accuracy_matrices(rows, "grid")
     n_tasks = max(r["task"] for r in rows) + 1
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
-        "ed_ratio": spec.ed_ratio,
+        "ed_ratio": config.scenario.ed_ratio,
         "seeds": list(config.run.seeds),
         "teacher_known_domains": list(known),
         "n_tasks": n_tasks,
@@ -606,10 +604,10 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
     out = config.output_dir
     swept: list[dict] = []
     for ratio in ratios:
-        spec = replace(config.scenario, ed_ratio=float(ratio))
-        rows, curves = run_grid(spec, teachers, config, jobs)
-        _write_grid(out / f"ratio_{_ratio_tag(ratio)}", spec, config, rows, curves)
-        swept.extend({"ed_ratio": spec.ed_ratio, **r} for r in rows)
+        at_ratio = replace(config, scenario=replace(config.scenario, ed_ratio=float(ratio)))
+        rows, curves = run_grid(at_ratio, teachers, jobs)
+        _write_grid(out / f"ratio_{_ratio_tag(ratio)}", at_ratio, rows, curves)
+        swept.extend({"ed_ratio": at_ratio.scenario.ed_ratio, **r} for r in rows)
     _write_results_csv(out / "sweep.csv", swept, SWEEP_COLUMNS)
     return out / "sweep.csv"
 

@@ -1,8 +1,9 @@
 """Distillation objectives.
 
-Every loss returns the scalar value together with its gradient with
-respect to the student logits; teacher and checkpoint logits are always
-treated as constants. KL-family losses follow the tempered convention
+Every loss returns a LossResult: the scalar value together with its
+gradient with respect to the whole batch of student logits; teacher and
+checkpoint logits are always treated as constants. KL-family losses
+follow the tempered convention
 loss = T^2 * mean_batch KL(p_teacher || p_student) with p = softmax(z / T).
 Their teacher and checkpoint inputs, and dkd's teacher input, take either
 logits or precomputed targets (SoftTargets, DkdTargets), so a caller whose
@@ -54,15 +55,6 @@ class MethodConfig:
 class LossResult:
     loss: float
     dlogits: Matrix
-
-
-@dataclass
-class PairedLossResult:
-    """Combined scalar plus one gradient per student-logit input."""
-
-    loss: float
-    dlogits_all: Matrix
-    dlogits_ext: Matrix
 
 
 @dataclass(frozen=True)
@@ -348,20 +340,28 @@ def self_distill_loss(
 
 
 def se2d_loss(
-    student_logits_all: Matrix,
-    teacher_all: Matrix | SoftTargets,
-    student_logits_ext: Matrix,
+    student_logits: Matrix,
+    teacher: Matrix | SoftTargets,
     prev_student_ext: Matrix | SoftTargets,
+    external: np.ndarray,
     temperature: float,
-) -> PairedLossResult:
-    """Teacher KL on the full batch plus checkpoint KL on the external batch.
+) -> LossResult:
+    """Teacher KL on the whole batch plus checkpoint KL on its external rows.
 
-    Each of `teacher_all` and `prev_student_ext` is logits or their
-    soft_targets. The two terms are added unweighted. An empty external
-    batch reduces the loss to the teacher term alone.
+    `external` is a boolean mask with one entry per batch row, and
+    `prev_student_ext` holds the checkpoint's logits or soft_targets for the
+    rows it selects, in order. The two terms are added unweighted. With no
+    external row the loss reduces to the teacher term alone; with every row
+    external it equals self_distill_loss.
     """
-    teacher_term = kl_kd_loss(student_logits_all, teacher_all, temperature)
-    ext_term = kl_kd_loss(student_logits_ext, prev_student_ext, temperature)
-    return PairedLossResult(
-        teacher_term.loss + ext_term.loss, teacher_term.dlogits, ext_term.dlogits
-    )
+    student_logits = np.asarray(student_logits, dtype=float)
+    external = np.asarray(external)
+    if external.dtype != bool or external.shape != student_logits.shape[:1]:
+        raise ShapeError(
+            f"external must be a boolean mask of shape {student_logits.shape[:1]}, "
+            f"got {external.dtype} of shape {external.shape}"
+        )
+    teacher_term = kl_kd_loss(student_logits, teacher, temperature)
+    ext_term = kl_kd_loss(student_logits[external], prev_student_ext, temperature)
+    teacher_term.dlogits[external] += ext_term.dlogits
+    return LossResult(teacher_term.loss + ext_term.loss, teacher_term.dlogits)

@@ -131,7 +131,7 @@ class ScenarioSpec:
         unseen = set(self.teacher_known_domains) - set(self.shared_domains)
         return tuple(sorted(unseen - set(self.external_domains)))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_classes < 2 or self.feature_dim < 2 or self.n_domains < 1:
             raise InvalidArgumentError("need n_classes >= 2, feature_dim >= 2, n_domains >= 1")
         if self.feature_dim < self.n_classes:
@@ -317,7 +317,6 @@ def mix_ratio(internal: LabeledSet, external: LabeledSet, ed_ratio: float) -> Di
 
 def build_scenario(spec: ScenarioSpec) -> CdScenario:
     """Generate every domain once and mix the distillation set at spec.ed_ratio."""
-    spec.validate()
     domains = {
         m: generate_domain(
             spec.seed,

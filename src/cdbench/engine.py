@@ -328,7 +328,8 @@ def distill_task(
     step gathers its rows and calls the method's public loss. Only the
     student is updated. With internal and external rows, a se2d step
     concatenates one internal and one external batch; its teacher term sees
-    both and its checkpoint term the external one.
+    both, and se2d_loss's `external` mask gives its checkpoint term the
+    external one.
 
     Raises DivergenceError, naming the method, seed, task and epoch, at the
     end of an epoch that fails _check_epoch against the task's first-batch
@@ -381,11 +382,7 @@ def distill_task(
             res = self_distill_loss(student_logits, targets[idx], prev_targets[idx], t)
         else:
             on = slot[idx] >= 0
-            pair = se2d_loss(
-                student_logits, targets[idx], student_logits[on], prev_targets[slot[idx[on]]], t
-            )
-            pair.dlogits_all[on] += pair.dlogits_ext
-            return pair.loss, pair.dlogits_all
+            res = se2d_loss(student_logits, targets[idx], prev_targets[slot[idx[on]]], on, t)
         return res.loss, res.dlogits
 
     opt = make_optimizer(student, config.optimizer, config.learning_rate)

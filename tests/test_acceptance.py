@@ -79,8 +79,12 @@ def benchmark_runs(benchmark_config):
     matrices: dict[tuple, AccuracyMatrix] = {}
     for ratio in config.sweep_ratios:
         names = ("kl", "se2d") if ratio == 0.5 else ("kl",)
-        grid = replace(config, methods=tuple(m for m in config.methods if m.method in names))
-        rows, _ = run_grid(replace(config.scenario, ed_ratio=ratio), teachers, grid)
+        grid = replace(
+            config,
+            scenario=replace(config.scenario, ed_ratio=ratio),
+            methods=tuple(m for m in config.methods if m.method in names),
+        )
+        rows, _ = run_grid(grid, teachers)
         for (method, seed), matrix in _accuracy_matrices(rows, f"ratio {ratio}").items():
             matrices[method, ratio, seed] = matrix
     elapsed = time.perf_counter() - start
@@ -142,7 +146,7 @@ def test_criterion_1_gradient_suite():
         teacher = rng.normal(0, 2, size=(b, c))
         prev = rng.normal(0, 2, size=(b, c))
         labels = rng.integers(0, c, size=b)
-        ext_rows = np.arange(b // 2, b)
+        external = np.arange(b) >= b // 2
         keep = mds_filter(teacher_entropy(teacher, temp), 0.25, 0.75)
 
         def masked_kl(logits):
@@ -150,12 +154,6 @@ def test_criterion_1_gradient_suite():
             dlogits = np.zeros_like(logits)
             dlogits[keep] = kept.dlogits
             return kept.loss, dlogits
-
-        def paired(logits):
-            res = se2d_loss(logits, teacher, logits[ext_rows], prev[ext_rows], temp)
-            dlogits = res.dlogits_all.copy()
-            dlogits[ext_rows] += res.dlogits_ext
-            return res.loss, dlogits
 
         cases = {
             "cross_entropy": lambda z: cross_entropy(z, labels),
@@ -165,7 +163,9 @@ def test_criterion_1_gradient_suite():
                 dkd_loss(z, teacher, temp, 1.0, 8.0)
             ),
             "mds": masked_kl,
-            "se2d": paired,
+            "se2d": lambda z: (lambda r: (r.loss, r.dlogits))(
+                se2d_loss(z, teacher, prev[external], external, temp)
+            ),
             "self_distill": lambda z: (lambda r: (r.loss, r.dlogits))(
                 self_distill_loss(z, teacher, prev, temp)
             ),
@@ -202,9 +202,9 @@ def test_criterion_2_loss_identities():
     zs = rng.normal(size=(4, 3))
     zt = rng.normal(size=(4, 3))
     empty = np.zeros((0, 3))
-    res = se2d_loss(zs, zt, empty, empty, 4.0)
+    res = se2d_loss(zs, zt, empty, np.zeros(4, dtype=bool), 4.0)
     ref = kl_kd_loss(zs, zt, 4.0)
-    assert res.loss == ref.loss and np.array_equal(res.dlogits_all, ref.dlogits)
+    assert res.loss == ref.loss and np.array_equal(res.dlogits, ref.dlogits)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -693,7 +693,7 @@ class TestGridCells:
             return original(model, features, chunk)
 
         monkeypatch.setattr(cdbench.engine, "_frozen_logits", counted)
-        run_grid(config.scenario, teachers, config)
+        run_grid(config, teachers)
         # kl and dkd read no checkpoint, so every pass is a teacher's: one
         # each for the grid's four cells, not one per cell.
         assert [id(m) for m in passes] == [id(t) for t in teachers]
@@ -708,7 +708,7 @@ class TestGridCells:
             for log in run_sequence(student, teachers, scenario, method, config.run, seed=seed):
                 for d, acc in sorted(log.accuracies.items()):
                     want.append((method.method, seed, log.task_index, d, acc))
-        rows, _ = run_grid(spec, teachers, config)
+        rows, _ = run_grid(config, teachers)
         got = [(r["method"], r["seed"], r["task"], r["domain"], r["accuracy"]) for r in rows]
         assert got == sorted(want)
 
@@ -725,7 +725,7 @@ class TestGridCells:
         one_cell = replace(
             config, methods=config.methods[:1], run=replace(config.run, seeds=(1,))
         )
-        rows, _ = run_grid(config.scenario, teachers, one_cell)
+        rows, _ = run_grid(one_cell, teachers)
         elapsed = {}
         for r in rows:
             elapsed.setdefault(r["task"], set()).add(r["elapsed_seconds"])

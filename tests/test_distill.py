@@ -233,26 +233,53 @@ class TestMdsFilter:
 class TestCompositeLosses:
     def test_se2d_zero_when_targets_match(self):
         z_all = np.random.default_rng(11).normal(size=(4, 3))
-        z_ext = z_all[2:]
-        res = se2d_loss(z_all, z_all.copy(), z_ext, z_ext.copy(), 4.0)
+        res = se2d_loss(z_all, z_all.copy(), z_all[2:].copy(), np.arange(4) >= 2, 4.0)
         assert res.loss == 0.0
 
     def test_se2d_empty_external_reduces_to_teacher_term(self):
         rng = np.random.default_rng(12)
         z_all, zt = random_logits(rng, 4, 3), random_logits(rng, 4, 3)
-        empty = np.zeros((0, 3))
-        res = se2d_loss(z_all, zt, empty, empty, 4.0)
+        res = se2d_loss(z_all, zt, np.zeros((0, 3)), np.zeros(4, dtype=bool), 4.0)
         ref = kl_kd_loss(z_all, zt, 4.0)
         assert res.loss == ref.loss
-        assert np.array_equal(res.dlogits_all, ref.dlogits)
-        assert res.dlogits_ext.shape == (0, 3)
+        assert np.array_equal(res.dlogits, ref.dlogits)
 
     def test_se2d_is_sum_of_two_kl_terms(self):
         rng = np.random.default_rng(13)
         z_all, zt = random_logits(rng, 5, 4), random_logits(rng, 5, 4)
-        z_ext, z_prev = random_logits(rng, 3, 4), random_logits(rng, 3, 4)
-        res = se2d_loss(z_all, zt, z_ext, z_prev, 2.0)
-        assert res.loss == kl_kd_loss(z_all, zt, 2.0).loss + kl_kd_loss(z_ext, z_prev, 2.0).loss
+        z_prev = random_logits(rng, 3, 4)
+        ext = np.array([False, True, False, True, True])
+        res = se2d_loss(z_all, zt, z_prev, ext, 2.0)
+        teacher_term, ext_term = kl_kd_loss(z_all, zt, 2.0), kl_kd_loss(z_all[ext], z_prev, 2.0)
+        assert res.loss == teacher_term.loss + ext_term.loss
+        expected = teacher_term.dlogits.copy()
+        expected[ext] += ext_term.dlogits
+        assert np.array_equal(res.dlogits, expected)
+
+    def test_se2d_all_external_equals_self_distill_bitwise(self):
+        rng = np.random.default_rng(20)
+        zs, zt, zp = (random_logits(rng, 5, 4) for _ in range(3))
+        res = se2d_loss(zs, zt, zp, np.ones(5, dtype=bool), 3.0)
+        ref = self_distill_loss(zs, zt, zp, 3.0)
+        assert res.loss == ref.loss
+        assert np.array_equal(res.dlogits, ref.dlogits)
+
+    @pytest.mark.parametrize(
+        "external", [np.ones(3, dtype=bool), np.ones((4, 1), dtype=bool), np.arange(4)]
+    )
+    def test_se2d_mask_of_another_shape_rejected(self, external):
+        z = np.zeros((4, 3))
+        with pytest.raises(ShapeError):
+            se2d_loss(z, z, z[:3], external, 1.0)
+
+    def test_se2d_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(21)
+        zs, zt = random_logits(rng, 6, 4), random_logits(rng, 6, 4)
+        ext = np.array([True, False, False, True, True, False])
+        zp = random_logits(rng, 3, 4)
+        res = se2d_loss(zs, zt, zp, ext, 4.0)
+        numeric = finite_difference_logits(lambda z: se2d_loss(z, zt, zp, ext, 4.0).loss, zs)
+        assert max_relative_error(res.dlogits, numeric) < 1e-4
 
     def test_self_distill_zero_case(self):
         z = np.random.default_rng(14).normal(size=(3, 4))
@@ -272,8 +299,8 @@ class TestCompositeLosses:
         # composite equals the paired loss on the same batches
         rng = np.random.default_rng(16)
         z_all, zt, zp = (random_logits(rng, 6, 4) for _ in range(3))
-        ext = np.arange(2, 6)
-        paired = se2d_loss(z_all, zt, z_all[ext], zp[ext], 4.0)
+        ext = np.arange(6) >= 2
+        paired = se2d_loss(z_all, zt, zp[ext], ext, 4.0)
         expected = kl_kd_loss(z_all, zt, 4.0).loss + kl_kd_loss(z_all[ext], zp[ext], 4.0).loss
         assert paired.loss == expected
         full = self_distill_loss(z_all, zt, zp, 4.0)
@@ -307,10 +334,9 @@ class TestPrecomputedTargets:
             a = self_distill_loss(zs, zt, zp, t)
             b = self_distill_loss(zs, soft_targets(zt, t), soft_targets(zp, t), t)
         else:
-            a = se2d_loss(zs, zt, zs[2:], zp[2:], t)
-            b = se2d_loss(zs, soft_targets(zt, t), zs[2:], soft_targets(zp[2:], t), t)
-            assert np.array_equal(a.dlogits_ext, b.dlogits_ext)
-            a.dlogits, b.dlogits = a.dlogits_all, b.dlogits_all
+            ext = np.arange(6) >= 2
+            a = se2d_loss(zs, zt, zp[ext], ext, t)
+            b = se2d_loss(zs, soft_targets(zt, t), soft_targets(zp[ext], t), ext, t)
         assert a.loss == b.loss
         assert np.array_equal(a.dlogits, b.dlogits)
 

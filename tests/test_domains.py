@@ -144,34 +144,32 @@ class TestBuildScenario:
         assert spec_for(ratio=0.0).unseen_domains == (1, 2, 3)
 
     def test_external_overlapping_teacher_rejected(self):
-        spec = ScenarioSpec(
-            n_classes=4,
-            feature_dim=8,
-            n_domains=5,
-            shared_domains=(0,),
-            teacher_exclusive_domains=((1,), (2,)),
-            external_domains=(1,),
-            ed_ratio=0.5,
-            samples_per_class=20,
-            seed=0,
-        )
         with pytest.raises(InvalidArgumentError):
-            build_scenario(spec)
+            ScenarioSpec(
+                n_classes=4,
+                feature_dim=8,
+                n_domains=5,
+                shared_domains=(0,),
+                teacher_exclusive_domains=((1,), (2,)),
+                external_domains=(1,),
+                ed_ratio=0.5,
+                samples_per_class=20,
+                seed=0,
+            )
 
     def test_shared_exclusive_overlap_rejected(self):
-        spec = ScenarioSpec(
-            n_classes=4,
-            feature_dim=8,
-            n_domains=5,
-            shared_domains=(0,),
-            teacher_exclusive_domains=((0, 1), (2,)),
-            external_domains=(4,),
-            ed_ratio=0.0,
-            samples_per_class=20,
-            seed=0,
-        )
         with pytest.raises(InvalidArgumentError):
-            build_scenario(spec)
+            ScenarioSpec(
+                n_classes=4,
+                feature_dim=8,
+                n_domains=5,
+                shared_domains=(0,),
+                teacher_exclusive_domains=((0, 1), (2,)),
+                external_domains=(4,),
+                ed_ratio=0.0,
+                samples_per_class=20,
+                seed=0,
+            )
 
     def test_deterministic_rebuild(self):
         a = build_scenario(spec_for())

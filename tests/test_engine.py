@@ -112,9 +112,8 @@ def per_batch_distill(student, teacher, distill_set, method, config, seed, prev_
             zs, cache = forward(student, x_all)
             if paired:
                 zp, _ = forward(prev_student, x_ext)
-                res = se2d_loss(zs, zt, zs[len(x) :], zp, t)
-                loss, dlogits = res.loss, res.dlogits_all
-                dlogits[len(x) :] += res.dlogits_ext
+                res = se2d_loss(zs, zt, zp, np.arange(len(x_all)) >= len(x), t)
+                loss, dlogits = res.loss, res.dlogits
             elif method.method == "ls":
                 res = ls_kd_loss(zs, zt, t)
                 loss, dlogits = res.loss, res.dlogits
