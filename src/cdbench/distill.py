@@ -7,17 +7,20 @@ follow the tempered convention
 loss = T^2 * mean_batch KL(p_teacher || p_student) with p = softmax(z / T).
 Their teacher and checkpoint inputs, and dkd's teacher input, take either
 logits or precomputed targets (SoftTargets, DkdTargets), so a caller whose
-teacher is frozen can compute the targets once and gather rows per batch.
+teacher is frozen can compute the targets once and gather the rows it needs.
+Each loss takes the student's tempered log-softmax once, however many terms
+use it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ShapeError
-from .nn_core import Matrix, log_softmax_t, softmax_t
+from .nn_core import Matrix, log_softmax_t, row_max, softmax_t
 
 METHODS = ("kl", "ls", "dkd", "mds", "self_distill", "se2d")
 # The methods that also distill from the student checkpointed at the end of
@@ -116,13 +119,27 @@ def kl_kd_loss(
     an empty gradient.
     """
     student_logits, targets = _targets(student_logits, teacher, temperature)
-    n = student_logits.shape[0]
+    return _kl_terms(log_softmax_t(student_logits, temperature), targets, temperature)
+
+
+def _kl_terms(log_q: Matrix, targets: SoftTargets, temperature: float) -> LossResult:
+    """kl_kd_loss from the student's tempered log-softmax `log_q`, rows matching `targets`."""
+    n = log_q.shape[0]
     if n == 0:
-        return LossResult(0.0, np.zeros_like(student_logits))
-    log_q = log_softmax_t(student_logits, temperature)
+        return LossResult(0.0, np.zeros_like(log_q))
     loss = temperature**2 * float((targets.p * (targets.log_p - log_q)).sum(axis=1).mean())
     dlogits = temperature * (np.exp(log_q) - targets.p) / n
     return LossResult(loss, dlogits)
+
+
+def _standardize(logits: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """logit_standardize's result with the centered rows and std it divided."""
+    logits = np.asarray(logits, dtype=float)
+    if logits.ndim != 2 or logits.shape[1] < 2:
+        raise InvalidArgumentError(f"need a 2-D matrix with >= 2 columns, got {logits.shape}")
+    centered = logits - logits.mean(axis=1, keepdims=True)
+    std = np.sqrt((centered**2).mean(axis=1, keepdims=True))
+    return centered / (std + _STD_EPS), centered, std
 
 
 def logit_standardize(logits: Matrix) -> Matrix:
@@ -130,19 +147,12 @@ def logit_standardize(logits: Matrix) -> Matrix:
 
     Constant rows map to all zeros through the epsilon guard.
     """
-    logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 2 or logits.shape[1] < 2:
-        raise InvalidArgumentError(f"need a 2-D matrix with >= 2 columns, got {logits.shape}")
-    centered = logits - logits.mean(axis=1, keepdims=True)
-    std = np.sqrt((centered**2).mean(axis=1, keepdims=True))
-    return centered / (std + _STD_EPS)
+    return _standardize(logits)[0]
 
 
-def _standardize_backward(logits: Matrix, grad_out: Matrix) -> Matrix:
-    """Chain an upstream gradient back through logit_standardize."""
-    n = logits.shape[1]
-    centered = logits - logits.mean(axis=1, keepdims=True)
-    std = np.sqrt((centered**2).mean(axis=1, keepdims=True))
+def _standardize_backward(centered: Matrix, std: Matrix, grad_out: Matrix) -> Matrix:
+    """Chain an upstream gradient back through logit_standardize, given _standardize's parts."""
+    n = centered.shape[1]
     denom = std + _STD_EPS
     term1 = (grad_out - grad_out.mean(axis=1, keepdims=True)) / denom
     inner = (grad_out * centered).sum(axis=1, keepdims=True)
@@ -163,29 +173,35 @@ def ls_kd_loss(
     `teacher` is the teacher's logits or their ls_targets.
     """
     student_logits, targets = _targets(student_logits, teacher, temperature, ls_targets)
-    inner = kl_kd_loss(logit_standardize(student_logits), targets, temperature)
-    return LossResult(inner.loss, _standardize_backward(student_logits, inner.dlogits))
+    z, centered, std = _standardize(student_logits)
+    inner = _kl_terms(log_softmax_t(z, temperature), targets, temperature)
+    return LossResult(inner.loss, _standardize_backward(centered, std, inner.dlogits))
 
 
-def _masked_log_softmax(scaled_logits: Matrix, target_mask: Matrix) -> Matrix:
-    """Log-softmax over the non-target classes only (target forced to -inf)."""
-    z = np.where(target_mask, -np.inf, scaled_logits)
-    zmax = z.max(axis=1, keepdims=True)
-    return z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+def _log_softmax_pair(scaled_logits: Matrix, target_mask: Matrix) -> np.ndarray:
+    """Row-wise log-softmax of tempered logits, over all classes and over the others.
+
+    Returns the two stacked, shape (2, B, C); the second forces the target
+    to -inf. Each row is reduced on its own, as in log_softmax_t, so one
+    pass over both gives log_softmax_t's values.
+    """
+    z = np.concatenate((scaled_logits, np.where(target_mask, -np.inf, scaled_logits)))
+    z -= row_max(z)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z.reshape(2, *scaled_logits.shape)
 
 
 @dataclass(frozen=True)
 class DkdTargets:
     """The teacher-side terms of dkd_loss, each computed row by row.
 
-    `target` is the teacher's argmax class (lowest index on ties) and
-    `mask` marks it. `pt`/`log_pt` are its tempered probability and their
+    `mask` marks the teacher's argmax class, one per row (the lowest index
+    on ties). `pt`/`log_pt` are its tempered probability and their
     log, `p_rest` the tempered mass of the other classes, and
     `log_phat`/`phat` the tempered distribution renormalized over those
     classes (`phat` is 0 at the target). Indexing gathers rows.
     """
 
-    target: np.ndarray
     mask: Matrix
     pt: np.ndarray
     log_pt: np.ndarray
@@ -199,7 +215,6 @@ class DkdTargets:
 
     def __getitem__(self, rows) -> "DkdTargets":
         return DkdTargets(
-            self.target[rows],
             self.mask[rows],
             self.pt[rows],
             self.log_pt[rows],
@@ -219,15 +234,14 @@ def dkd_targets(teacher_logits: Matrix, temperature: float) -> DkdTargets:
     rows = np.arange(n)
     mask = np.zeros((n, c), dtype=bool)
     mask[rows, target] = True
-    log_p = log_softmax_t(teacher_logits, temperature)
-    p = np.exp(log_p)
+    # The non-target distribution is the softmax over the masked logits.
+    log_p, log_phat = pair = _log_softmax_pair(teacher_logits / temperature, mask)
+    p, phat = np.exp(pair)
+    phat = np.where(mask, 0.0, phat)
     # Aggregated (target, rest) masses; rest mass sums the non-target
     # tempered probabilities.
-    p_rest = np.where(~mask, p, 0.0).sum(axis=1)
-    # The non-target distribution is the softmax over the masked logits.
-    log_phat = _masked_log_softmax(teacher_logits / temperature, mask)
-    phat = np.where(mask, 0.0, np.exp(log_phat))
-    return DkdTargets(target, mask, p[rows, target], log_p[rows, target], p_rest, log_phat, phat)
+    p_rest = np.where(mask, 0.0, p).sum(axis=1)
+    return DkdTargets(mask, p[rows, target], log_p[rows, target], p_rest, log_phat, phat)
 
 
 def dkd_loss(
@@ -244,41 +258,42 @@ def dkd_loss(
     masses; the second is the KL between tempered distributions
     renormalized over the non-target classes. Both carry the T^2 factor.
     `teacher` is the teacher's logits or their dkd_targets. `beta` may be
-    a scalar or a per-sample vector of length B.
+    a scalar or a per-sample vector of length B. An empty batch contributes
+    zero loss and an empty gradient.
     """
     student_logits, teacher = _targets(
         student_logits, teacher, temperature, dkd_targets, DkdTargets
     )
     n = student_logits.shape[0]
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
-    target, mask = teacher.target, teacher.mask
-    pt, log_pt, p_rest, phat = teacher.pt, teacher.log_pt, teacher.p_rest, teacher.phat
+    if n == 0:
+        return LossResult(0.0, np.zeros_like(student_logits))
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim:
+        beta = np.broadcast_to(beta, (n,))
+    mask, pt, log_pt, p_rest, phat = (
+        teacher.mask, teacher.pt, teacher.log_pt, teacher.p_rest, teacher.phat
+    )
 
-    rows = np.arange(n)
-    log_q = log_softmax_t(student_logits, temperature)
-    q = np.exp(log_q)
-    log_qt = log_q[rows, target]
-    q_rest = np.where(~mask, q, 0.0).sum(axis=1)
-    qt = q[rows, target]
+    log_q, log_qhat = pair = _log_softmax_pair(student_logits / temperature, mask)
+    q, qhat = np.exp(pair)
+    qhat = np.where(mask, 0.0, qhat)
+    # One target per row, so the mask picks each row's target entry in row order.
+    log_qt, qt = log_q[mask], q[mask]
+    q_rest = np.where(mask, 0.0, q).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tckd = pt * (log_pt - log_qt) + p_rest * (np.log(p_rest) - np.log(q_rest))
-    tckd = np.where(p_rest > 0, tckd, pt * (log_pt - log_qt))
-
-    log_qhat = _masked_log_softmax(student_logits / temperature, mask)
-    qhat = np.where(mask, 0.0, np.exp(log_qhat))
-    with np.errstate(invalid="ignore"):
-        diff = np.where(mask, 0.0, teacher.log_phat - log_qhat)
-    nckd = (phat * diff).sum(axis=1)
+        tckd_target = pt * (log_pt - log_qt)
+        tckd = np.where(
+            p_rest > 0, tckd_target + p_rest * (np.log(p_rest) - np.log(q_rest)), tckd_target
+        )
+        nckd = (phat * np.where(mask, 0.0, teacher.log_phat - log_qhat)).sum(axis=1)
+        # d(tckd)/d(scaled student logit) via the binary-softmax chain rule.
+        coef = np.where(q_rest > 0, p_rest / q_rest, 0.0) - pt / qt
 
     scale = temperature**2 / n
     loss = float((alpha * tckd + beta * nckd).sum() * scale)
-
-    # d(tckd)/d(scaled student logit) via the binary-softmax chain rule.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(q_rest > 0, p_rest / q_rest, 0.0) - pt / qt
     dtckd = (coef * qt)[:, None] * (mask.astype(float) - q)
     dnckd = qhat - phat
-    dlogits = (temperature / n) * (alpha * dtckd + beta[:, None] * dnckd)
+    dlogits = (temperature / n) * (alpha * dtckd + beta[..., None] * dnckd)
     return LossResult(loss, dlogits)
 
 
@@ -302,6 +317,36 @@ def teacher_entropy(teacher_logits: Matrix, temperature: float) -> np.ndarray:
     return batch_entropy(softmax_t(teacher_logits, temperature))
 
 
+def _quantile_band(values: np.ndarray, low_q: float, high_q: float) -> tuple[float, float]:
+    """np.quantile(values, (low_q, high_q)) from one sort of the values.
+
+    Each step is numpy's default 'linear' method: virtual index v = (n-1)*q,
+    the values at its floor and the next index, and numpy's _lerp between
+    them with its t >= 0.5 branch. So each edge equals numpy's to the bit,
+    except that numpy partitions instead of sorting and may pick the other
+    of two tied zeros of opposite sign. Any NaN makes both edges NaN, as in
+    numpy.
+    """
+    ordered = np.sort(values, axis=None)
+    n = ordered.size
+    if math.isnan(ordered[-1]):  # NaN sorts last
+        return math.nan, math.nan
+    edges = []
+    for q in (low_q, high_q):
+        v = (n - 1) * q
+        if v >= n - 1:
+            # numpy takes the last value at both indices and weighs it by v - (-1)
+            below = above = -1
+        else:
+            below = math.floor(v)
+            above = below + 1
+        a, b = float(ordered[below]), float(ordered[above])
+        t = v - below
+        diff = b - a
+        edges.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return edges[0], edges[1]
+
+
 def mds_filter(entropies: np.ndarray, low_q: float, high_q: float) -> np.ndarray:
     """Keep-mask for samples of medium difficulty by teacher entropy.
 
@@ -315,7 +360,7 @@ def mds_filter(entropies: np.ndarray, low_q: float, high_q: float) -> np.ndarray
         raise InvalidArgumentError("cannot filter an empty batch")
     if not (0.0 <= low_q < high_q <= 1.0):
         raise InvalidArgumentError(f"need 0 <= low < high <= 1, got [{low_q}, {high_q}]")
-    lo, hi = np.quantile(ent, (low_q, high_q))
+    lo, hi = _quantile_band(ent, low_q, high_q)
     keep = (ent >= lo) & (ent <= hi)
     if not keep.any():
         # Interpolated quantiles can bracket no sample; fall back to the
@@ -334,8 +379,11 @@ def self_distill_loss(
 
     Each of `teacher` and `prev_student` is logits or their soft_targets.
     """
-    teacher_term = kl_kd_loss(student_logits, teacher, temperature)
-    prev_term = kl_kd_loss(student_logits, prev_student, temperature)
+    student_logits, teacher = _targets(student_logits, teacher, temperature)
+    _, prev_student = _targets(student_logits, prev_student, temperature)
+    log_q = log_softmax_t(student_logits, temperature)
+    teacher_term = _kl_terms(log_q, teacher, temperature)
+    prev_term = _kl_terms(log_q, prev_student, temperature)
     return LossResult(teacher_term.loss + prev_term.loss, teacher_term.dlogits + prev_term.dlogits)
 
 
@@ -354,14 +402,16 @@ def se2d_loss(
     external row the loss reduces to the teacher term alone; with every row
     external it equals self_distill_loss.
     """
-    student_logits = np.asarray(student_logits, dtype=float)
+    student_logits, teacher = _targets(student_logits, teacher, temperature)
     external = np.asarray(external)
     if external.dtype != bool or external.shape != student_logits.shape[:1]:
         raise ShapeError(
             f"external must be a boolean mask of shape {student_logits.shape[:1]}, "
             f"got {external.dtype} of shape {external.shape}"
         )
-    teacher_term = kl_kd_loss(student_logits, teacher, temperature)
-    ext_term = kl_kd_loss(student_logits[external], prev_student_ext, temperature)
+    log_q = log_softmax_t(student_logits, temperature)
+    ext_log_q, prev_student_ext = _targets(log_q[external], prev_student_ext, temperature)
+    teacher_term = _kl_terms(log_q, teacher, temperature)
+    ext_term = _kl_terms(ext_log_q, prev_student_ext, temperature)
     teacher_term.dlogits[external] += ext_term.dlogits
     return LossResult(teacher_term.loss + ext_term.loss, teacher_term.dlogits)

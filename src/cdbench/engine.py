@@ -324,12 +324,13 @@ def distill_task(
     Teacher and checkpoint targets (dkd's teacher-side terms included) are
     computed once per task, since both models are frozen within it. The
     teacher's logits come from a FrozenTeacher, so a teacher shared that
-    way runs over the set once for every task that uses it; each
-    step gathers its rows and calls the method's public loss. Only the
-    student is updated. With internal and external rows, a se2d step
-    concatenates one internal and one external batch; its teacher term sees
-    both, and se2d_loss's `external` mask gives its checkpoint term the
-    external one.
+    way runs over the set once for every task that uses it. Each epoch
+    gathers its rows once, in batch order (features, targets, and mds's
+    entropies or the checkpoint's targets); each step takes a contiguous
+    slice of them and calls the method's public loss. Only the student is
+    updated. With internal and external rows, a se2d batch is one internal
+    and one external batch concatenated; its teacher term sees both, and
+    se2d_loss's `external` mask gives its checkpoint term the external one.
 
     Raises DivergenceError, naming the method, seed, task and epoch, at the
     end of an epoch that fails _check_epoch against the task's first-batch
@@ -365,24 +366,27 @@ def distill_task(
     paired = prev_targets is not None and 0 < len(prev_rows) < len(features)
     internal_rows = np.flatnonzero(~distill_set.external_mask)
 
-    def step_loss(student_logits: Matrix, idx: np.ndarray) -> tuple[float, Matrix]:
+    def step_loss(student_logits: Matrix, start: int, stop: int) -> tuple[float, Matrix]:
+        """The loss of the epoch's rows start:stop, read from the epoch's gathers below."""
+        batch_targets = epoch_targets[start:stop]
         if name == "dkd":
-            res = dkd_loss(student_logits, targets[idx], t, method.dkd_alpha, method.dkd_beta)
+            res = dkd_loss(student_logits, batch_targets, t, method.dkd_alpha, method.dkd_beta)
         elif name == "mds":
-            keep = mds_filter(entropies[idx], method.mds_low_q, method.mds_high_q)
-            res = kl_kd_loss(student_logits[keep], targets[idx[keep]], t)
+            keep = mds_filter(epoch_entropies[start:stop], method.mds_low_q, method.mds_high_q)
+            res = kl_kd_loss(student_logits[keep], batch_targets[keep], t)
             dlogits = np.zeros_like(student_logits)
             dlogits[keep] = res.dlogits
             return res.loss, dlogits
         elif name == "ls":
-            res = ls_kd_loss(student_logits, targets[idx], t)
+            res = ls_kd_loss(student_logits, batch_targets, t)
         elif prev_targets is None:
-            res = kl_kd_loss(student_logits, targets[idx], t)
-        elif name == "self_distill":
-            res = self_distill_loss(student_logits, targets[idx], prev_targets[idx], t)
+            res = kl_kd_loss(student_logits, batch_targets, t)
         else:
-            on = slot[idx] >= 0
-            res = se2d_loss(student_logits, targets[idx], prev_targets[slot[idx[on]]], on, t)
+            prev = epoch_prev[prev_before[start] : prev_before[stop]]
+            if name == "self_distill":
+                res = self_distill_loss(student_logits, batch_targets, prev, t)
+            else:
+                res = se2d_loss(student_logits, batch_targets, prev, on[start:stop], t)
         return res.loss, res.dlogits
 
     opt = make_optimizer(student, config.optimizer, config.learning_rate)
@@ -391,21 +395,31 @@ def distill_task(
     epoch_accuracies: list[dict[int, float]] | None = [] if config.eval_every_epoch else None
     for epoch in range(config.epochs):
         shuffle_seed = [_SEED_SHUFFLE, seed, task_index, epoch]
+        # The epoch's rows in batch order, and where each batch starts and stops.
         if paired:
             stream = balance_pair_stream(
                 len(internal_rows), len(prev_rows), config.batch_size, shuffle_seed
             )
-            batches = (np.concatenate([internal_rows[i], prev_rows[e]]) for i, e in stream)
+            batches = [np.concatenate([internal_rows[i], prev_rows[e]]) for i, e in stream]
+            rows = np.concatenate(batches)
+            bounds = np.cumsum([0] + [len(b) for b in batches]).tolist()
         else:
-            order = np.random.default_rng(shuffle_seed).permutation(len(features))
-            batches = (
-                order[start : start + config.batch_size]
-                for start in range(0, len(order), config.batch_size)
-            )
+            rows = np.random.default_rng(shuffle_seed).permutation(len(features))
+            bounds = [*range(0, len(rows), config.batch_size), len(rows)]
+        epoch_features, epoch_targets = features[rows], targets[rows]
+        if entropies is not None:
+            epoch_entropies = entropies[rows]
+        if prev_targets is not None:
+            # Checkpoint targets for the rows that have one, in order; the
+            # epoch's first i rows hold prev_before[i] of them.
+            slots = slot[rows]
+            on = slots >= 0
+            epoch_prev = prev_targets[slots[on]]
+            prev_before = np.concatenate([[0], np.cumsum(on)]).tolist()
         losses: list[float] = []
-        for idx in batches:
-            student_logits, cache = forward(student, features[idx], ws=ws)
-            loss, dlogits = step_loss(student_logits, idx)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            student_logits, cache = forward(student, epoch_features[start:stop], ws=ws)
+            loss, dlogits = step_loss(student_logits, start, stop)
             student, opt = optimizer_step(student, backward(student, cache, dlogits, ws=ws), opt)
             losses.append(loss)
         if epoch == 0:

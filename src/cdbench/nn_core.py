@@ -219,12 +219,24 @@ def forward(
     return logits, ForwardCache(batch, activations)
 
 
+def row_max(z: Matrix) -> Matrix:
+    """Each row's maximum as a column: z.max(axis=1, keepdims=True).
+
+    numpy reduces a short last axis one row at a time; the maximum down the
+    columns of a transposed copy costs a third to a half of that at 4 to 10
+    classes and batch 64 or more. The maximum is exact, so the values are
+    the same, except that a tie of +0.0 and -0.0 may yield the other zero,
+    which changes no softmax or log-softmax value.
+    """
+    return np.ascontiguousarray(z.T).max(axis=0)[:, None]
+
+
 def softmax_t(logits: Matrix, temperature: float = 1.0) -> Matrix:
     """Row-wise tempered softmax with max-subtraction for stability."""
     if temperature <= 0:
         raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
     z = np.asarray(logits, dtype=float) / temperature
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - row_max(z)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -234,7 +246,7 @@ def log_softmax_t(logits: Matrix, temperature: float = 1.0) -> Matrix:
     if temperature <= 0:
         raise InvalidArgumentError(f"temperature must be > 0, got {temperature}")
     z = np.asarray(logits, dtype=float) / temperature
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - row_max(z)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 

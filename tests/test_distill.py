@@ -18,18 +18,118 @@ from cdbench import (
     softmax_t,
 )
 from cdbench.distill import (
+    _quantile_band,
     batch_entropy,
     dkd_targets,
     ls_targets,
     soft_targets,
     teacher_entropy,
 )
+from cdbench.nn_core import log_softmax_t
 
 from conftest import finite_difference_logits, max_relative_error
 
 
 def random_logits(rng, b, c, scale=2.0):
     return rng.normal(0, scale, size=(b, c))
+
+
+def same_bits(result, loss, dlogits):
+    """A LossResult equal to the bit to a reference (loss, dlogits)."""
+    return (
+        np.float64(result.loss).tobytes() == np.float64(loss).tobytes()
+        and result.dlogits.shape == dlogits.shape
+        and result.dlogits.tobytes() == dlogits.tobytes()
+    )
+
+
+# ls_kd_loss, dkd_loss and mds_filter written out term by term, each student
+# term computed on its own and the band by np.quantile: references that the
+# one-pass losses and the sort-based band must match to the bit.
+
+
+def reference_ls_kd_loss(zs, zt, t):
+    def parts(z):
+        centered = z - z.mean(axis=1, keepdims=True)
+        std = np.sqrt((centered**2).mean(axis=1, keepdims=True))
+        return centered, std, centered / (std + 1e-8)
+
+    inner = kl_kd_loss(parts(zs)[2], parts(zt)[2], t)
+    centered, std, _ = parts(zs)
+    g, n, denom = inner.dlogits, zs.shape[1], std + 1e-8
+    term1 = (g - g.mean(axis=1, keepdims=True)) / denom
+    dot = (g * centered).sum(axis=1, keepdims=True)
+    term2 = centered * dot / (n * np.maximum(std, 1e-8) * denom**2)
+    return inner.loss, term1 - term2
+
+
+def reference_dkd_loss(zs, zt, t, alpha, beta):
+    n, c = zt.shape
+    rows, target = np.arange(n), np.argmax(zt, axis=1)
+    mask = np.zeros((n, c), dtype=bool)
+    mask[rows, target] = True
+
+    def masked_log_softmax(scaled):
+        z = np.where(mask, -np.inf, scaled)
+        zmax = z.max(axis=1, keepdims=True)
+        return z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+
+    log_p = log_softmax_t(zt, t)
+    p = np.exp(log_p)
+    p_rest = np.where(~mask, p, 0.0).sum(axis=1)
+    log_phat = masked_log_softmax(zt / t)
+    phat = np.where(mask, 0.0, np.exp(log_phat))
+    pt, log_pt = p[rows, target], log_p[rows, target]
+    beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
+    log_q = log_softmax_t(zs, t)
+    q = np.exp(log_q)
+    log_qt, qt = log_q[rows, target], q[rows, target]
+    q_rest = np.where(~mask, q, 0.0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tckd = pt * (log_pt - log_qt) + p_rest * (np.log(p_rest) - np.log(q_rest))
+    tckd = np.where(p_rest > 0, tckd, pt * (log_pt - log_qt))
+    log_qhat = masked_log_softmax(zs / t)
+    qhat = np.where(mask, 0.0, np.exp(log_qhat))
+    with np.errstate(invalid="ignore"):
+        diff = np.where(mask, 0.0, log_phat - log_qhat)
+    nckd = (phat * diff).sum(axis=1)
+    loss = float((alpha * tckd + beta * nckd).sum() * (t**2 / n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(q_rest > 0, p_rest / q_rest, 0.0) - pt / qt
+    dtckd = (coef * qt)[:, None] * (mask.astype(float) - q)
+    return loss, (t / n) * (alpha * dtckd + beta[:, None] * (qhat - phat))
+
+
+def reference_mds_filter(ent, low_q, high_q):
+    lo, hi = np.quantile(ent, (low_q, high_q))
+    keep = (ent >= lo) & (ent <= hi)
+    if not keep.any():
+        keep[np.argmin(np.abs(ent - 0.5 * (lo + hi)))] = True
+    return keep
+
+
+def draw_logits(seed, b, c, scale, special):
+    """Three (b, c) logit matrices; with `special`, teacher rows with tied maxima
+    and with no tempered mass off the target, and a constant student row."""
+    rng = np.random.default_rng(seed)
+    zs, zt, zp = (random_logits(rng, b, c, scale) for _ in range(3))
+    if special:
+        zt[0] = 0.0
+        zt[0, : c // 2] = 1.0
+        zt[-1] = 0.0
+        zt[-1, c - 1] = 5000.0
+        zs[b // 2] = 2.5
+    return zs, zt, zp
+
+
+logit_cases = given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 70),
+    st.integers(2, 10),
+    st.sampled_from([0.1, 3.0, 30.0]),
+    st.booleans(),
+    st.sampled_from([1.0, 3.0, 10.0]),
+)
 
 
 class TestKlLoss:
@@ -202,6 +302,36 @@ class TestMdsFilter:
         with pytest.raises(InvalidArgumentError):
             mds_filter(teacher_entropy(np.zeros((0, 3)), 1.0), 0.25, 0.75)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 128),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.one_of(
+            st.sampled_from([(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.25, 0.75)]),
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+            .map(sorted)
+            .filter(lambda q: q[0] < q[1]),
+        ),
+    )
+    def test_sorted_band_matches_np_quantile(self, seed, b, tied_share, band):
+        # `tied_share` of the values come from a few repeated ones, zeros of both signs included
+        rng = np.random.default_rng(seed)
+        ent = rng.uniform(0.0, 2.0, size=b)
+        tied = rng.random(b) < tied_share
+        ent[tied] = rng.choice([0.0, -0.0, 0.5, 1.0, 1.25], size=tied.sum())
+        for edge, expected in zip(_quantile_band(ent, *band), np.quantile(ent, band)):
+            # numpy partitions, so of two tied zeros it may return either sign
+            assert np.float64(edge).tobytes() == expected.tobytes() or edge == expected == 0.0
+        assert np.array_equal(mds_filter(ent, *band), reference_mds_filter(ent, *band))
+
+    def test_nan_entropy_keeps_only_the_fallback_row(self):
+        ent = np.array([0.3, np.nan, 0.1, 0.2])
+        assert np.isnan(_quantile_band(ent, 0.25, 0.75)).all()
+        keep = mds_filter(ent, 0.25, 0.75)
+        assert keep.tolist() == [True, False, False, False]
+        assert np.array_equal(keep, reference_mds_filter(ent, 0.25, 0.75))
+
     def test_at_least_one_kept(self):
         z = np.array([[9.0, 0.0], [5.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
         keep = mds_filter(teacher_entropy(z, 1.0), 0.40, 0.45)
@@ -314,6 +444,64 @@ class TestCompositeLosses:
             lambda z: self_distill_loss(z, zt, zp, 4.0).loss, zs
         )
         assert max_relative_error(res.dlogits, numeric) < 1e-4
+
+
+class TestOnePassLosses:
+    """Each loss takes the student's terms in one pass and keeps its values to the bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @logit_cases
+    def test_self_distill_is_two_kl_losses(self, seed, b, c, scale, special, t):
+        zs, zt, zp = draw_logits(seed, b, c, scale, special)
+        teacher_term, prev_term = kl_kd_loss(zs, zt, t), kl_kd_loss(zs, zp, t)
+        expected = (teacher_term.loss + prev_term.loss, teacher_term.dlogits + prev_term.dlogits)
+        assert same_bits(self_distill_loss(zs, zt, zp, t), *expected)
+        targets = (soft_targets(zt, t), soft_targets(zp, t))
+        assert same_bits(self_distill_loss(zs, *targets, t), *expected)
+
+    @settings(max_examples=40, deadline=None)
+    @logit_cases
+    def test_se2d_is_teacher_kl_plus_external_kl(self, seed, b, c, scale, special, t):
+        zs, zt, zp = draw_logits(seed, b, c, scale, special)
+        rng = np.random.default_rng(seed)
+        for external in (np.zeros(b, bool), rng.random(b) < 0.5, np.ones(b, bool)):
+            teacher_term = kl_kd_loss(zs, zt, t)
+            ext_term = kl_kd_loss(zs[external], zp[external], t)
+            dlogits = teacher_term.dlogits.copy()
+            dlogits[external] += ext_term.dlogits
+            res = se2d_loss(zs, soft_targets(zt, t), zp[external], external, t)
+            assert same_bits(res, teacher_term.loss + ext_term.loss, dlogits)
+
+    @settings(max_examples=40, deadline=None)
+    @logit_cases
+    def test_ls_matches_reference(self, seed, b, c, scale, special, t):
+        zs, zt, _ = draw_logits(seed, b, c, scale, special)
+        expected = reference_ls_kd_loss(zs, zt, t)
+        assert same_bits(ls_kd_loss(zs, zt, t), *expected)
+        assert same_bits(ls_kd_loss(zs, ls_targets(zt, t), t), *expected)
+
+    @settings(max_examples=40, deadline=None)
+    @logit_cases
+    def test_dkd_matches_reference(self, seed, b, c, scale, special, t):
+        zs, zt, _ = draw_logits(seed, b, c, scale, special)
+        for beta in (8.0, np.random.default_rng(seed).uniform(0, 4, size=b)):
+            expected = reference_dkd_loss(zs, zt, t, 1.5, beta)
+            assert same_bits(dkd_loss(zs, zt, t, 1.5, beta), *expected)
+            assert same_bits(dkd_loss(zs, dkd_targets(zt, t), t, 1.5, beta), *expected)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["kl", "ls", "dkd", "self_distill", "se2d"])
+    def test_empty_batch_gives_zero_loss_and_empty_gradient(self, name):
+        z = np.zeros((0, 4))
+        res = {
+            "kl": lambda: kl_kd_loss(z, z, 2.0),
+            "ls": lambda: ls_kd_loss(z, z, 2.0),
+            "dkd": lambda: dkd_loss(z, z, 2.0, 1.0, 8.0),
+            "self_distill": lambda: self_distill_loss(z, z, z, 2.0),
+            "se2d": lambda: se2d_loss(z, z, z, np.zeros(0, dtype=bool), 2.0),
+        }[name]()
+        assert res.loss == 0.0
+        assert res.dlogits.shape == (0, 4)
 
 
 class TestPrecomputedTargets:

@@ -26,6 +26,7 @@ from cdbench.nn_core import (
     Layer,
     MlpModel,
     log_softmax_t,
+    row_max,
 )
 
 from conftest import finite_difference_logits, max_relative_error
@@ -401,6 +402,26 @@ class TestFlatLayout:
         model = pickle.loads(pickle.dumps(init_mlp(35, [3, 4, 2])))
         model.layers[0].bias[1] = 4.0
         assert model.params[3 * 4 + 1] == 4.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(0, 70), st.integers(1, 10), st.booleans())
+def test_row_max_softmaxes_match_the_row_reduction_to_the_bit(seed, b, c, special):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(0, 3, size=(b, c))
+    if special and b >= 3 and c >= 2:
+        # a +0.0/-0.0 tie at the maximum, a NaN row and an infinite entry
+        z[0] = -1.0
+        z[0, :2] = [0.0, -0.0]
+        z[1, 0] = np.nan
+        z[2, -1] = np.inf
+    assert np.array_equal(row_max(z), z.max(axis=1, keepdims=True), equal_nan=True)
+    with np.errstate(invalid="ignore"):
+        shifted = z - z.max(axis=1, keepdims=True)
+        expected_log = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        expected = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        assert log_softmax_t(z).tobytes() == expected_log.tobytes()
+        assert softmax_t(z).tobytes() == expected.tobytes()
 
 
 def test_log_softmax_consistency():
