@@ -24,6 +24,7 @@ from .domains import (
     balance_pair_stream,
     build_scenario,
     generate_domain,
+    generate_domains,
     mix_ratio,
     write_domain_csv,
 )

@@ -6,21 +6,24 @@ scenario seed (`spec.seed * 1000 + t`) rather than from the run grid.
 
 from __future__ import annotations
 
-from .domains import CdScenario
+from .domains import DomainDataset, ScenarioSpec
 from .engine import RunConfig, train_teacher
 from .nn_core import MlpModel
 
 
-def train_benchmark_teacher(scenario: CdScenario, config: RunConfig, t: int) -> MlpModel:
-    """Teacher t of the scenario; its seed derives from the scenario seed."""
-    spec = scenario.spec
+def train_benchmark_teacher(
+    spec: ScenarioSpec, domains: dict[int, DomainDataset], config: RunConfig, t: int
+) -> MlpModel:
+    """Teacher t of the spec, trained on its domains; its seed derives from the spec's."""
     return train_teacher(
-        [scenario.domains[m] for m in spec.teacher_domain_ids(t)],
+        [domains[m] for m in spec.teacher_domain_ids(t)],
         config,
         seed=spec.seed * 1000 + t,
         n_classes=spec.n_classes,
     )
 
 
-def train_benchmark_teachers(scenario: CdScenario, config: RunConfig) -> list[MlpModel]:
-    return [train_benchmark_teacher(scenario, config, t) for t in range(scenario.spec.n_teachers)]
+def train_benchmark_teachers(
+    spec: ScenarioSpec, domains: dict[int, DomainDataset], config: RunConfig
+) -> list[MlpModel]:
+    return [train_benchmark_teacher(spec, domains, config, t) for t in range(spec.n_teachers)]

@@ -28,7 +28,14 @@ import numpy as np
 
 from .benchmark import train_benchmark_teacher
 from .distill import METHODS, MethodConfig, teacher_entropy
-from .domains import CdScenario, DistillSet, ScenarioSpec, build_scenario, write_domain_csv
+from .domains import (
+    DistillSet,
+    DomainDataset,
+    ScenarioSpec,
+    build_scenario,
+    generate_domains,
+    write_domain_csv,
+)
 from .engine import (
     FrozenTeacher,
     RunConfig,
@@ -346,7 +353,7 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     """Pretrain one teacher per task and write checkpoints plus a quality report."""
     _require_manifest(config)
     spec = config.scenario
-    scenario = build_scenario(spec)
+    domains = generate_domains(spec)
     (config.output_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -355,24 +362,26 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
         "teachers": [],
     }
     for t, path in enumerate(_teacher_paths(config.output_dir, spec)):
-        report["teachers"].append(_make_teacher(scenario, config.run, t, path))
+        report["teachers"].append(_make_teacher(spec, domains, config.run, t, path))
     _write_json(config.output_dir / "teacher_report.json", report)
     return config.output_dir / "teacher_report.json"
 
 
-def _make_teacher(scenario: CdScenario, run: RunConfig, t: int, path: Path) -> dict:
+def _make_teacher(
+    spec: ScenarioSpec, domains: dict[int, DomainDataset], run: RunConfig, t: int, path: Path
+) -> dict:
     """Train teacher t, checkpoint it at `path` and return its report entry.
 
     The teacher is freed on return, so `teachers` holds one at a time.
     """
     try:
-        teacher = train_benchmark_teacher(scenario, run, t)
+        teacher = train_benchmark_teacher(spec, domains, run, t)
     except DivergenceError as exc:
         raise DivergenceError(f"teacher {t}, {exc}") from None
     # The teacher passed the divergence check, so serialize_model accepts it.
     save_checkpoint(teacher, path)
-    domain_ids = scenario.spec.teacher_domain_ids(t)
-    accs = {str(d): evaluate(teacher, ts) for d, ts in sorted(scenario.test_sets.items())}
+    domain_ids = spec.teacher_domain_ids(t)
+    accs = {str(d): evaluate(teacher, ds.test) for d, ds in sorted(domains.items())}
     in_domain = min(accs[str(d)] for d in domain_ids)
     return {
         "index": t,
@@ -462,6 +471,8 @@ def run_grid(
     cells. The cells share one FrozenTeacher per teacher, so each teacher
     runs over the distillation set once per call, not once per cell (with
     jobs > 1, each cell is pickled on its own and makes its own pass).
+    Serially, a teacher's model is freed after its pass unless the caller
+    holds it, as `sweep` does for its later ratios.
     Returns the result rows, keyed by RESULT_COLUMNS and sorted by
     method, seed, task and domain, and the sorted per-epoch curve rows.
     """
@@ -471,6 +482,8 @@ def run_grid(
     if config.external_entropy_max is not None:
         scenario = _filter_external_by_entropy(scenario, teachers, config.external_entropy_max)
     frozen = [FrozenTeacher(t) for t in teachers]
+    # Each FrozenTeacher drops its model after its pass; the list would keep them all.
+    del teachers
     cells = [
         (scenario, m, config.run, s, frozen)
         for m in config.methods
@@ -712,11 +725,11 @@ def cmd_analyze(results_dir: Path) -> Path:
 
     # Teacher entropy profiles over every domain's test split, when teachers were trained.
     if (results_dir / "checkpoints").exists():
-        scenario = build_scenario(spec)
+        domains = generate_domains(spec)
         for t, path in enumerate(_teacher_paths(results_dir, spec)):
             model = _read_teacher(path, spec)
-            for d, test in sorted(scenario.test_sets.items()):
-                profile = entropy_histogram(model, test.features, 1.0, bins=20)
+            for d, ds in sorted(domains.items()):
+                profile = entropy_histogram(model, ds.test.features, 1.0, bins=20)
                 metrics_doc["entropy"].append(
                     {
                         "teacher": t,

@@ -315,9 +315,9 @@ def mix_ratio(internal: LabeledSet, external: LabeledSet, ed_ratio: float) -> Di
     return DistillSet(features, mask)
 
 
-def build_scenario(spec: ScenarioSpec) -> CdScenario:
-    """Generate every domain once and mix the distillation set at spec.ed_ratio."""
-    domains = {
+def generate_domains(spec: ScenarioSpec) -> dict[int, DomainDataset]:
+    """Generate every domain of the spec once, keyed by id in id order."""
+    return {
         m: generate_domain(
             spec.seed,
             m,
@@ -328,6 +328,11 @@ def build_scenario(spec: ScenarioSpec) -> CdScenario:
         )
         for m in range(spec.n_domains)
     }
+
+
+def build_scenario(spec: ScenarioSpec) -> CdScenario:
+    """Generate every domain once and mix the distillation set at spec.ed_ratio."""
+    domains = generate_domains(spec)
 
     def pool(ids: tuple[int, ...]) -> LabeledSet:
         if not ids:

@@ -287,23 +287,30 @@ def _frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
 
 
 class FrozenTeacher:
-    """A teacher model and its logits over the last distillation set it was asked about.
+    """A teacher model that serves its logits over one distillation set.
 
     The logits depend only on the teacher, the set and the chunk size, not
     on the student, method or seed, so every grid cell that shares one
-    FrozenTeacher shares one pass over the set. The set is matched by
-    identity: a rebuilt or screened set gets a fresh pass.
+    FrozenTeacher shares one pass over the set. The first call makes that
+    pass and drops the model, so the teacher's parameters are freed once
+    no one else holds them; a later call with another set (matched by
+    identity) or chunk size raises InvalidArgumentError.
     """
 
     def __init__(self, model: MlpModel) -> None:
-        self.model = model
+        self.model: MlpModel | None = model
+        self.num_classes = model.num_classes
         self._seen: tuple[DistillSet, int] | None = None
         self._logits: Matrix | None = None
 
     def logits(self, distill_set: DistillSet, chunk: int) -> Matrix:
-        if self._seen is None or self._seen[0] is not distill_set or self._seen[1] != chunk:
+        if self._seen is None:
             self._logits = _frozen_logits(self.model, distill_set.features, chunk)
-            self._seen = (distill_set, chunk)
+            self._seen, self.model = (distill_set, chunk), None
+        elif self._seen[0] is not distill_set or self._seen[1] != chunk:
+            raise InvalidArgumentError(
+                "this teacher has served another distillation set or chunk size"
+            )
         return self._logits
 
 
@@ -338,9 +345,9 @@ def distill_task(
     """
     if not isinstance(teacher, FrozenTeacher):
         teacher = FrozenTeacher(teacher)
-    if student.num_classes != teacher.model.num_classes:
+    if student.num_classes != teacher.num_classes:
         raise InvalidArgumentError(
-            f"student has {student.num_classes} classes, teacher has {teacher.model.num_classes}"
+            f"student has {student.num_classes} classes, teacher has {teacher.num_classes}"
         )
     if len(distill_set) == 0:
         raise InvalidArgumentError("distillation set is empty")

@@ -15,23 +15,34 @@ from .nn_core import Matrix, MlpModel, forward
 
 @dataclass
 class AccuracyMatrix:
-    """values[i, t] = accuracy on domain domain_ids[i] after task t."""
+    """values[i, t] = accuracy on domain domain_ids[i] after task t.
+
+    `best` is computed from `values` at construction, so `values` must not
+    change afterwards.
+    """
 
     domain_ids: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
         self._row_index = {d: i for i, d in enumerate(self.domain_ids)}
+        # best[i, t] = values[i, :t + 1].max(), the best accuracy up to task t.
+        # The maximum is exact and propagates NaN, as .max() does.
+        self.best = np.maximum.accumulate(self.values, axis=1)
 
     @property
     def n_tasks(self) -> int:
         return self.values.shape[1]
 
-    def row(self, domain: int) -> np.ndarray:
+    def index(self, domain: int) -> int:
+        """The row of `domain` in values and best."""
         i = self._row_index.get(domain)
         if i is None:
             raise InvalidArgumentError(f"domain {domain} not in matrix")
-        return self.values[i]
+        return i
+
+    def row(self, domain: int) -> np.ndarray:
+        return self.values[self.index(domain)]
 
     def final(self, domain: int) -> float:
         return float(self.row(domain)[-1])
@@ -63,8 +74,8 @@ def forgetting(matrix: AccuracyMatrix, domain: int, task: int) -> float:
         raise InvalidArgumentError("forgetting needs task >= 1 (no predecessor otherwise)")
     if task >= matrix.n_tasks:
         raise InvalidArgumentError(f"task {task} out of range (n_tasks={matrix.n_tasks})")
-    row = matrix.row(domain)
-    return float(row[:task].max() - row[task])
+    i = matrix.index(domain)
+    return float(matrix.best[i, task - 1] - matrix.values[i, task])
 
 
 def average_forgetting(matrix: AccuracyMatrix, domains: tuple[int, ...] | None = None) -> float:

@@ -13,7 +13,11 @@ operations.
 A training loop passes a `Workspace` to `forward` and `backward`, and
 `make_optimizer` gives Adam its scratch vector, so a step reuses its
 buffers instead of allocating them. Every operation and its order is the
-same with or without one, so the results are bitwise equal.
+same with or without one, so the results are bitwise equal. Adam runs
+over ADAM_CHUNK parameters at a time, so its scratch is at most one chunk
+long however wide the model; every operation is elementwise, so the
+chunks give the same bits as one pass, and a model of at most ADAM_CHUNK
+parameters takes one.
 
 Each hidden layer has one row buffer: `forward` applies the rectifier in
 place, and with a workspace `backward` writes each layer's delta over
@@ -38,6 +42,8 @@ OPTIMIZER_KINDS = ("sgd", "adam")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Parameters per Adam pass: the length of the longest scratch vector.
+ADAM_CHUNK = 65_536
 
 
 @dataclass
@@ -167,7 +173,8 @@ class OptimizerState:
     # Adam's moment estimates, laid out like the model's params.
     moment1: np.ndarray | None = field(default=None, repr=False)
     moment2: np.ndarray | None = field(default=None, repr=False)
-    # Adam's temporary, reused by every step; None makes a step allocate it.
+    # Adam's temporary, min(params.size, ADAM_CHUNK) long and reused by every
+    # step and chunk; None makes each chunk allocate it.
     scratch: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -314,7 +321,7 @@ def make_optimizer(model: MlpModel, kind: str, learning_rate: float) -> Optimize
     state = OptimizerState(kind, learning_rate)
     if kind == "adam":
         state.moment1, state.moment2 = np.zeros_like(model.params), np.zeros_like(model.params)
-        state.scratch = np.empty_like(model.params)
+        state.scratch = np.empty(min(model.params.size, ADAM_CHUNK))
     return state
 
 
@@ -338,15 +345,31 @@ def optimizer_step(
     # Adam with bias-corrected moments:
     #   m1 = b1*m1 + (1-b1)*g,  m2 = b2*m2 + (1-b2)*(g*g),
     #   p -= lr*(m1/corr1) / (sqrt(m2/corr2) + eps).
-    # Each operation is the formula's own, in its order, so the update is
-    # bitwise the same as evaluating it term by term; only the buffers are reused.
-    # The gradient is dead once both moments hold it, so its vector takes the update.
     state.step += 1
-    b1, b2, t = ADAM_BETA1, ADAM_BETA2, state.step
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
-    m1, m2 = state.moment1, state.moment2
-    buf = np.multiply(grads, 1 - b1, out=state.scratch)
+    t = state.step
+    corr1 = 1.0 - ADAM_BETA1**t
+    corr2 = 1.0 - ADAM_BETA2**t
+    m1, m2, scratch = state.moment1, state.moment2, state.scratch
+    if params.size <= ADAM_CHUNK:  # the one-pass case skips the slicing
+        _adam_chunk(params, grads, m1, m2, scratch, lr, corr1, corr2)
+        return model, state
+    for lo in range(0, params.size, ADAM_CHUNK):
+        part = slice(lo, lo + ADAM_CHUNK)
+        buf = None if scratch is None else scratch[: params.size - lo]
+        _adam_chunk(params[part], grads[part], m1[part], m2[part], buf, lr, corr1, corr2)
+    return model, state
+
+
+def _adam_chunk(params, grads, m1, m2, buf, lr: float, corr1: float, corr2: float) -> None:
+    """One Adam update of equal-length slices, in place; `buf` is the scratch or None.
+
+    Each operation is the formula's own, in its order, so the update is
+    bitwise the same as evaluating it term by term; only the buffers are
+    reused. The gradient is dead once both moments hold it, so its slice
+    takes the update.
+    """
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    buf = np.multiply(grads, 1 - b1, out=buf)
     m1 *= b1
     m1 += buf
     np.multiply(grads, grads, out=buf)
@@ -360,4 +383,3 @@ def optimizer_step(
     update *= lr
     update /= buf
     params -= update
-    return model, state

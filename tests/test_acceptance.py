@@ -23,6 +23,7 @@ from cdbench import (
     forgetting,
     forward,
     generate_domain,
+    generate_domains,
     init_mlp,
     kl_kd_loss,
     kurtosis,
@@ -75,7 +76,8 @@ def benchmark_runs(benchmark_config):
     every sweep ratio and se2d at ratio 0.5, every configured seed."""
     start = time.perf_counter()
     config = benchmark_config
-    teachers = train_benchmark_teachers(build_scenario(config.scenario), config.run)
+    spec = config.scenario
+    teachers = train_benchmark_teachers(spec, generate_domains(spec), config.run)
     matrices: dict[tuple, AccuracyMatrix] = {}
     for ratio in config.sweep_ratios:
         names = ("kl", "se2d") if ratio == 0.5 else ("kl",)

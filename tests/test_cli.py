@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -40,7 +41,7 @@ import cdbench.domains
 import cdbench.engine
 from cdbench.benchmark import train_benchmark_teacher, train_benchmark_teachers
 from cdbench.distill import MethodConfig
-from cdbench.domains import build_scenario
+from cdbench.domains import DistillSet, build_scenario, generate_domains
 from cdbench.engine import (
     RunConfig,
     deserialize_model,
@@ -48,7 +49,7 @@ from cdbench.engine import (
     run_sequence,
     serialize_model,
 )
-from cdbench.errors import ConfigError, FormatError
+from cdbench.errors import ConfigError, FormatError, InvalidArgumentError
 from cdbench.metrics import entropy_histogram
 from cdbench.nn_core import Layer, MlpModel, init_mlp
 
@@ -357,9 +358,10 @@ class TestTeachers:
         doc["run"].update(teacher_epochs=2, teacher_hidden=[128, 128])
         config = parse_config(doc)
         cmd_gen(config)
+        spec = config.scenario
         one = max(
             traced_peak(
-                lambda: train_benchmark_teacher(build_scenario(config.scenario), config.run, t)
+                lambda: train_benchmark_teacher(spec, generate_domains(spec), config.run, t)
             )
             for t in range(3)
         )
@@ -475,6 +477,33 @@ class TestRun:
         assert main(["run", "--config", path]) == 4
         assert "method kl, seed 1, task 0, epoch 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_serial_run_frees_each_teacher_after_its_pass(self, tmp_path, monkeypatch):
+        # The first cell makes every teacher's pass; later cells read the
+        # logits its FrozenTeachers keep, so no teacher model is left alive.
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        path = str(write_config(tmp_path, doc))
+        assert main(["gen", "--config", path]) == 0
+        assert main(["teachers", "--config", path]) == 0
+        loaded, alive = [], []
+        load_teachers, run_cell = cdbench.cli._load_teachers, cdbench.cli._run_cell
+
+        def load_recorded(config):
+            teachers = load_teachers(config)
+            loaded.extend(weakref.ref(t) for t in teachers)
+            return teachers
+
+        def run_cell_counted(args):
+            alive.append(sum(ref() is not None for ref in loaded))
+            return run_cell(args)
+
+        monkeypatch.setattr(cdbench.cli, "_load_teachers", load_recorded)
+        monkeypatch.setattr(cdbench.cli, "_run_cell", run_cell_counted)
+        assert main(["run", "--config", path, "--jobs", "1"]) == 0
+        # 2 methods x 2 seeds over 2 teachers.
+        assert len(loaded) == 2
+        assert alive == [2, 0, 0, 0]
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_student_diverging_inside_float32_fails_loudly(self, diverging_quick, capsys, seed):
@@ -679,7 +708,8 @@ def three_teacher_grid():
     )
     doc["run"].update(epochs=1, seeds=[1, 2], teacher_epochs=5)
     config = parse_config(doc)
-    return config, train_benchmark_teachers(build_scenario(config.scenario), config.run)
+    spec = config.scenario
+    return config, train_benchmark_teachers(spec, generate_domains(spec), config.run)
 
 
 class TestGridCells:
@@ -1134,10 +1164,36 @@ class TestSingleScenarioPath:
         n = doc["scenario"]["n_domains"]
         assert counts == {"gen": n, "teachers": n, "run": n, "analyze": n, "sweep": 2 * n}
 
+    def test_only_gen_and_run_mix_the_distillation_set(self, tmp_path, monkeypatch):
+        # teachers and analyze read the domains alone; gen and run mix the
+        # set, so both still refuse an empty one.
+        doc = base_config(tmp_path / "out")
+        doc["run"].update(epochs=1, teacher_epochs=2, seeds=[1])
+        config = parse_config(doc)
+        cmd_gen(config)
+
+        def refused(*args):
+            raise AssertionError("mix_ratio called")
+
+        def empty(*args):
+            return DistillSet(np.zeros((0, 6)), np.zeros(0, dtype=bool))
+
+        monkeypatch.setattr(cdbench.domains, "mix_ratio", refused)
+        cmd_teachers(config)
+        monkeypatch.setattr(cdbench.domains, "mix_ratio", empty)
+        for stage in (cmd_gen, cmd_run):
+            with pytest.raises(InvalidArgumentError, match="empty distillation set"):
+                stage(config)
+        monkeypatch.undo()
+        cmd_run(config)
+        monkeypatch.setattr(cdbench.domains, "mix_ratio", refused)
+        cmd_analyze(config.output_dir)
+
     def test_library_teachers_match_cli_checkpoints(self, finished_run):
         out, config = finished_run
-        teachers = train_benchmark_teachers(build_scenario(config.scenario), config.run)
-        assert len(teachers) == config.scenario.n_teachers
+        spec = config.scenario
+        teachers = train_benchmark_teachers(spec, generate_domains(spec), config.run)
+        assert len(teachers) == spec.n_teachers
         for t, teacher in enumerate(teachers):
             ckpt = out / "checkpoints" / f"teacher_{t}.ckpt"
             assert serialize_model(teacher) == ckpt.read_bytes()

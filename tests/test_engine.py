@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -460,13 +461,21 @@ class TestFrozenTeacher:
         frozen = engine.FrozenTeacher(tiny_teachers[0])
         first = frozen.logits(ds, 16)
         assert frozen.logits(ds, 16) is first
-        assert calls == [16]
         assert first.tobytes() == original(tiny_teachers[0], ds.features, 16).tobytes()
-        # An equal set that is another object, or another chunk size, is a new pass.
+        # An equal set that is another object, or another chunk size, is refused.
         twin = DistillSet(ds.features.copy(), ds.external_mask.copy())
-        assert frozen.logits(twin, 16) is not first
-        frozen.logits(twin, 8)
-        assert calls == [16, 16, 8]
+        for other, chunk in ((twin, 16), (ds, 8)):
+            with pytest.raises(InvalidArgumentError, match="another distillation set"):
+                frozen.logits(other, chunk)
+        assert calls == [16]
+
+    def test_model_is_freed_after_its_pass(self, tiny_scenario, tiny_teachers):
+        model = tiny_teachers[0].copy()
+        model_ref = weakref.ref(model)
+        frozen = engine.FrozenTeacher(model)
+        del model
+        frozen.logits(tiny_scenario.distill_set, 16)
+        assert model_ref() is None
 
 
 class TestEvaluate:

@@ -67,6 +67,15 @@ class TestForgetting:
         with pytest.raises(InvalidArgumentError):
             forgetting(matrix([[0.5, 0.6]]), 3, 1)
 
+    def test_nan_propagates_as_the_slice_maximum_does(self):
+        m = matrix([[0.5, np.nan, 0.7, 0.6], [0.9, 0.3, 0.4, 0.2]])
+        for d in (0, 1):
+            for t in (1, 2, 3):
+                want = m.row(d)[:t].max() - m.row(d)[t]
+                assert np.array_equal(forgetting(m, d, t), want, equal_nan=True)
+        # A NaN at task 1 stays in the best of every later task.
+        assert np.isnan(forgetting(m, 0, 3))
+
     def test_average_over_domains(self):
         m = matrix([[0.6, 0.4], [0.5, 0.5]])
         assert abs(average_forgetting(m) - 0.1) < 1e-12

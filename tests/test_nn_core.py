@@ -21,6 +21,7 @@ from cdbench import (
 from cdbench.nn_core import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_CHUNK,
     ADAM_EPS,
     ForwardCache,
     Layer,
@@ -264,6 +265,40 @@ def reference_step(arrays, grads, moments, kind, lr, t):
         m2 *= ADAM_BETA2
         m2 += (1 - ADAM_BETA2) * g**2
         p -= lr * (m1 / (1.0 - ADAM_BETA1**t)) / (np.sqrt(m2 / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+
+
+class TestChunkedAdam:
+    @pytest.mark.parametrize("size", [1, ADAM_CHUNK - 1, ADAM_CHUNK, 2 * ADAM_CHUNK + 3])
+    def test_matches_the_one_pass_formula_bitwise(self, size):
+        rng = np.random.default_rng(size)
+        model = MlpModel([Layer(rng.normal(size=(1, size - 1)), rng.normal(size=1))])
+        assert model.params.size == size
+        state = make_optimizer(model, "adam", 1e-2)
+        scratch = state.scratch
+        assert scratch.size == min(size, ADAM_CHUNK)
+        # The same steps with no scratch vector, so each chunk allocates its temporary.
+        twin = model.copy()
+        twin_state = make_optimizer(twin, "adam", 1e-2)
+        twin_state.scratch = None
+        # reference_step on the whole vector as one array is the one-pass formula.
+        whole = [model.params.copy()]
+        moments = [(np.zeros(size), np.zeros(size))]
+        for t in range(1, 5):
+            grads = rng.normal(size=size) * 10.0 ** rng.uniform(-4, 2, size=size)
+            reference_step(whole, [grads.copy()], moments, "adam", 1e-2, t)
+            optimizer_step(twin, grads.copy(), twin_state)
+            tracemalloc.start()
+            try:
+                optimizer_step(model, grads, state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096  # no temporary as long as a chunk, let alone the model
+            assert model.params.tobytes() == whole[0].tobytes()
+            assert twin.params.tobytes() == whole[0].tobytes()
+            assert state.moment1.tobytes() == moments[0][0].tobytes()
+            assert state.moment2.tobytes() == moments[0][1].tobytes()
+        assert state.scratch is scratch and scratch.size <= ADAM_CHUNK
 
 
 class TestFlatLayout:
