@@ -350,9 +350,6 @@ def optimizer_step(
     corr1 = 1.0 - ADAM_BETA1**t
     corr2 = 1.0 - ADAM_BETA2**t
     m1, m2, scratch = state.moment1, state.moment2, state.scratch
-    if params.size <= ADAM_CHUNK:  # the one-pass case skips the slicing
-        _adam_chunk(params, grads, m1, m2, scratch, lr, corr1, corr2)
-        return model, state
     for lo in range(0, params.size, ADAM_CHUNK):
         part = slice(lo, lo + ADAM_CHUNK)
         buf = None if scratch is None else scratch[: params.size - lo]
