@@ -6,24 +6,22 @@ scenario seed (`spec.seed * 1000 + t`) rather than from the run grid.
 
 from __future__ import annotations
 
-from .domains import DomainDataset, ScenarioSpec
+from .domains import LabeledSet, ScenarioSpec, generate_spec_domain
 from .engine import RunConfig, train_teacher
 from .nn_core import MlpModel
 
 
-def train_benchmark_teacher(
-    spec: ScenarioSpec, domains: dict[int, DomainDataset], config: RunConfig, t: int
-) -> MlpModel:
-    """Teacher t of the spec, trained on its domains; its seed derives from the spec's."""
-    return train_teacher(
-        [domains[m] for m in spec.teacher_domain_ids(t)],
-        config,
-        seed=spec.seed * 1000 + t,
-        n_classes=spec.n_classes,
+def train_benchmark_teacher(spec: ScenarioSpec, config: RunConfig, t: int) -> MlpModel:
+    """Teacher t of the spec, trained on its domains; its seed derives from the spec's.
+
+    Only teacher t's domains are generated, and only their train splits,
+    concatenated in id order, live while it trains.
+    """
+    train = LabeledSet.concat(
+        [generate_spec_domain(spec, m).train for m in spec.teacher_domain_ids(t)]
     )
+    return train_teacher(train, config, seed=spec.seed * 1000 + t, n_classes=spec.n_classes)
 
 
-def train_benchmark_teachers(
-    spec: ScenarioSpec, domains: dict[int, DomainDataset], config: RunConfig
-) -> list[MlpModel]:
-    return [train_benchmark_teacher(spec, domains, config, t) for t in range(spec.n_teachers)]
+def train_benchmark_teachers(spec: ScenarioSpec, config: RunConfig) -> list[MlpModel]:
+    return [train_benchmark_teacher(spec, config, t) for t in range(spec.n_teachers)]

@@ -30,7 +30,7 @@ from .benchmark import train_benchmark_teacher
 from .distill import METHODS, MethodConfig, teacher_entropy
 from .domains import (
     DistillSet,
-    DomainDataset,
+    LabeledSet,
     ScenarioSpec,
     build_scenario,
     generate_domains,
@@ -353,7 +353,8 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     """Pretrain one teacher per task and write checkpoints plus a quality report."""
     _require_manifest(config)
     spec = config.scenario
-    domains = generate_domains(spec)
+    # Each teacher generates its own training rows; the report needs only the test splits.
+    test_sets = {m: ds.test for m, ds in generate_domains(spec).items()}
     (config.output_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -362,26 +363,26 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
         "teachers": [],
     }
     for t, path in enumerate(_teacher_paths(config.output_dir, spec)):
-        report["teachers"].append(_make_teacher(spec, domains, config.run, t, path))
+        report["teachers"].append(_make_teacher(spec, test_sets, config.run, t, path))
     _write_json(config.output_dir / "teacher_report.json", report)
     return config.output_dir / "teacher_report.json"
 
 
 def _make_teacher(
-    spec: ScenarioSpec, domains: dict[int, DomainDataset], run: RunConfig, t: int, path: Path
+    spec: ScenarioSpec, test_sets: dict[int, LabeledSet], run: RunConfig, t: int, path: Path
 ) -> dict:
     """Train teacher t, checkpoint it at `path` and return its report entry.
 
     The teacher is freed on return, so `teachers` holds one at a time.
     """
     try:
-        teacher = train_benchmark_teacher(spec, domains, run, t)
+        teacher = train_benchmark_teacher(spec, run, t)
     except DivergenceError as exc:
         raise DivergenceError(f"teacher {t}, {exc}") from None
     # The teacher passed the divergence check, so serialize_model accepts it.
     save_checkpoint(teacher, path)
     domain_ids = spec.teacher_domain_ids(t)
-    accs = {str(d): evaluate(teacher, ds.test) for d, ds in sorted(domains.items())}
+    accs = {str(d): evaluate(teacher, ts) for d, ts in sorted(test_sets.items())}
     in_domain = min(accs[str(d)] for d in domain_ids)
     return {
         "index": t,

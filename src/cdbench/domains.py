@@ -315,19 +315,21 @@ def mix_ratio(internal: LabeledSet, external: LabeledSet, ed_ratio: float) -> Di
     return DistillSet(features, mask)
 
 
+def generate_spec_domain(spec: ScenarioSpec, domain_id: int) -> DomainDataset:
+    """Domain `domain_id` of the spec: external domains take spec.external_relation."""
+    return generate_domain(
+        spec.seed,
+        domain_id,
+        spec.n_classes,
+        spec.feature_dim,
+        spec.samples_per_class,
+        relation=spec.external_relation if domain_id in spec.external_domains else "related",
+    )
+
+
 def generate_domains(spec: ScenarioSpec) -> dict[int, DomainDataset]:
     """Generate every domain of the spec once, keyed by id in id order."""
-    return {
-        m: generate_domain(
-            spec.seed,
-            m,
-            spec.n_classes,
-            spec.feature_dim,
-            spec.samples_per_class,
-            relation=spec.external_relation if m in spec.external_domains else "related",
-        )
-        for m in range(spec.n_domains)
-    }
+    return {m: generate_spec_domain(spec, m) for m in range(spec.n_domains)}
 
 
 def build_scenario(spec: ScenarioSpec) -> CdScenario:

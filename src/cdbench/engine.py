@@ -31,7 +31,7 @@ from .distill import (
     soft_targets,
     teacher_entropy,
 )
-from .domains import CdScenario, DistillSet, DomainDataset, LabeledSet, balance_pair_stream
+from .domains import CdScenario, DistillSet, LabeledSet, balance_pair_stream
 from .errors import DivergenceError, FormatError, InvalidArgumentError
 from .nn_core import (
     OPTIMIZER_KINDS,
@@ -235,19 +235,18 @@ def new_student(feature_dim: int, n_classes: int, config: RunConfig, seed: int) 
 
 
 def train_teacher(
-    domains: list[DomainDataset],
+    train: LabeledSet,
     config: RunConfig,
     seed: int = 0,
     n_classes: int | None = None,
 ) -> MlpModel:
-    """Supervised cross-entropy training on the union of the given domains.
+    """Supervised cross-entropy training on the given rows.
 
+    The rows are read in place; a teacher of several domains takes their
+    train splits as one LabeledSet (see benchmark.train_benchmark_teacher).
     Raises DivergenceError, naming the epoch, at the end of an epoch that
     fails _check_epoch against the first batch's loss.
     """
-    if not domains:
-        raise InvalidArgumentError("train_teacher needs at least one domain")
-    train = LabeledSet.concat([d.train for d in domains])
     if len(train) == 0:
         raise InvalidArgumentError("teacher training data is empty")
     if n_classes is None:

@@ -12,6 +12,7 @@ from scipy.stats import spearmanr
 
 from cdbench import (
     AccuracyMatrix,
+    LabeledSet,
     MethodConfig,
     ScenarioSpec,
     average_forgetting,
@@ -23,7 +24,6 @@ from cdbench import (
     forgetting,
     forward,
     generate_domain,
-    generate_domains,
     init_mlp,
     kl_kd_loss,
     kurtosis,
@@ -77,7 +77,7 @@ def benchmark_runs(benchmark_config):
     start = time.perf_counter()
     config = benchmark_config
     spec = config.scenario
-    teachers = train_benchmark_teachers(spec, generate_domains(spec), config.run)
+    teachers = train_benchmark_teachers(spec, config.run)
     matrices: dict[tuple, AccuracyMatrix] = {}
     for ratio in config.sweep_ratios:
         names = ("kl", "se2d") if ratio == 0.5 else ("kl",)
@@ -305,7 +305,7 @@ def test_criterion_7_scope_identity_with_empty_internal(benchmark_config):
     config = replace(benchmark_config.run, epochs=4, teacher_epochs=30, teacher_hidden=(32, 32))
     teachers = [
         train_teacher(
-            [scenario.domains[m] for m in spec.teacher_domain_ids(t)],
+            LabeledSet.concat([scenario.domains[m].train for m in spec.teacher_domain_ids(t)]),
             config,
             seed=50 + t,
         )

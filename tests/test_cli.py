@@ -41,7 +41,7 @@ import cdbench.domains
 import cdbench.engine
 from cdbench.benchmark import train_benchmark_teacher, train_benchmark_teachers
 from cdbench.distill import MethodConfig
-from cdbench.domains import DistillSet, build_scenario, generate_domains
+from cdbench.domains import DistillSet, LabeledSet, build_scenario
 from cdbench.engine import (
     RunConfig,
     deserialize_model,
@@ -360,12 +360,34 @@ class TestTeachers:
         cmd_gen(config)
         spec = config.scenario
         one = max(
-            traced_peak(
-                lambda: train_benchmark_teacher(spec, generate_domains(spec), config.run, t)
-            )
-            for t in range(3)
+            traced_peak(lambda: train_benchmark_teacher(spec, config.run, t)) for t in range(3)
         )
         assert traced_peak(lambda: cmd_teachers(config)) <= one + 32 * 1024
+
+    def test_each_teacher_trains_on_its_own_rows_alone(self, tmp_path, monkeypatch):
+        # Every train split that domain generation returns is dead when a
+        # teacher starts: the teacher's rows come as one concatenated set.
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        config = parse_config(doc)
+        cmd_gen(config)
+        generate, train_teacher = cdbench.domains.generate_domain, cdbench.engine.train_teacher
+        splits, starts = [], []
+
+        def generate_recorded(*args, **kwargs):
+            ds = generate(*args, **kwargs)
+            splits.append(weakref.ref(ds.train))
+            return ds
+
+        def train_checked(train, *args, **kwargs):
+            starts.append((type(train), len(splits), sum(ref() is not None for ref in splits)))
+            return train_teacher(train, *args, **kwargs)
+
+        monkeypatch.setattr(cdbench.domains, "generate_domain", generate_recorded)
+        monkeypatch.setattr(cdbench.benchmark, "train_teacher", train_checked)
+        cmd_teachers(config)
+        # The report's 4 domains, then each teacher's shared and own domain.
+        assert starts == [(LabeledSet, 6, 0), (LabeledSet, 8, 0)]
 
     def test_teacher_diverging_inside_float32_fails_loudly(self, tmp_path, capsys):
         # At this rate the epoch-0 loss is 2e5 times the first batch's for
@@ -504,6 +526,33 @@ class TestRun:
         # 2 methods x 2 seeds over 2 teachers.
         assert len(loaded) == 2
         assert alive == [2, 0, 0, 0]
+
+    def test_eval_every_epoch_writes_each_epochs_accuracies(self, tmp_path, monkeypatch):
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["run"]["eval_every_epoch"] = True
+        doc["output_dir"] = str(tmp_path / "out")
+        path = str(write_config(tmp_path, doc))
+        assert main(["gen", "--config", path]) == 0
+        assert main(["teachers", "--config", path]) == 0
+        want = []
+
+        def recorded(student, teachers, scenario, method, config, seed=0):
+            logs = run_sequence(student, teachers, scenario, method, config, seed=seed)
+            for log in logs:
+                for epoch, accs in enumerate(log.epoch_accuracies):
+                    for d, acc in accs.items():
+                        want.append((method.method, seed, log.task_index, epoch, d, acc))
+            return logs
+
+        monkeypatch.setattr(cdbench.cli, "run_sequence", recorded)
+        assert main(["run", "--config", path]) == 0
+        with open(tmp_path / "out" / "curves" / "epoch_accuracy.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["method", "seed", "task", "epoch", "domain", "accuracy"]
+        got = [(m, int(s), int(t), int(e), int(d), float(a)) for m, s, t, e, d, a in rows]
+        # 2 methods x 2 seeds x 2 tasks x 5 epochs x 4 domains
+        assert len(got) == 2 * 2 * 2 * 5 * 4
+        assert got == sorted(want)
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_student_diverging_inside_float32_fails_loudly(self, diverging_quick, capsys, seed):
@@ -709,7 +758,7 @@ def three_teacher_grid():
     doc["run"].update(epochs=1, seeds=[1, 2], teacher_epochs=5)
     config = parse_config(doc)
     spec = config.scenario
-    return config, train_benchmark_teachers(spec, generate_domains(spec), config.run)
+    return config, train_benchmark_teachers(spec, config.run)
 
 
 class TestGridCells:
@@ -1162,7 +1211,9 @@ class TestSingleScenarioPath:
             assert main(argv) == 0
             counts[stage] = len(calls)
         n = doc["scenario"]["n_domains"]
-        assert counts == {"gen": n, "teachers": n, "run": n, "analyze": n, "sweep": 2 * n}
+        # teachers generates every domain for its report, then each teacher's
+        # shared and own domain again for its training rows.
+        assert counts == {"gen": n, "teachers": n + 2 * 2, "run": n, "analyze": n, "sweep": 2 * n}
 
     def test_only_gen_and_run_mix_the_distillation_set(self, tmp_path, monkeypatch):
         # teachers and analyze read the domains alone; gen and run mix the
@@ -1192,7 +1243,7 @@ class TestSingleScenarioPath:
     def test_library_teachers_match_cli_checkpoints(self, finished_run):
         out, config = finished_run
         spec = config.scenario
-        teachers = train_benchmark_teachers(spec, generate_domains(spec), config.run)
+        teachers = train_benchmark_teachers(spec, config.run)
         assert len(teachers) == spec.n_teachers
         for t, teacher in enumerate(teachers):
             ckpt = out / "checkpoints" / f"teacher_{t}.ckpt"

@@ -60,7 +60,7 @@ class TestGenerateDomain:
 
     def test_generated_domain_is_learnable(self, desk_config):
         ds = generate_domain(5, 0, 4, 8, 100)
-        teacher = train_teacher([ds], desk_config, seed=9)
+        teacher = train_teacher(ds.train, desk_config, seed=9)
         assert evaluate(teacher, ds.test) >= 0.90
 
     @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from cdbench.distill import (
     self_distill_loss,
     teacher_entropy,
 )
-from cdbench.domains import DistillSet, DomainDataset, LabeledSet, balance_pair_stream
+from cdbench.domains import DistillSet, LabeledSet, balance_pair_stream
 from cdbench.engine import deserialize_model, serialize_model
 from cdbench.nn_core import (
     Layer,
@@ -146,19 +146,21 @@ def tiny_teachers(tiny_scenario, tiny_config):
             generate_domain(spec.seed, m, spec.n_classes, spec.feature_dim, spec.samples_per_class)
             for m in spec.teacher_domain_ids(t)
         ]
-        out.append(train_teacher(datasets, tiny_config, seed=100 + t))
+        train = LabeledSet.concat([ds.train for ds in datasets])
+        out.append(train_teacher(train, tiny_config, seed=100 + t))
     return out
 
 
 class TestTrainTeacher:
     def test_single_domain_reaches_floor(self, desk_config):
         ds = generate_domain(7, 0, 4, 8, 100)
-        teacher = train_teacher([ds], desk_config, seed=1)
+        teacher = train_teacher(ds.train, desk_config, seed=1)
         assert evaluate(teacher, ds.test) >= 0.90
 
     def test_near_chance_on_unrelated_domain(self, desk_config):
         datasets = [generate_domain(7, 0, 4, 8, 100), generate_domain(7, 1, 4, 8, 100)]
-        teacher = train_teacher(datasets, desk_config, seed=1)
+        train = LabeledSet.concat([ds.train for ds in datasets])
+        teacher = train_teacher(train, desk_config, seed=1)
         unrelated = generate_domain(7, 9, 4, 8, 100, relation="unrelated")
         assert evaluate(teacher, unrelated.test) <= 0.25 + 0.15
 
@@ -172,34 +174,34 @@ class TestTrainTeacher:
             student_hidden=(8,),
         )
         ds = generate_domain(3, 0, 3, 6, 10)
-        teacher = train_teacher([ds], cfg, seed=5)
+        teacher = train_teacher(ds.train, cfg, seed=5)
         # untouched initialization: zero biases and fan-in-bounded weights
         assert all(np.all(l.bias == 0.0) for l in teacher.layers)
-        again = train_teacher([ds], cfg, seed=5)
+        again = train_teacher(ds.train, cfg, seed=5)
         assert model_params_equal(teacher, again)
 
-    def test_empty_domain_list_rejected(self, tiny_config):
+    def test_empty_training_set_rejected(self, tiny_config):
         with pytest.raises(InvalidArgumentError):
-            train_teacher([], tiny_config)
+            train_teacher(LabeledSet.empty(6), tiny_config)
 
     def test_deterministic(self, tiny_config):
         ds = generate_domain(3, 0, 3, 6, 12)
-        a = train_teacher([ds], tiny_config, seed=2)
-        b = train_teacher([ds], tiny_config, seed=2)
+        a = train_teacher(ds.train, tiny_config, seed=2)
+        b = train_teacher(ds.train, tiny_config, seed=2)
         assert model_params_equal(a, b)
 
     def test_epoch_holds_one_row_buffer_per_hidden_layer(self):
         # Adam at 32-512-512-10, batch 256. The peak may hold five vectors of
         # the parameters' size (the model, both moments, the scratch vector
         # and the gradient) and one 256 x 512 buffer per hidden layer. The
-        # 1 MiB of slack covers the copied training data, one batch, the
-        # rectifier's mask and the loss's temporaries: about 0.5 MiB.
+        # 1 MiB of slack covers one batch, the rectifier's mask and the
+        # loss's temporaries; the training rows are read in place.
         dims = [32, 512, 512, 10]
         rng = np.random.default_rng(39)
         train = LabeledSet(rng.normal(size=(512, 32)), rng.integers(0, 10, 512))
         config = RunConfig(batch_size=256, teacher_epochs=1, teacher_hidden=(512, 512))
         peak = traced_peak(
-            lambda: train_teacher([DomainDataset(0, train, train)], config, seed=39, n_classes=10)
+            lambda: train_teacher(train, config, seed=39, n_classes=10)
         )
         vector = 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
         assert peak <= 5 * vector + 2 * 256 * 512 * 8 + 2**20
@@ -547,7 +549,7 @@ class TestCheckpoints:
 
     def test_re_evaluation_matches(self, tmp_path, desk_config):
         ds = generate_domain(8, 0, 4, 8, 50)
-        teacher = train_teacher([ds], desk_config, seed=4)
+        teacher = train_teacher(ds.train, desk_config, seed=4)
         before = evaluate(teacher, ds.test)
         path = tmp_path / "t.ckpt"
         save_checkpoint(teacher, path)

@@ -174,6 +174,7 @@ class TestKurtosis:
 def test_accuracy_matrix_matches_checkpoint_re_evaluation(tmp_path):
     # the final column must agree with re-evaluating the saved student
     from cdbench import (
+        LabeledSet,
         MethodConfig,
         RunConfig,
         ScenarioSpec,
@@ -210,7 +211,9 @@ def test_accuracy_matrix_matches_checkpoint_re_evaluation(tmp_path):
     )
     teachers = [
         train_teacher(
-            [generate_domain(spec.seed, m, 3, 6, 30) for m in spec.teacher_domain_ids(t)],
+            LabeledSet.concat(
+                [generate_domain(spec.seed, m, 3, 6, 30).train for m in spec.teacher_domain_ids(t)]
+            ),
             config,
             seed=200 + t,
         )
