@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .domains import LabeledSet, ScenarioSpec, generate_spec_domain
 from .engine import RunConfig, train_teacher
+from .errors import DivergenceError
 from .nn_core import MlpModel
 
 
@@ -15,12 +16,16 @@ def train_benchmark_teacher(spec: ScenarioSpec, config: RunConfig, t: int) -> Ml
     """Teacher t of the spec, trained on its domains; its seed derives from the spec's.
 
     Only teacher t's domains are generated, and only their train splits,
-    concatenated in id order, live while it trains.
+    concatenated in id order, live while it trains. A DivergenceError from
+    training names the teacher.
     """
     train = LabeledSet.concat(
         [generate_spec_domain(spec, m).train for m in spec.teacher_domain_ids(t)]
     )
-    return train_teacher(train, config, seed=spec.seed * 1000 + t, n_classes=spec.n_classes)
+    try:
+        return train_teacher(train, config, seed=spec.seed * 1000 + t, n_classes=spec.n_classes)
+    except DivergenceError as exc:
+        raise DivergenceError(f"teacher {t}, {exc}") from None
 
 
 def train_benchmark_teachers(spec: ScenarioSpec, config: RunConfig) -> list[MlpModel]:

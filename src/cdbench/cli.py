@@ -41,13 +41,14 @@ from .engine import (
     RunConfig,
     deserialize_model,
     evaluate,
+    frozen_logits,
     new_student,
     run_sequence,
     save_checkpoint,
 )
-from .errors import ConfigError, DivergenceError, FormatError, InvalidArgumentError
+from .errors import ConfigError, FormatError, InvalidArgumentError
 from .metrics import AccuracyMatrix, average_forgetting, entropy_histogram, forgetting, ukt_gain
-from .nn_core import MlpModel, forward
+from .nn_core import MlpModel
 
 SCHEMA_VERSION = 1
 BLAS_THREAD_ENVS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -375,10 +376,7 @@ def _make_teacher(
 
     The teacher is freed on return, so `teachers` holds one at a time.
     """
-    try:
-        teacher = train_benchmark_teacher(spec, run, t)
-    except DivergenceError as exc:
-        raise DivergenceError(f"teacher {t}, {exc}") from None
+    teacher = train_benchmark_teacher(spec, run, t)
     # The teacher passed the divergence check, so serialize_model accepts it.
     save_checkpoint(teacher, path)
     domain_ids = spec.teacher_domain_ids(t)
@@ -411,17 +409,18 @@ def _load_teachers(config: ExperimentConfig) -> list[MlpModel]:
     return [_read_teacher(path, spec) for path in _teacher_paths(config.output_dir, spec)]
 
 
-def _filter_external_by_entropy(scenario, teachers, threshold: float):
+def _filter_external_by_entropy(scenario, teachers, threshold: float, chunk: int):
     """Drop external samples whose mean teacher entropy exceeds the threshold.
 
     Screening candidate external data by the teachers' own predictive
-    uncertainty; internal samples always stay.
+    uncertainty, each teacher run over `chunk` rows at a time; internal
+    samples always stay.
     """
     ds = scenario.distill_set
     if not ds.external_mask.any():
         return scenario
     ext = ds.features[ds.external_mask]
-    per_teacher = [teacher_entropy(forward(t, ext)[0], 1.0) for t in teachers]
+    per_teacher = [teacher_entropy(frozen_logits(t, ext, chunk), 1.0) for t in teachers]
     keep_ext = np.mean(per_teacher, axis=0) <= threshold
     keep = ~ds.external_mask
     keep[np.flatnonzero(ds.external_mask)[keep_ext]] = True
@@ -481,7 +480,9 @@ def run_grid(
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
     scenario = build_scenario(config.scenario)
     if config.external_entropy_max is not None:
-        scenario = _filter_external_by_entropy(scenario, teachers, config.external_entropy_max)
+        scenario = _filter_external_by_entropy(
+            scenario, teachers, config.external_entropy_max, config.run.batch_size
+        )
     frozen = [FrozenTeacher(t) for t in teachers]
     # Each FrozenTeacher drops its model after its pass; the list would keep them all.
     del teachers

@@ -273,15 +273,17 @@ def train_teacher(
     return model
 
 
-def _frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
+def frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
     """Logits of a frozen model over every row, `chunk` rows per forward pass.
 
-    Each pass's ForwardCache is dropped at once, so memory beyond the result
-    stays at one chunk's activations.
+    The one way the run path runs a model it does not train: teachers,
+    previous-task checkpoints and the entropy screen. Each pass's
+    ForwardCache is dropped before the next pass starts, so memory beyond
+    the result stays at one chunk's activations.
     """
     out = np.empty((len(features), model.num_classes))
     for start in range(0, len(features), chunk):
-        out[start : start + chunk], _ = forward(model, features[start : start + chunk])
+        out[start : start + chunk] = forward(model, features[start : start + chunk])[0]
     return out
 
 
@@ -304,7 +306,7 @@ class FrozenTeacher:
 
     def logits(self, distill_set: DistillSet, chunk: int) -> Matrix:
         if self._seen is None:
-            self._logits = _frozen_logits(self.model, distill_set.features, chunk)
+            self._logits = frozen_logits(self.model, distill_set.features, chunk)
             self._seen, self.model = (distill_set, chunk), None
         elif self._seen[0] is not distill_set or self._seen[1] != chunk:
             raise InvalidArgumentError(
@@ -364,7 +366,7 @@ def distill_task(
         prev_rows = np.arange(len(features))
         if name == "se2d":
             prev_rows = np.flatnonzero(distill_set.external_mask)
-        prev_logits = _frozen_logits(prev_student, features[prev_rows], config.batch_size)
+        prev_logits = frozen_logits(prev_student, features[prev_rows], config.batch_size)
         prev_targets = soft_targets(prev_logits, t)
         slot = np.full(len(features), -1)
         slot[prev_rows] = np.arange(len(prev_rows))

@@ -21,6 +21,7 @@ from cdbench import (
     cross_entropy,
     dkd_loss,
     entropy_histogram,
+    evaluate,
     forgetting,
     forward,
     generate_domain,
@@ -225,6 +226,16 @@ def test_criterion_3_unseen_knowledge_transfer(benchmark_runs):
         f"PASS criterion 3: UKT gain {gain:+.3f} "
         f"(with ED {with_ed:.3f} vs without {without:.3f}), grid {benchmark_runs['elapsed']:.0f}s"
     )
+
+
+def test_benchmark_teachers_meet_their_floor(benchmark_config, benchmark_runs):
+    """Every teacher the grid distills reaches the config's floor on each of its own domains."""
+    spec = benchmark_config.scenario
+    test_sets = build_scenario(spec).test_sets
+    floor = benchmark_config.run.teacher_accuracy_floor
+    for t, teacher in enumerate(benchmark_runs["teachers"]):
+        in_domain = min(evaluate(teacher, test_sets[d]) for d in spec.teacher_domain_ids(t))
+        assert in_domain >= floor, f"teacher {t}: in-domain {in_domain:.3f} below {floor}"
 
 
 def test_criterion_4_ratio_trend(benchmark_runs):

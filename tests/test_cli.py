@@ -23,6 +23,7 @@ from cdbench.cli import (
     _apply_overrides,
     _atomic_write,
     _check_ratios,
+    _filter_external_by_entropy,
     _single_threaded_blas,
     cmd_analyze,
     cmd_gen,
@@ -49,7 +50,7 @@ from cdbench.engine import (
     run_sequence,
     serialize_model,
 )
-from cdbench.errors import ConfigError, FormatError, InvalidArgumentError
+from cdbench.errors import ConfigError, DivergenceError, FormatError, InvalidArgumentError
 from cdbench.metrics import entropy_histogram
 from cdbench.nn_core import Layer, MlpModel, init_mlp
 
@@ -399,6 +400,13 @@ class TestTeachers:
         assert "teacher 0, epoch 0: the teacher diverged" in err
         assert not (tmp_path / "out" / "teacher_report.json").exists()
         assert main(["run", "--config", path]) == 2
+
+    def test_train_benchmark_teachers_names_the_diverging_teacher(self):
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["run"].update(optimizer="sgd", teacher_learning_rate=3.0)
+        config = parse_config(doc)
+        with pytest.raises(DivergenceError, match="^teacher 0, epoch 0: the teacher diverged"):
+            train_benchmark_teachers(config.scenario, config.run)
 
 
 @pytest.fixture(scope="module")
@@ -764,14 +772,14 @@ def three_teacher_grid():
 class TestGridCells:
     def test_each_teacher_runs_over_the_set_once_per_grid(self, three_teacher_grid, monkeypatch):
         config, teachers = three_teacher_grid
-        original = cdbench.engine._frozen_logits
+        original = cdbench.engine.frozen_logits
         passes = []
 
         def counted(model, features, chunk):
             passes.append(model)
             return original(model, features, chunk)
 
-        monkeypatch.setattr(cdbench.engine, "_frozen_logits", counted)
+        monkeypatch.setattr(cdbench.engine, "frozen_logits", counted)
         run_grid(config, teachers)
         # kl and dkd read no checkpoint, so every pass is a teacher's: one
         # each for the grid's four cells, not one per cell.
@@ -846,6 +854,18 @@ class TestExternalEntropyFilter:
     def test_invalid_threshold_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="external_entropy_max"):
             parse_config(base_config(tmp_path, external_entropy_max=-1.0))
+
+    def test_screen_holds_one_chunk_of_activations(self):
+        # The wide-serial scenario: 1,200 external rows and 512-wide
+        # teachers, run 256 rows at a time. One unchunked forward per
+        # teacher would hold 1,200x512 activations per hidden layer.
+        spec = load_config(CONFIG_DIR / "benchmark.json").scenario
+        spec = replace(spec, n_classes=10, feature_dim=32, samples_per_class=150)
+        scenario = build_scenario(spec)
+        assert scenario.distill_set.external_mask.sum() == 1200
+        teachers = [init_mlp(t, [32, 512, 512, 10]) for t in range(3)]
+        peak = traced_peak(lambda: _filter_external_by_entropy(scenario, teachers, 100.0, 256))
+        assert peak < 3 * 2**20
 
 
 class TestSweep:

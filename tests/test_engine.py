@@ -451,14 +451,14 @@ class TestRunSequence:
 
 class TestFrozenTeacher:
     def test_one_pass_per_set_and_chunk(self, tiny_scenario, tiny_teachers, monkeypatch):
-        original = engine._frozen_logits
+        original = engine.frozen_logits
         calls = []
 
         def counted(model, features, chunk):
             calls.append(chunk)
             return original(model, features, chunk)
 
-        monkeypatch.setattr(engine, "_frozen_logits", counted)
+        monkeypatch.setattr(engine, "frozen_logits", counted)
         ds = tiny_scenario.distill_set
         frozen = engine.FrozenTeacher(tiny_teachers[0])
         first = frozen.logits(ds, 16)
@@ -478,6 +478,13 @@ class TestFrozenTeacher:
         del model
         frozen.logits(tiny_scenario.distill_set, 16)
         assert model_ref() is None
+
+    def test_pass_holds_one_chunk_of_activations(self):
+        # Two 256x512 hidden activations are 2 MB; a cache kept alive into
+        # the next chunk's forward would double them.
+        model = init_mlp(7, [32, 512, 512, 10])
+        features = np.random.default_rng(7).normal(size=(2400, 32))
+        assert traced_peak(lambda: engine.frozen_logits(model, features, 256)) < 3 * 2**20
 
 
 class TestEvaluate:
