@@ -22,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Iterator, get_args, get_origin, get_type_hints
+from typing import Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,30 +57,10 @@ RESULT_COLUMNS = ("seed", "method", "task", "teacher", "domain", "accuracy", "el
 SWEEP_COLUMNS = ("ed_ratio",) + RESULT_COLUMNS
 
 
-def _cell(name: str, parse: type, ok: Callable[[float], bool], span: str) -> Callable:
-    """Parser of one results.csv column that refuses a value ok() rejects."""
+# Parsers of the results.csv and sweep.csv columns; the other columns are
+# integers. _check_row holds the rules on their values.
+_CSV_TYPES = {"ed_ratio": float, "method": str, "accuracy": float, "elapsed_seconds": float}
 
-    def read(text: str):
-        value = parse(text)
-        if not ok(value):  # False for NaN too
-            raise ValueError(f"{name} {text!r} lies outside {span}")
-        return value
-
-    return read
-
-
-# Parsers of the results.csv and sweep.csv columns; the other columns are integers.
-_CSV_TYPES = {
-    "ed_ratio": _cell("ed_ratio", float, lambda v: 0.0 <= v < 1.0, "[0, 1)"),
-    "method": str,
-    "task": _cell("task", int, lambda v: v >= 0, "[0, inf)"),
-    "domain": _cell("domain", int, lambda v: v >= 0, "[0, inf)"),
-    "accuracy": _cell("accuracy", float, lambda v: 0.0 <= v <= 1.0, "[0, 1]"),
-    "elapsed_seconds": float,
-}
-
-_REQUIRED_KEYS = ("schema_version", "scenario", "methods", "run", "output_dir")
-_OPTIONAL_KEYS = ("sweep_ratios", "external_entropy_max")
 # Config sections are the fields of these dataclasses, under the same names
 # except for this one rename. The `run` section also takes the method
 # hyperparameters, which every listed method shares.
@@ -112,8 +92,19 @@ class ExperimentConfig:
     methods: tuple[MethodConfig, ...]
     run: RunConfig
     output_dir: Path
-    sweep_ratios: tuple[float, ...] | None
+    sweep_ratios: tuple[float, ...] | None = None
     external_entropy_max: float | None = None  # optional ED pre-filter by teacher entropy
+
+    def __post_init__(self) -> None:
+        if self.sweep_ratios is not None:
+            _check_ratios(self.sweep_ratios)
+        # Written so that NaN fails the check.
+        if self.external_entropy_max is not None and not self.external_entropy_max > 0:
+            raise ConfigError("field external_entropy_max must be a positive number")
+
+
+# The top-level config keys: schema_version, then ExperimentConfig's fields.
+_EXPERIMENT_SCHEMA = {"schema_version": ("schema_version", int, True), **_schema(ExperimentConfig)}
 
 
 def _coerce(value, kind, where: str):
@@ -167,10 +158,10 @@ def _ratio_tag(ratio: float) -> str:
     return f"{ratio:.4f}".rstrip("0").rstrip(".").replace(".", "_") or "0"
 
 
-def _check_ratios(ratios: tuple[float, ...] | None) -> None:
-    """Sweep ratios must lie in [0, 1) and name distinct ratio_<tag> directories."""
+def _check_ratios(ratios: tuple[float, ...]) -> None:
+    """Sweep ratios: at least one, each in [0, 1), naming distinct ratio_<tag> directories."""
     if not ratios:
-        raise ConfigError("sweep needs at least one ratio: set sweep_ratios or pass --ratio")
+        raise ConfigError("sweep_ratios must list at least one ratio")
     tags: set[str] = set()
     for r in ratios:
         if not (0.0 <= r < 1.0):
@@ -186,10 +177,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
     for key in raw:
-        if key not in _REQUIRED_KEYS + _OPTIONAL_KEYS:
+        if key not in _EXPERIMENT_SCHEMA:
             raise ConfigError(f"unknown field {key}")
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
+    for key, (_, _, required) in _EXPERIMENT_SCHEMA.items():
+        if required and key not in raw:
             raise ConfigError(f"missing required field {key}")
     if _coerce(raw["schema_version"], int, "schema_version") != SCHEMA_VERSION:
         raise ConfigError(
@@ -214,19 +205,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid run settings: {exc}") from None
 
-    ratios = raw.get("sweep_ratios")
-    if ratios is not None:
-        ratios = _coerce(ratios, tuple[float, ...], "sweep_ratios")
-        _check_ratios(ratios)
-
-    ent_max = _coerce(raw.get("external_entropy_max"), float | None, "external_entropy_max")
-    if ent_max is not None and ent_max <= 0:
-        raise ConfigError("field external_entropy_max must be a positive number")
-
     out = raw["output_dir"]
     if not isinstance(out, str) or not out:
         raise ConfigError("field output_dir must be a non-empty string")
-    return ExperimentConfig(spec, methods, run, Path(out), ratios, ent_max)
+    optional = {
+        name: _coerce(raw[key], kind, key)
+        for key, (name, kind, required) in _EXPERIMENT_SCHEMA.items()
+        if not required and key in raw
+    }
+    return ExperimentConfig(spec, methods, run, Path(out), **optional)
 
 
 def _read_file(path: Path, error: type[Exception], missing: str) -> bytes:
@@ -339,17 +326,6 @@ def _read_teacher(path: Path, spec: ScenarioSpec) -> MlpModel:
     return model
 
 
-def _teacher_settings(run: RunConfig) -> dict:
-    """The run settings that shape a teacher, as teacher_report.json records them."""
-    return {
-        "teacher_hidden": list(run.teacher_hidden),
-        "teacher_epochs": run.teacher_epochs,
-        "teacher_learning_rate": run.teacher_lr,
-        "optimizer": run.optimizer,
-        "batch_size": run.batch_size,
-    }
-
-
 def cmd_teachers(config: ExperimentConfig) -> Path:
     """Pretrain one teacher per task and write checkpoints plus a quality report."""
     _require_manifest(config)
@@ -360,7 +336,7 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     report = {
         "schema_version": SCHEMA_VERSION,
         "floor": config.run.teacher_accuracy_floor,
-        "settings": _teacher_settings(config.run),
+        "settings": config.run.teacher_settings,
         "teachers": [],
     }
     for t, path in enumerate(_teacher_paths(config.output_dir, spec)):
@@ -399,7 +375,7 @@ def _load_teachers(config: ExperimentConfig) -> list[MlpModel]:
     recorded = report.get("settings", {})
     if not isinstance(recorded, dict):
         raise FormatError(f"{path}: settings is not a JSON object")
-    for key, value in _teacher_settings(config.run).items():
+    for key, value in config.run.teacher_settings.items():
         if recorded.get(key) != value:
             raise ConfigError(
                 f"run.{key} is {value!r}, but the teachers were trained with "
@@ -613,7 +589,8 @@ def _summarize(config: ExperimentConfig, rows: list[dict]) -> dict:
 def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
     """Run the grid once per ratio of config.sweep_ratios, sharing the teachers."""
     ratios = config.sweep_ratios
-    _check_ratios(ratios)
+    if ratios is None:  # a ratio list that is given was checked at construction
+        raise ConfigError("sweep needs at least one ratio: set sweep_ratios or pass --ratio")
     _require_manifest(config)
     teachers = _load_teachers(config)
     out = config.output_dir
@@ -628,11 +605,14 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
 
 
 def _check_row(row: dict, spec: ScenarioSpec) -> None:
-    """Raise ValueError if a result row names a domain, task or teacher the scenario lacks."""
-    if row["domain"] >= spec.n_domains:
-        raise ValueError(f"domain {row['domain']} is outside the scenario's [0, {spec.n_domains})")
-    if row["task"] >= spec.n_teachers:
-        raise ValueError(f"task {row['task']} is outside the scenario's [0, {spec.n_teachers})")
+    """Raise ValueError for a value no grid of `spec` writes; each range check fails NaN."""
+    if not 0.0 <= row["accuracy"] <= 1.0:
+        raise ValueError(f"accuracy {row['accuracy']!r} lies outside [0, 1]")
+    if "ed_ratio" in row and not 0.0 <= row["ed_ratio"] < 1.0:
+        raise ValueError(f"ed_ratio {row['ed_ratio']!r} lies outside [0, 1)")
+    for key, count in (("task", spec.n_teachers), ("domain", spec.n_domains)):
+        if not 0 <= row[key] < count:
+            raise ValueError(f"{key} {row[key]} is outside the scenario's [0, {count})")
     if row["teacher"] != row["task"]:
         raise ValueError(f"teacher {row['teacher']} is not the row's task {row['task']}")
 

@@ -92,6 +92,17 @@ class RunConfig:
             return self.learning_rate
         return self.teacher_learning_rate
 
+    @property
+    def teacher_settings(self) -> dict:
+        """The settings train_teacher reads, as teacher_report.json records them for `run`."""
+        return {
+            "teacher_hidden": list(self.teacher_hidden),
+            "teacher_epochs": self.teacher_epochs,
+            "teacher_learning_rate": self.teacher_lr,
+            "optimizer": self.optimizer,
+            "batch_size": self.batch_size,
+        }
+
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise InvalidArgumentError(f"epochs must be >= 1, got {self.epochs}")
@@ -281,6 +292,8 @@ def frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
     ForwardCache is dropped before the next pass starts, so memory beyond
     the result stays at one chunk's activations.
     """
+    if chunk < 1:
+        raise InvalidArgumentError(f"chunk must be >= 1, got {chunk}")
     out = np.empty((len(features), model.num_classes))
     for start in range(0, len(features), chunk):
         out[start : start + chunk] = forward(model, features[start : start + chunk])[0]

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -235,6 +235,26 @@ class TestConfigValidation:
     def test_repeated_sweep_ratio_rejected(self, tmp_path, ratios):
         with pytest.raises(ConfigError, match="ratio_0_5|ratio_0_1234"):
             parse_config(base_config(tmp_path, sweep_ratios=ratios))
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("external_entropy_max", -1.0, "external_entropy_max"),
+            ("external_entropy_max", float("nan"), "external_entropy_max"),
+            ("sweep_ratios", (0.5, 1.0), "sweep ratio 1.0"),
+            ("sweep_ratios", (0.5, 0.5), "ratio_0_5"),
+        ],
+    )
+    @pytest.mark.parametrize("build", ["replace", "constructor"])
+    def test_config_built_in_code_is_checked(self, tmp_path, key, value, named, build):
+        config = parse_config(base_config(tmp_path))
+        with pytest.raises(ConfigError, match=named):
+            if build == "replace":
+                replace(config, **{key: value})
+            else:
+                ExperimentConfig(
+                    config.scenario, config.methods, config.run, config.output_dir, **{key: value}
+                )
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
@@ -717,6 +737,37 @@ class TestStaleTeachers:
         path = str(write_config(tmp_path, base_config(out)))
         assert main(["run", "--config", path]) == 3
         assert "teacher_report.json" in capsys.readouterr().err
+
+    def test_every_setting_that_shapes_a_teacher_is_recorded(self):
+        # A RunConfig field that changes a teacher's checkpoint must change
+        # teacher_settings too, or `run` would take teachers another config made.
+        spec = parse_config(base_config("unused")).scenario
+        base = RunConfig(batch_size=16, learning_rate=0.01, teacher_epochs=3, teacher_hidden=(8, 8))
+        changed = {
+            "epochs": 2,
+            "batch_size": 8,
+            "optimizer": "sgd",
+            "learning_rate": 0.02,
+            "temperature": 3.0,
+            "seeds": (4,),
+            "eval_every_epoch": True,
+            "teacher_epochs": 2,
+            "teacher_learning_rate": 0.05,
+            "teacher_hidden": (8, 4),
+            "student_hidden": (4,),
+            "teacher_accuracy_floor": 0.5,
+        }
+        assert list(changed) == [f.name for f in fields(RunConfig)]
+        checkpoint = lambda run: serialize_model(train_benchmark_teacher(spec, run, 0))
+        before = checkpoint(base)
+        shaping = []
+        for name, value in changed.items():
+            assert getattr(base, name) != value, name
+            run = replace(base, **{name: value})
+            if checkpoint(run) != before:
+                shaping.append(name)
+                assert run.teacher_settings != base.teacher_settings, name
+        assert shaping
 
     def test_student_settings_reuse_the_teachers(self, finished_run, tmp_path):
         out = tmp_path / "out"

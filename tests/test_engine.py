@@ -486,6 +486,12 @@ class TestFrozenTeacher:
         features = np.random.default_rng(7).normal(size=(2400, 32))
         assert traced_peak(lambda: engine.frozen_logits(model, features, 256)) < 3 * 2**20
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_refused(self, chunk):
+        model = init_mlp(7, [4, 8, 3])
+        with pytest.raises(InvalidArgumentError, match=f"got {chunk}"):
+            engine.frozen_logits(model, np.zeros((5, 4)), chunk)
+
 
 class TestEvaluate:
     def test_perfect_predictor(self):
