@@ -88,6 +88,8 @@ class UsageError(ConfigError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: its scenario, methods and run settings; it checks its fields itself."""
+
     scenario: ScenarioSpec
     methods: tuple[MethodConfig, ...]
     run: RunConfig
@@ -96,6 +98,12 @@ class ExperimentConfig:
     external_entropy_max: float | None = None  # optional ED pre-filter by teacher entropy
 
     def __post_init__(self) -> None:
+        if not self.methods:
+            raise ConfigError("field methods must list at least one method")
+        names = [m.method for m in self.methods]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"method {name!r} is listed twice")
         if self.sweep_ratios is not None:
             _check_ratios(self.sweep_ratios)
         # Written so that NaN fails the check.
@@ -189,13 +197,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     spec = _scenario_from_json(raw["scenario"])
 
     names = raw["methods"]
-    if not isinstance(names, list) or not names:
-        raise ConfigError("field methods must be a non-empty list")
-    for i, m in enumerate(names):
+    if not isinstance(names, list):
+        raise ConfigError("field methods must be a list")
+    for m in names:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; valid methods: {', '.join(METHODS)}")
-        if m in names[:i]:
-            raise ConfigError(f"method {m!r} is listed twice")
 
     run_kwargs = _parse_section(raw["run"], "run", {**_RUN_SCHEMA, **_METHOD_SCHEMA})
     extras = {k: run_kwargs.pop(k) for k in _METHOD_SCHEMA if k in run_kwargs}

@@ -243,7 +243,10 @@ class TestConfigValidation:
             ("external_entropy_max", float("nan"), "external_entropy_max"),
             ("sweep_ratios", (0.5, 1.0), "sweep ratio 1.0"),
             ("sweep_ratios", (0.5, 0.5), "ratio_0_5"),
+            ("methods", (MethodConfig("kl"), MethodConfig("kl", dkd_beta=2.0)), "'kl'"),
+            ("methods", (), "at least one method"),
         ],
+        ids=["entropy-negative", "entropy-nan", "ratio-1", "ratio-twice", "method-twice", "none"],
     )
     @pytest.mark.parametrize("build", ["replace", "constructor"])
     def test_config_built_in_code_is_checked(self, tmp_path, key, value, named, build):
@@ -252,9 +255,8 @@ class TestConfigValidation:
             if build == "replace":
                 replace(config, **{key: value})
             else:
-                ExperimentConfig(
-                    config.scenario, config.methods, config.run, config.output_dir, **{key: value}
-                )
+                kwargs = {"methods": config.methods, key: value}
+                ExperimentConfig(config.scenario, run=config.run, output_dir=tmp_path, **kwargs)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
