@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import io
 import json
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import partial
 from itertools import product
 from pathlib import Path
 from types import UnionType
@@ -27,7 +29,7 @@ from typing import Iterator, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .benchmark import train_benchmark_teacher
-from .distill import METHODS, MethodConfig, teacher_entropy
+from .distill import MethodConfig, teacher_entropy
 from .domains import (
     DistillSet,
     LabeledSet,
@@ -52,6 +54,16 @@ from .nn_core import MlpModel
 
 SCHEMA_VERSION = 1
 BLAS_THREAD_ENVS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# OpenBLAS's thread-count functions, in the order _openblas_threads tries
+# them, with `{}` "set" or "get", and each one's C signature. numpy 2's
+# wheels bundle the first; the others are plain OpenBLAS's names, with and
+# without its 64-bit-integer suffix.
+_OPENBLAS_FUNCTIONS = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+_OPENBLAS_SIGNATURES = {"set": ([ctypes.c_int], None), "get": ([], ctypes.c_int)}
 
 RESULT_COLUMNS = ("seed", "method", "task", "teacher", "domain", "accuracy", "elapsed_seconds")
 SWEEP_COLUMNS = ("ed_ratio",) + RESULT_COLUMNS
@@ -199,15 +211,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     names = raw["methods"]
     if not isinstance(names, list):
         raise ConfigError("field methods must be a list")
-    for m in names:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; valid methods: {', '.join(METHODS)}")
+    try:  # MethodConfig's own error names the valid methods
+        methods = tuple(MethodConfig(m) for m in names)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from None
 
     run_kwargs = _parse_section(raw["run"], "run", {**_RUN_SCHEMA, **_METHOD_SCHEMA})
     extras = {k: run_kwargs.pop(k) for k in _METHOD_SCHEMA if k in run_kwargs}
-    try:
+    try:  # the methods' hyperparameters are run settings
         run = RunConfig(**run_kwargs)
-        methods = tuple(MethodConfig(m, **extras) for m in names)
+        methods = tuple(replace(m, **extras) for m in methods)
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid run settings: {exc}") from None
 
@@ -332,21 +345,69 @@ def _read_teacher(path: Path, spec: ScenarioSpec) -> MlpModel:
     return model
 
 
+def _openblas_threads(action: str):
+    """OpenBLAS's `action`_num_threads function, "set" or "get", through ctypes; None if absent.
+
+    It looks in the OpenBLAS that numpy's wheels bundle in numpy.libs.
+    numpy built on another BLAS (MKL, Accelerate, a system OpenBLAS) has
+    none there.
+    """
+    libs = []
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            libs.append(ctypes.CDLL(str(path)))
+        except OSError:
+            pass
+    for name in _OPENBLAS_FUNCTIONS:
+        for lib in libs:
+            function = getattr(lib, name.format(action), None)
+            if function is not None:
+                function.argtypes, function.restype = _OPENBLAS_SIGNATURES[action]
+                return function
+    return None
+
+
 def cmd_teachers(config: ExperimentConfig) -> Path:
-    """Pretrain one teacher per task and write checkpoints plus a quality report."""
+    """Pretrain one teacher per task and write checkpoints plus a quality report.
+
+    With two or more usable cores and an OpenBLAS thread setter, the
+    teachers train in forked workers, one per core up to one per teacher,
+    each on one BLAS thread; otherwise they train here one after another.
+    Both ways write the same bytes, and this process's thread count never
+    changes.
+    """
     _require_manifest(config)
     spec = config.scenario
     # Each teacher generates its own training rows; the report needs only the test splits.
     test_sets = {m: ds.test for m, ds in generate_domains(spec).items()}
     (config.output_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
+    paths = _teacher_paths(config.output_dir, spec)
+    make = partial(_make_teacher, spec, test_sets, config.run)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    jobs = min(spec.n_teachers, cores)
+    set_threads = _openblas_threads("set") if jobs > 1 else None
+    if set_threads is None:
+        entries = [make(t, path) for t, path in enumerate(paths)]
+    else:
+        # Imported here, as in run_grid. Unlike its spawned workers, forked
+        # ones re-import nothing. OpenBLAS stops its threads at fork, and each
+        # worker takes one thread before its first teacher.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=set_threads,
+            initargs=(1,),
+        ) as pool:
+            entries = list(pool.map(make, range(spec.n_teachers), paths))
     report = {
         "schema_version": SCHEMA_VERSION,
         "floor": config.run.teacher_accuracy_floor,
         "settings": config.run.teacher_settings,
-        "teachers": [],
+        "teachers": entries,
     }
-    for t, path in enumerate(_teacher_paths(config.output_dir, spec)):
-        report["teachers"].append(_make_teacher(spec, test_sets, config.run, t, path))
     _write_json(config.output_dir / "teacher_report.json", report)
     return config.output_dir / "teacher_report.json"
 
@@ -356,7 +417,8 @@ def _make_teacher(
 ) -> dict:
     """Train teacher t, checkpoint it at `path` and return its report entry.
 
-    The teacher is freed on return, so `teachers` holds one at a time.
+    The teacher is freed on return, so each process of `teachers` holds one
+    at a time.
     """
     teacher = train_benchmark_teacher(spec, run, t)
     # The teacher passed the divergence check, so serialize_model accepts it.

@@ -43,11 +43,11 @@ class MethodConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise InvalidArgumentError(
-                f"unknown method {self.method!r}, expected one of {METHODS}"
+                f"unknown method {self.method!r}; valid methods: {', '.join(METHODS)}"
             )
         # Written so that NaN fails each check.
-        if not (self.dkd_alpha >= 0 and self.dkd_beta >= 0):
-            raise InvalidArgumentError("dkd_alpha and dkd_beta must be nonnegative")
+        if not (0 <= self.dkd_alpha < math.inf and 0 <= self.dkd_beta < math.inf):
+            raise InvalidArgumentError("dkd_alpha and dkd_beta must be finite and nonnegative")
         if not (0.0 <= self.mds_low_q < self.mds_high_q <= 1.0):
             raise InvalidArgumentError(
                 f"need 0 <= low < high <= 1, got [{self.mds_low_q}, {self.mds_high_q}]"

@@ -122,8 +122,12 @@ class RunConfig:
         # Written so that NaN fails each check.
         for name in ("learning_rate", "temperature", "teacher_learning_rate"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise InvalidArgumentError(f"{name} must be > 0, got {value}")
+            if value is not None and not 0 < value < np.inf:
+                raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
+        if not 0.0 <= self.teacher_accuracy_floor <= 1.0:
+            raise InvalidArgumentError(
+                f"teacher_accuracy_floor must lie in [0, 1], got {self.teacher_accuracy_floor}"
+            )
         for name in ("teacher_hidden", "student_hidden"):
             if not all(width >= 1 for width in getattr(self, name)):
                 raise InvalidArgumentError(f"{name} widths must be >= 1, got {getattr(self, name)}")

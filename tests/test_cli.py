@@ -24,6 +24,7 @@ from cdbench.cli import (
     _atomic_write,
     _check_ratios,
     _filter_external_by_entropy,
+    _openblas_threads,
     _single_threaded_blas,
     cmd_analyze,
     cmd_gen,
@@ -119,6 +120,37 @@ def teachers_at_sgd_rate(tmp_path, capsys, rate):
     return main(["teachers", "--config", path]), capsys.readouterr().err, path
 
 
+@pytest.fixture
+def serial_teachers(monkeypatch):
+    """cmd_teachers trains in this process: its setter lookup finds no OpenBLAS setter.
+
+    For the tests that spy on teacher training, whose recorders would
+    otherwise run in the forked workers.
+    """
+    monkeypatch.setattr(cdbench.cli, "_openblas_threads", lambda action: None)
+
+
+def quick_teachers(out):
+    """gen, then cmd_teachers, on quick.json at `out`: the report's and each checkpoint's bytes."""
+    doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+    doc["output_dir"] = str(out)
+    config = parse_config(doc)
+    cmd_gen(config)
+    cmd_teachers(config)
+    paths = [out / "teacher_report.json", *sorted((out / "checkpoints").iterdir())]
+    return {path.relative_to(out): path.read_bytes() for path in paths}
+
+
+TEST_PID = os.getpid()
+
+
+def die(*args):
+    """A teacher worker's death; module-level, so a pool can pickle it by name."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("a teacher trained in the test process")
+    os._exit(1)
+
+
 class TestConfigValidation:
     def test_valid_config_parses(self, tmp_path):
         cfg = parse_config(base_config(tmp_path / "out"))
@@ -146,6 +178,18 @@ class TestConfigValidation:
     def test_unknown_method_lists_valid_names(self, tmp_path):
         doc = base_config(tmp_path, methods=["kl", "magic"])
         with pytest.raises(ConfigError, match="kl, ls, dkd, mds, self_distill, se2d"):
+            parse_config(doc)
+
+    def test_unknown_method_is_not_a_run_setting(self, tmp_path):
+        doc = base_config(tmp_path, methods=["kl", "magic"])
+        with pytest.raises(ConfigError, match="^unknown method 'magic'; valid methods: kl,"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("floor", [1.5, -0.2])
+    def test_floor_outside_unit_interval(self, tmp_path, floor):
+        doc = base_config(tmp_path)
+        doc["run"]["teacher_accuracy_floor"] = floor
+        with pytest.raises(ConfigError, match="teacher_accuracy_floor must lie in"):
             parse_config(doc)
 
     def test_wrong_schema_version(self, tmp_path):
@@ -371,6 +415,7 @@ class TestTeachers:
         assert re.search(r"teacher \d+, epoch \d+: the teacher diverged", err), err
         assert not (tmp_path / "out" / "teacher_report.json").exists()
 
+    @pytest.mark.usefixtures("serial_teachers")
     def test_holds_one_teacher_at_a_time(self, tmp_path):
         # One 6-128-128-3 teacher's parameters take 139 KiB as float64, more
         # than the slack, so keeping a teacher while the next one trains fails.
@@ -387,6 +432,7 @@ class TestTeachers:
         )
         assert traced_peak(lambda: cmd_teachers(config)) <= one + 32 * 1024
 
+    @pytest.mark.usefixtures("serial_teachers")
     def test_each_teacher_trains_on_its_own_rows_alone(self, tmp_path, monkeypatch):
         # Every train split that domain generation returns is dead when a
         # teacher starts: the teacher's rows come as one concatenated set.
@@ -429,6 +475,53 @@ class TestTeachers:
         config = parse_config(doc)
         with pytest.raises(DivergenceError, match="^teacher 0, epoch 0: the teacher diverged"):
             train_benchmark_teachers(config.scenario, config.run)
+
+
+class TestTeacherPool:
+    """With two cores and an OpenBLAS setter, cmd_teachers trains in forked workers."""
+
+    @pytest.fixture(autouse=True)
+    def pool_available(self):
+        if len(os.sched_getaffinity(0)) < 2 or _openblas_threads("set") is None:
+            pytest.skip("needs two usable cores and an OpenBLAS thread setter")
+
+    def test_workers_write_the_serial_bytes(self, tmp_path, monkeypatch):
+        train_teacher, trained_here = cdbench.benchmark.train_teacher, []
+
+        def recorded(*args, **kwargs):
+            # A forked worker appends to its own copy of the list.
+            trained_here.append(os.getpid())
+            return train_teacher(*args, **kwargs)
+
+        monkeypatch.setattr(cdbench.benchmark, "train_teacher", recorded)
+        pooled = quick_teachers(tmp_path / "pool")
+        assert trained_here == []
+        monkeypatch.setattr(cdbench.cli, "_openblas_threads", lambda action: None)
+        serial = quick_teachers(tmp_path / "serial")
+        assert trained_here == [os.getpid()] * 2
+        assert len(pooled) == 3 and pooled == serial
+
+    def test_leaves_this_process_thread_count(self, tmp_path):
+        get, set_threads = _openblas_threads("get"), _openblas_threads("set")
+        before = get()
+        set_threads(2)
+        try:
+            quick_teachers(tmp_path / "out")
+            assert get() == 2
+        finally:
+            set_threads(before)
+
+    def test_dead_worker_fails_the_stage(self, tmp_path, capsys, monkeypatch):
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        path = str(write_config(tmp_path, doc))
+        assert main(["gen", "--config", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cdbench.cli, "_make_teacher", die)
+        assert main(["teachers", "--config", path]) == 4
+        assert "terminated abruptly" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "teacher_report.json").exists()
+        assert main(["run", "--config", path]) == 2
 
 
 @pytest.fixture(scope="module")
@@ -1258,6 +1351,7 @@ class TestAnalyzeTeachers:
 
 
 class TestSingleScenarioPath:
+    @pytest.mark.usefixtures("serial_teachers")
     def test_each_stage_generates_each_domain_once(self, tmp_path, monkeypatch):
         original = cdbench.domains.generate_domain
         calls = []
@@ -1358,8 +1452,8 @@ class TestEndToEndDeterminism:
 
 
 def test_cli_import_leaves_out_the_pool_modules():
-    # Only `run` and `sweep` with --jobs above 1 start a pool; the digest
-    # test checks that such a run writes what --jobs 1 does.
+    # Only `teachers`, and `run` and `sweep` with --jobs above 1, start a
+    # pool; the digest test checks that such a run writes what --jobs 1 does.
     code = (
         "import sys, cdbench.cli;"
         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"

@@ -576,6 +576,12 @@ class TestMethodConfig:
         with pytest.raises(InvalidArgumentError):
             MethodConfig("fancy")
 
+    def test_unknown_method_lists_valid_names(self):
+        # The wording `cdbench` prints for an unknown method in a config.
+        valid = "valid methods: kl, ls, dkd, mds, self_distill, se2d"
+        with pytest.raises(InvalidArgumentError, match=f"^unknown method 'fancy'; {valid}$"):
+            MethodConfig("fancy")
+
     def test_bad_quantile_band(self):
         with pytest.raises(InvalidArgumentError):
             MethodConfig("mds", mds_low_q=0.9, mds_high_q=0.1)
@@ -584,6 +590,11 @@ class TestMethodConfig:
     def test_nan_rejected(self, field):
         with pytest.raises(InvalidArgumentError, match=field):
             MethodConfig("dkd", **{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["dkd_alpha", "dkd_beta"])
+    def test_infinity_rejected(self, field):
+        with pytest.raises(InvalidArgumentError, match=field):
+            MethodConfig("dkd", **{field: float("inf")})
 
     def test_defaults(self):
         cfg = MethodConfig("dkd")

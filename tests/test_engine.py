@@ -218,6 +218,19 @@ class TestRunConfig:
         with pytest.raises(InvalidArgumentError):
             RunConfig(temperature=0.0)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "temperature", "teacher_learning_rate"])
+    def test_infinity_rejected(self, field):
+        with pytest.raises(InvalidArgumentError, match=field):
+            RunConfig(**{field: float("inf")})
+
+    def test_floor_must_lie_in_unit_interval(self):
+        # The floors that configs, tests and perfbench set, and the default.
+        for floor in (0.0, 0.5, 0.75, 0.8, 0.9):
+            RunConfig(teacher_accuracy_floor=floor)
+        for floor in (float("nan"), 1.5, -0.2):
+            with pytest.raises(InvalidArgumentError, match="teacher_accuracy_floor"):
+                RunConfig(teacher_accuracy_floor=floor)
+
 
 class TestDistillTask:
     def test_student_equal_to_teacher_has_zero_loss(self, tiny_scenario, tiny_config):
