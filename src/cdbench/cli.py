@@ -24,7 +24,7 @@ from functools import partial
 from itertools import product
 from pathlib import Path
 from types import UnionType
-from typing import Iterator, get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -390,18 +390,20 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
         entries = [make(t, path) for t, path in enumerate(paths)]
     else:
         # Imported here, as in run_grid. Unlike its spawned workers, forked
-        # ones re-import nothing. OpenBLAS stops its threads at fork, and each
-        # worker takes one thread before its first teacher.
+        # ones re-import nothing, and they inherit `make` and its inputs
+        # through the fork, so each task sends only (t, path). OpenBLAS stops
+        # its threads at fork, and each worker takes one thread before its
+        # first teacher.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=multiprocessing.get_context("fork"),
-            initializer=set_threads,
-            initargs=(1,),
+            initializer=_start_teacher_worker,
+            initargs=(set_threads, make),
         ) as pool:
-            entries = list(pool.map(make, range(spec.n_teachers), paths))
+            entries = list(pool.map(_worker_teacher, range(spec.n_teachers), paths))
     report = {
         "schema_version": SCHEMA_VERSION,
         "floor": config.run.teacher_accuracy_floor,
@@ -410,6 +412,21 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     }
     _write_json(config.output_dir / "teacher_report.json", report)
     return config.output_dir / "teacher_report.json"
+
+
+# In a forked `teachers` worker, _make_teacher bound to the stage's inputs.
+_worker_make = None
+
+
+def _start_teacher_worker(set_threads, make) -> None:
+    """Initialize a forked `teachers` worker: one BLAS thread, and the stage's `make`."""
+    global _worker_make
+    set_threads(1)
+    _worker_make = make
+
+
+def _worker_teacher(t: int, path: Path) -> dict:
+    return _worker_make(t, path)
 
 
 def _make_teacher(
@@ -435,8 +452,13 @@ def _make_teacher(
     }
 
 
-def _load_teachers(config: ExperimentConfig) -> list[MlpModel]:
-    """The checkpointed teachers, once teacher_report.json shows config's settings made them."""
+def _teacher_loaders(config: ExperimentConfig) -> list[Callable[[], MlpModel]]:
+    """One loader per teacher checkpoint, `partial(_read_teacher, path, spec)`, in task order.
+
+    teacher_report.json must show that config's settings made the teachers.
+    Every checkpoint is then read, checked and dropped, one at a time, so a
+    bad one fails the stage before any cell starts.
+    """
     path = config.output_dir / "teacher_report.json"
     missing = f"no teacher report at {path}; run `cdbench teachers` first"
     report = _read_json(path, FormatError, missing)
@@ -450,21 +472,25 @@ def _load_teachers(config: ExperimentConfig) -> list[MlpModel]:
                 f"{recorded.get(key)!r}; rerun `cdbench teachers`"
             )
     spec = config.scenario
-    return [_read_teacher(path, spec) for path in _teacher_paths(config.output_dir, spec)]
+    loaders = [partial(_read_teacher, path, spec) for path in _teacher_paths(config.output_dir, spec)]
+    for load in loaders:
+        load()
+    return loaders
 
 
 def _filter_external_by_entropy(scenario, teachers, threshold: float, chunk: int):
     """Drop external samples whose mean teacher entropy exceeds the threshold.
 
     Screening candidate external data by the teachers' own predictive
-    uncertainty, each teacher run over `chunk` rows at a time; internal
-    samples always stay.
+    uncertainty: `teachers` holds one loader per teacher, and each teacher
+    is loaded, run over `chunk` rows at a time and dropped before the next;
+    internal samples always stay.
     """
     ds = scenario.distill_set
     if not ds.external_mask.any():
         return scenario
     ext = ds.features[ds.external_mask]
-    per_teacher = [teacher_entropy(frozen_logits(t, ext, chunk), 1.0) for t in teachers]
+    per_teacher = [teacher_entropy(frozen_logits(load(), ext, chunk), 1.0) for load in teachers]
     keep_ext = np.mean(per_teacher, axis=0) <= threshold
     keep = ~ds.external_mask
     keep[np.flatnonzero(ds.external_mask)[keep_ext]] = True
@@ -507,16 +533,17 @@ def _single_threaded_blas() -> Iterator[None]:
 
 
 def run_grid(
-    config: ExperimentConfig, teachers: list[MlpModel], jobs: int = 1
+    config: ExperimentConfig, teachers: list[Callable[[], MlpModel]], jobs: int = 1
 ) -> tuple[list[dict], list[tuple]]:
     """Run config's method x seed grid on config.scenario in memory.
 
+    `teachers` holds one zero-argument loader per teacher, in task order.
     The scenario is built, and its external rows screened, once for all
     cells. The cells share one FrozenTeacher per teacher, so each teacher
-    runs over the distillation set once per call, not once per cell (with
-    jobs > 1, each cell is pickled on its own and makes its own pass).
-    Serially, a teacher's model is freed after its pass unless the caller
-    holds it, as `sweep` does for its later ratios.
+    is loaded and runs over the distillation set once per call, not once
+    per cell (with jobs > 1, each cell is pickled with the loaders and
+    makes its own passes). Serially, a teacher's model is loaded when its
+    pass is due and freed after it, so at most one is alive.
     Returns the result rows, keyed by RESULT_COLUMNS and sorted by
     method, seed, task and domain, and the sorted per-epoch curve rows.
     """
@@ -527,9 +554,7 @@ def run_grid(
         scenario = _filter_external_by_entropy(
             scenario, teachers, config.external_entropy_max, config.run.batch_size
         )
-    frozen = [FrozenTeacher(t) for t in teachers]
-    # Each FrozenTeacher drops its model after its pass; the list would keep them all.
-    del teachers
+    frozen = [FrozenTeacher(load, config.scenario.n_classes) for load in teachers]
     cells = [
         (scenario, m, config.run, s, frozen)
         for m in config.methods
@@ -582,7 +607,7 @@ def _write_grid(
 def cmd_run(config: ExperimentConfig, jobs: int = 1) -> Path:
     """Execute the full method x seed grid and write results + summary."""
     _require_manifest(config)
-    rows, curves = run_grid(config, _load_teachers(config), jobs)
+    rows, curves = run_grid(config, _teacher_loaders(config), jobs)
     return _write_grid(config.output_dir, config, rows, curves)
 
 
@@ -655,12 +680,12 @@ def _summarize(config: ExperimentConfig, rows: list[dict]) -> dict:
 
 
 def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
-    """Run the grid once per ratio of config.sweep_ratios, sharing the teachers."""
+    """Run the grid once per ratio of config.sweep_ratios; each ratio reads the teachers afresh."""
     ratios = config.sweep_ratios
     if ratios is None:  # a ratio list that is given was checked at construction
         raise ConfigError("sweep needs at least one ratio: set sweep_ratios or pass --ratio")
     _require_manifest(config)
-    teachers = _load_teachers(config)
+    teachers = _teacher_loaders(config)
     out = config.output_dir
     swept: list[dict] = []
     for ratio in ratios:
@@ -775,11 +800,11 @@ def cmd_analyze(results_dir: Path) -> Path:
 
     # Teacher entropy profiles over every domain's test split, when teachers were trained.
     if (results_dir / "checkpoints").exists():
-        domains = generate_domains(spec)
+        test_sets = {m: ds.test for m, ds in generate_domains(spec).items()}
         for t, path in enumerate(_teacher_paths(results_dir, spec)):
             model = _read_teacher(path, spec)
-            for d, ds in sorted(domains.items()):
-                profile = entropy_histogram(model, ds.test.features, 1.0, bins=20)
+            for d, ts in sorted(test_sets.items()):
+                profile = entropy_histogram(model, ts.features, 1.0, bins=20)
                 metrics_doc["entropy"].append(
                     {
                         "teacher": t,

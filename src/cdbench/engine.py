@@ -13,7 +13,7 @@ import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -305,26 +305,27 @@ def frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
 
 
 class FrozenTeacher:
-    """A teacher model that serves its logits over one distillation set.
+    """A teacher, read when its pass is due, that serves its logits over one distillation set.
 
-    The logits depend only on the teacher, the set and the chunk size, not
-    on the student, method or seed, so every grid cell that shares one
-    FrozenTeacher shares one pass over the set. The first call makes that
-    pass and drops the model, so the teacher's parameters are freed once
-    no one else holds them; a later call with another set (matched by
-    identity) or chunk size raises InvalidArgumentError.
+    It is built from a zero-argument loader of the model and the model's
+    class count. The logits depend only on the teacher, the set and the
+    chunk size, not on the student, method or seed, so every grid cell that
+    shares one FrozenTeacher shares one pass over the set. The first call
+    loads the model, makes that pass and drops the loader, so the model is
+    freed once no one else holds it; a later call with another set
+    (matched by identity) or chunk size raises InvalidArgumentError.
     """
 
-    def __init__(self, model: MlpModel) -> None:
-        self.model: MlpModel | None = model
-        self.num_classes = model.num_classes
+    def __init__(self, load: Callable[[], MlpModel], num_classes: int) -> None:
+        self._load: Callable[[], MlpModel] | None = load
+        self.num_classes = num_classes
         self._seen: tuple[DistillSet, int] | None = None
         self._logits: Matrix | None = None
 
     def logits(self, distill_set: DistillSet, chunk: int) -> Matrix:
         if self._seen is None:
-            self._logits = frozen_logits(self.model, distill_set.features, chunk)
-            self._seen, self.model = (distill_set, chunk), None
+            self._logits = frozen_logits(self._load(), distill_set.features, chunk)
+            self._seen, self._load = (distill_set, chunk), None
         elif self._seen[0] is not distill_set or self._seen[1] != chunk:
             raise InvalidArgumentError(
                 "this teacher has served another distillation set or chunk size"
@@ -362,7 +363,8 @@ def distill_task(
     loss.
     """
     if not isinstance(teacher, FrozenTeacher):
-        teacher = FrozenTeacher(teacher)
+        # The default binds the model, not the name `teacher`, which is rebound here.
+        teacher = FrozenTeacher(lambda model=teacher: model, teacher.num_classes)
     if student.num_classes != teacher.num_classes:
         raise InvalidArgumentError(
             f"student has {student.num_classes} classes, teacher has {teacher.num_classes}"

@@ -36,6 +36,11 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def loaders(models):
+    """Zero-argument loaders of these in-memory models, the teachers run_grid takes."""
+    return [lambda model=model: model for model in models]
+
+
 @pytest.fixture(scope="session")
 def desk_config():
     """Small, fast settings used by the data/engine sanity oracles."""

@@ -52,7 +52,7 @@ from cdbench.cli import (
 )
 from cdbench.distill import teacher_entropy
 
-from conftest import max_relative_error
+from conftest import loaders, max_relative_error
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
 KNOWN_DOMAINS = (0, 1, 2, 3)
@@ -87,7 +87,7 @@ def benchmark_runs(benchmark_config):
             scenario=replace(config.scenario, ed_ratio=ratio),
             methods=tuple(m for m in config.methods if m.method in names),
         )
-        rows, _ = run_grid(grid, teachers)
+        rows, _ = run_grid(grid, loaders(teachers))
         for (method, seed), matrix in _accuracy_matrices(rows, f"ratio {ratio}").items():
             matrices[method, ratio, seed] = matrix
     elapsed = time.perf_counter() - start

@@ -55,7 +55,7 @@ from cdbench.errors import ConfigError, DivergenceError, FormatError, InvalidArg
 from cdbench.metrics import entropy_histogram
 from cdbench.nn_core import Layer, MlpModel, init_mlp
 
-from conftest import traced_peak
+from conftest import loaders, traced_peak
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -623,32 +623,75 @@ class TestRun:
         assert "method kl, seed 1, task 0, epoch 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
 
-    def test_serial_run_frees_each_teacher_after_its_pass(self, tmp_path, monkeypatch):
-        # The first cell makes every teacher's pass; later cells read the
-        # logits its FrozenTeachers keep, so no teacher model is left alive.
+    @pytest.mark.parametrize("command", ["run", "sweep", "screen"])
+    def test_one_teacher_is_alive_at_each_teacher_pass(self, tmp_path, monkeypatch, command):
+        # Every model _read_teacher returns is recorded. At each pass of a
+        # teacher, whether a grid's or the entropy screen's, the teacher
+        # being run is the only one alive.
         doc = json.loads((CONFIG_DIR / "quick.json").read_text())
         doc["output_dir"] = str(tmp_path / "out")
+        if command == "screen":
+            doc["external_entropy_max"] = 100.0
         path = str(write_config(tmp_path, doc))
         assert main(["gen", "--config", path]) == 0
         assert main(["teachers", "--config", path]) == 0
-        loaded, alive = [], []
-        load_teachers, run_cell = cdbench.cli._load_teachers, cdbench.cli._run_cell
+        read, alive = [], []
+        read_teacher, frozen_logits = cdbench.cli._read_teacher, cdbench.engine.frozen_logits
 
-        def load_recorded(config):
-            teachers = load_teachers(config)
-            loaded.extend(weakref.ref(t) for t in teachers)
-            return teachers
+        def read_recorded(*args):
+            model = read_teacher(*args)
+            read.append(weakref.ref(model))
+            return model
 
-        def run_cell_counted(args):
-            alive.append(sum(ref() is not None for ref in loaded))
-            return run_cell(args)
+        def frozen_counted(model, features, chunk):
+            if any(ref() is model for ref in read):
+                alive.append(sum(ref() is not None for ref in read))
+            return frozen_logits(model, features, chunk)
 
-        monkeypatch.setattr(cdbench.cli, "_load_teachers", load_recorded)
-        monkeypatch.setattr(cdbench.cli, "_run_cell", run_cell_counted)
-        assert main(["run", "--config", path, "--jobs", "1"]) == 0
-        # 2 methods x 2 seeds over 2 teachers.
-        assert len(loaded) == 2
-        assert alive == [2, 0, 0, 0]
+        monkeypatch.setattr(cdbench.cli, "_read_teacher", read_recorded)
+        monkeypatch.setattr(cdbench.engine, "frozen_logits", frozen_counted)
+        monkeypatch.setattr(cdbench.cli, "frozen_logits", frozen_counted)
+        argv = ["run", "--config", path, "--jobs", "1"]
+        if command == "sweep":
+            argv = ["sweep", "--config", path, "--ratio", "0,0.5"]
+        assert main(argv) == 0
+        # 2 teachers: one pass each per grid, and per ratio, plus the screen's.
+        assert alive == [1] * {"run": 2, "sweep": 4, "screen": 4}[command]
+
+    def test_run_holds_one_teacher_at_a_time(self, tmp_path):
+        # One 6-128-128-3 teacher's parameters take 139 KiB as float64, more
+        # than the slack, so holding a second teacher at any point fails.
+        doc = base_config(tmp_path / "out")
+        doc["scenario"].update(
+            n_domains=5, teacher_exclusive_domains=[[1], [2], [3]], external_domains=[4]
+        )
+        doc["run"].update(teacher_epochs=2, teacher_hidden=[128, 128])
+        config = parse_config(doc)
+        cmd_gen(config)
+        cmd_teachers(config)
+        spec = config.scenario
+        paths = cdbench.cli._teacher_paths(config.output_dir, spec)
+        one = max(traced_peak(lambda: cdbench.cli._read_teacher(p, spec)) for p in paths)
+        assert traced_peak(lambda: cmd_run(config)) <= one + 96 * 1024
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_bad_last_checkpoint_fails_before_any_cell(
+        self, finished_run, tmp_path, monkeypatch, capsys, command
+    ):
+        # teacher_1 is the scenario's last teacher.
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        ckpt = out / "checkpoints" / "teacher_1.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-4])
+        cells = []
+        monkeypatch.setattr(cdbench.cli, "_run_cell", cells.append)
+        path = str(write_config(tmp_path, base_config(out)))
+        argv = ["run", "--config", path]
+        if command == "sweep":
+            argv = ["sweep", "--config", path, "--ratio", "0,0.5"]
+        assert main(argv) == 3
+        assert "teacher_1.ckpt" in capsys.readouterr().err
+        assert cells == []
 
     def test_eval_every_epoch_writes_each_epochs_accuracies(self, tmp_path, monkeypatch):
         doc = json.loads((CONFIG_DIR / "quick.json").read_text())
@@ -926,7 +969,7 @@ class TestGridCells:
             return original(model, features, chunk)
 
         monkeypatch.setattr(cdbench.engine, "frozen_logits", counted)
-        run_grid(config, teachers)
+        run_grid(config, loaders(teachers))
         # kl and dkd read no checkpoint, so every pass is a teacher's: one
         # each for the grid's four cells, not one per cell.
         assert [id(m) for m in passes] == [id(t) for t in teachers]
@@ -941,7 +984,7 @@ class TestGridCells:
             for log in run_sequence(student, teachers, scenario, method, config.run, seed=seed):
                 for d, acc in sorted(log.accuracies.items()):
                     want.append((method.method, seed, log.task_index, d, acc))
-        rows, _ = run_grid(config, teachers)
+        rows, _ = run_grid(config, loaders(teachers))
         got = [(r["method"], r["seed"], r["task"], r["domain"], r["accuracy"]) for r in rows]
         assert got == sorted(want)
 
@@ -958,7 +1001,7 @@ class TestGridCells:
         one_cell = replace(
             config, methods=config.methods[:1], run=replace(config.run, seeds=(1,))
         )
-        rows, _ = run_grid(one_cell, teachers)
+        rows, _ = run_grid(one_cell, loaders(teachers))
         elapsed = {}
         for r in rows:
             elapsed.setdefault(r["task"], set()).add(r["elapsed_seconds"])
@@ -1010,7 +1053,8 @@ class TestExternalEntropyFilter:
         scenario = build_scenario(spec)
         assert scenario.distill_set.external_mask.sum() == 1200
         teachers = [init_mlp(t, [32, 512, 512, 10]) for t in range(3)]
-        peak = traced_peak(lambda: _filter_external_by_entropy(scenario, teachers, 100.0, 256))
+        screen = lambda: _filter_external_by_entropy(scenario, loaders(teachers), 100.0, 256)
+        peak = traced_peak(screen)
         assert peak < 3 * 2**20
 
 

@@ -473,7 +473,7 @@ class TestFrozenTeacher:
 
         monkeypatch.setattr(engine, "frozen_logits", counted)
         ds = tiny_scenario.distill_set
-        frozen = engine.FrozenTeacher(tiny_teachers[0])
+        frozen = engine.FrozenTeacher(lambda: tiny_teachers[0], 3)
         first = frozen.logits(ds, 16)
         assert frozen.logits(ds, 16) is first
         assert first.tobytes() == original(tiny_teachers[0], ds.features, 16).tobytes()
@@ -487,10 +487,23 @@ class TestFrozenTeacher:
     def test_model_is_freed_after_its_pass(self, tiny_scenario, tiny_teachers):
         model = tiny_teachers[0].copy()
         model_ref = weakref.ref(model)
-        frozen = engine.FrozenTeacher(model)
+        frozen = engine.FrozenTeacher(lambda model=model: model, 3)
         del model
         frozen.logits(tiny_scenario.distill_set, 16)
         assert model_ref() is None
+
+    def test_loads_its_model_at_the_first_pass_alone(self, tiny_scenario, tiny_teachers):
+        loads = []
+
+        def load():
+            loads.append(1)
+            return tiny_teachers[0]
+
+        frozen = engine.FrozenTeacher(load, 3)
+        assert loads == []
+        for _ in range(2):
+            frozen.logits(tiny_scenario.distill_set, 16)
+        assert loads == [1]
 
     def test_pass_holds_one_chunk_of_activations(self):
         # Two 256x512 hidden activations are 2 MB; a cache kept alive into
