@@ -18,13 +18,12 @@ import io
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from itertools import product
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Iterator, get_args, get_origin, get_type_hints
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from .metrics import AccuracyMatrix, average_forgetting, entropy_histogram, forg
 from .nn_core import MlpModel
 
 SCHEMA_VERSION = 1
-BLAS_THREAD_ENVS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # OpenBLAS's thread-count functions, in the order _openblas_threads tries
 # them, with `{}` "set" or "get", and each one's C signature. numpy 2's
 # wheels bundle the first; the others are plain OpenBLAS's names, with and
@@ -370,11 +368,8 @@ def _openblas_threads(action: str):
 def cmd_teachers(config: ExperimentConfig) -> Path:
     """Pretrain one teacher per task and write checkpoints plus a quality report.
 
-    With two or more usable cores and an OpenBLAS thread setter, the
-    teachers train in forked workers, one per core up to one per teacher,
-    each on one BLAS thread; otherwise they train here one after another.
-    Both ways write the same bytes, and this process's thread count never
-    changes.
+    The teachers train through _pool_map, one worker per usable core up to
+    one per teacher; both of its ways write the same bytes.
     """
     _require_manifest(config)
     spec = config.scenario
@@ -384,26 +379,7 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     paths = _teacher_paths(config.output_dir, spec)
     make = partial(_make_teacher, spec, test_sets, config.run)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    jobs = min(spec.n_teachers, cores)
-    set_threads = _openblas_threads("set") if jobs > 1 else None
-    if set_threads is None:
-        entries = [make(t, path) for t, path in enumerate(paths)]
-    else:
-        # Imported here, as in run_grid. Unlike its spawned workers, forked
-        # ones re-import nothing, and they inherit `make` and its inputs
-        # through the fork, so each task sends only (t, path). OpenBLAS stops
-        # its threads at fork, and each worker takes one thread before its
-        # first teacher.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_teacher_worker,
-            initargs=(set_threads, make),
-        ) as pool:
-            entries = list(pool.map(_worker_teacher, range(spec.n_teachers), paths))
+    entries = _pool_map(make, range(spec.n_teachers), paths, jobs=cores)
     report = {
         "schema_version": SCHEMA_VERSION,
         "floor": config.run.teacher_accuracy_floor,
@@ -414,19 +390,48 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     return config.output_dir / "teacher_report.json"
 
 
-# In a forked `teachers` worker, _make_teacher bound to the stage's inputs.
-_worker_make = None
+def _pool_map(fn: Callable, *columns, jobs: int) -> list:
+    """`list(map(fn, *columns))`, in forked one-BLAS-thread workers where that can run.
+
+    With more than one call, `jobs` above 1 and an OpenBLAS thread setter,
+    the calls run in min(jobs, calls) forked workers. Each worker inherits
+    `fn`, with everything it binds, through the fork and sets its OpenBLAS
+    to one thread before its first call, so a task sends only its own
+    arguments and this process's thread count never changes. Otherwise the
+    calls run in order, in this process.
+    """
+    workers = min(jobs, len(columns[0]))
+    set_threads = _openblas_threads("set") if workers > 1 else None
+    if set_threads is None:
+        return list(map(fn, *columns))
+    # Imported here, since the serial path, `gen` and `analyze` never need
+    # them. OpenBLAS stops its threads at fork, so the workers start without
+    # them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(set_threads, fn),
+    ) as pool:
+        return list(pool.map(_call_worker_fn, *columns))
 
 
-def _start_teacher_worker(set_threads, make) -> None:
-    """Initialize a forked `teachers` worker: one BLAS thread, and the stage's `make`."""
-    global _worker_make
+# In a forked _pool_map worker, the function its pool maps.
+_worker_fn = None
+
+
+def _start_worker(set_threads, fn) -> None:
+    """Initialize a forked _pool_map worker: one BLAS thread, and the pool's `fn`."""
+    global _worker_fn
     set_threads(1)
-    _worker_make = make
+    _worker_fn = fn
 
 
-def _worker_teacher(t: int, path: Path) -> dict:
-    return _worker_make(t, path)
+def _call_worker_fn(*args):
+    return _worker_fn(*args)
 
 
 def _make_teacher(
@@ -498,9 +503,10 @@ def _filter_external_by_entropy(scenario, teachers, threshold: float, chunk: int
     return replace(scenario, distill_set=filtered)
 
 
-def _run_cell(args: tuple) -> tuple[list[dict], list[tuple]]:
+def _run_cell(
+    scenario, run: RunConfig, teachers: list[FrozenTeacher], method: MethodConfig, seed: int
+) -> tuple[list[dict], list[tuple]]:
     """One (method, seed) grid cell; executed possibly in a worker process."""
-    scenario, method, run, seed, teachers = args
     student = new_student(scenario.spec.feature_dim, scenario.spec.n_classes, run, seed)
     rows: list[dict] = []
     curve_rows: list[tuple] = []
@@ -516,22 +522,6 @@ def _run_cell(args: tuple) -> tuple[list[dict], list[tuple]]:
     return rows, curve_rows
 
 
-@contextmanager
-def _single_threaded_blas() -> Iterator[None]:
-    """Default each BLAS thread variable to 1 for processes started in the block.
-
-    Values already set are kept; the defaults are removed again on exit.
-    """
-    added = [name for name in BLAS_THREAD_ENVS if name not in os.environ]
-    for name in added:
-        os.environ[name] = "1"
-    try:
-        yield
-    finally:
-        for name in added:
-            os.environ.pop(name, None)
-
-
 def run_grid(
     config: ExperimentConfig, teachers: list[Callable[[], MlpModel]], jobs: int = 1
 ) -> tuple[list[dict], list[tuple]]:
@@ -539,11 +529,11 @@ def run_grid(
 
     `teachers` holds one zero-argument loader per teacher, in task order.
     The scenario is built, and its external rows screened, once for all
-    cells. The cells share one FrozenTeacher per teacher, so each teacher
-    is loaded and runs over the distillation set once per call, not once
-    per cell (with jobs > 1, each cell is pickled with the loaders and
-    makes its own passes). Serially, a teacher's model is loaded when its
-    pass is due and freed after it, so at most one is alive.
+    cells. The cells run through _pool_map and share one FrozenTeacher per
+    teacher, so each teacher is loaded and runs over the distillation set
+    once in each process that runs cells, not once per cell. A teacher's
+    model is loaded when its pass is due and freed after it, so each
+    process holds at most one.
     Returns the result rows, keyed by RESULT_COLUMNS and sorted by
     method, seed, task and domain, and the sorted per-epoch curve rows.
     """
@@ -555,25 +545,9 @@ def run_grid(
             scenario, teachers, config.external_entropy_max, config.run.batch_size
         )
     frozen = [FrozenTeacher(load, config.scenario.n_classes) for load in teachers]
-    cells = [
-        (scenario, m, config.run, s, frozen)
-        for m in config.methods
-        for s in config.run.seeds
-    ]
-    if jobs > 1 and len(cells) > 1:
-        # Imported here, since a serial grid and the other stages never need them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Grid cells already run in parallel, so each worker takes a
-        # single-threaded BLAS; spawned workers import numpy afresh under it
-        # instead of inheriting the parent's thread pool as forked ones would.
-        with _single_threaded_blas(), ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
-        ) as pool:
-            done = list(pool.map(_run_cell, cells))
-    else:
-        done = [_run_cell(cell) for cell in cells]
+    methods, seeds = zip(*product(config.methods, config.run.seeds))
+    cell = partial(_run_cell, scenario, config.run, frozen)
+    done = _pool_map(cell, methods, seeds, jobs=jobs)
     rows = [r for cell_rows, _ in done for r in cell_rows]
     rows.sort(key=lambda r: (r["method"], r["seed"], r["task"], r["domain"]))
     curves = sorted(c for _, cell_curves in done for c in cell_curves)
@@ -817,6 +791,7 @@ def cmd_analyze(results_dir: Path) -> Path:
                         },
                     }
                 )
+            del model  # freed before the next read, so one teacher is alive at a time
 
     curve_key = lambda r: (r["ed_ratio"], r["method"], r["seed"], r["domain"], r["task"])
     _write_csv(

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from cdbench.cli import (
-    BLAS_THREAD_ENVS,
     RESULT_COLUMNS,
     SWEEP_COLUMNS,
     ExperimentConfig,
@@ -25,7 +24,6 @@ from cdbench.cli import (
     _check_ratios,
     _filter_external_by_entropy,
     _openblas_threads,
-    _single_threaded_blas,
     cmd_analyze,
     cmd_gen,
     cmd_run,
@@ -145,9 +143,9 @@ TEST_PID = os.getpid()
 
 
 def die(*args):
-    """A teacher worker's death; module-level, so a pool can pickle it by name."""
+    """A pool worker's death; it fails the test if it is called in the test process."""
     if os.getpid() == TEST_PID:
-        raise AssertionError("a teacher trained in the test process")
+        raise AssertionError("a pool's call ran in the test process")
     os._exit(1)
 
 
@@ -477,13 +475,16 @@ class TestTeachers:
             train_benchmark_teachers(config.scenario, config.run)
 
 
+@pytest.fixture
+def pool_available():
+    """Skip a test of the forked pool where _pool_map would run its calls serially."""
+    if len(os.sched_getaffinity(0)) < 2 or _openblas_threads("set") is None:
+        pytest.skip("needs two usable cores and an OpenBLAS thread setter")
+
+
+@pytest.mark.usefixtures("pool_available")
 class TestTeacherPool:
     """With two cores and an OpenBLAS setter, cmd_teachers trains in forked workers."""
-
-    @pytest.fixture(autouse=True)
-    def pool_available(self):
-        if len(os.sched_getaffinity(0)) < 2 or _openblas_threads("set") is None:
-            pytest.skip("needs two usable cores and an OpenBLAS thread setter")
 
     def test_workers_write_the_serial_bytes(self, tmp_path, monkeypatch):
         train_teacher, trained_here = cdbench.benchmark.train_teacher, []
@@ -522,6 +523,74 @@ class TestTeacherPool:
         assert "terminated abruptly" in capsys.readouterr().err
         assert not (tmp_path / "out" / "teacher_report.json").exists()
         assert main(["run", "--config", path]) == 2
+
+
+@pytest.mark.usefixtures("pool_available")
+class TestGridPool:
+    """With two cores and an OpenBLAS setter, `run --jobs 2` runs its cells in forked workers."""
+
+    @pytest.fixture
+    def out(self, finished_run, tmp_path):
+        """A copy of finished_run's teachers, without its results."""
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        (out / "results.csv").unlink()
+        return out
+
+    def test_cells_run_in_the_workers(self, out, monkeypatch):
+        cells, sequences = [], []
+        run_cell, sequence = cdbench.cli._run_cell, cdbench.cli.run_sequence
+
+        def cell_recorded(*args):
+            # A forked worker appends to its own copy of the list.
+            cells.append(os.getpid())
+            return run_cell(*args)
+
+        def sequence_recorded(*args, **kwargs):
+            sequences.append(os.getpid())
+            return sequence(*args, **kwargs)
+
+        monkeypatch.setattr(cdbench.cli, "_run_cell", cell_recorded)
+        monkeypatch.setattr(cdbench.cli, "run_sequence", sequence_recorded)
+        cmd_run(parse_config(base_config(out)), jobs=2)
+        assert (out / "results.csv").exists()
+        assert cells == [] and sequences == []
+
+    def test_leaves_this_process_thread_count(self, out):
+        get, set_threads = _openblas_threads("get"), _openblas_threads("set")
+        before = get()
+        set_threads(2)
+        try:
+            cmd_run(parse_config(base_config(out)), jobs=2)
+            assert get() == 2
+        finally:
+            set_threads(before)
+
+    def test_dead_worker_fails_the_stage(self, out, tmp_path, capsys, monkeypatch):
+        path = str(write_config(tmp_path, base_config(out)))
+        monkeypatch.setattr(cdbench.cli, "_run_cell", die)
+        assert main(["run", "--config", path, "--jobs", "2"]) == 4
+        assert "terminated abruptly" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+
+def three_wide_teachers(out):
+    """gen and teachers at `out` for three 6-128-128-3 teachers trained for 2 epochs.
+
+    Returns the config and the largest tracemalloc peak of reading one
+    teacher's checkpoint.
+    """
+    doc = base_config(out)
+    doc["scenario"].update(
+        n_domains=5, teacher_exclusive_domains=[[1], [2], [3]], external_domains=[4]
+    )
+    doc["run"].update(teacher_epochs=2, teacher_hidden=[128, 128])
+    config = parse_config(doc)
+    cmd_gen(config)
+    cmd_teachers(config)
+    spec = config.scenario
+    paths = cdbench.cli._teacher_paths(out, spec)
+    return config, max(traced_peak(lambda: cdbench.cli._read_teacher(p, spec)) for p in paths)
 
 
 @pytest.fixture(scope="module")
@@ -610,7 +679,8 @@ class TestRun:
         assert main(argv) == 3
         assert "teacher_1.ckpt" in capsys.readouterr().err
 
-    def test_diverging_student_fails_loudly(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_diverging_student_fails_loudly(self, tmp_path, capsys, jobs):
         doc = json.loads((CONFIG_DIR / "quick.json").read_text())
         doc["methods"] = ["kl", "se2d"]
         doc["run"].update(seeds=[1], optimizer="sgd", learning_rate=1e4, teacher_learning_rate=0.01)
@@ -619,7 +689,8 @@ class TestRun:
         assert main(["gen", "--config", path]) == 0
         assert main(["teachers", "--config", path]) == 0
         capsys.readouterr()
-        assert main(["run", "--config", path]) == 4
+        # At --jobs 2, where a pool can start, the error is raised in a worker.
+        assert main(["run", "--config", path, "--jobs", jobs]) == 4
         assert "method kl, seed 1, task 0, epoch 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
 
@@ -661,18 +732,15 @@ class TestRun:
     def test_run_holds_one_teacher_at_a_time(self, tmp_path):
         # One 6-128-128-3 teacher's parameters take 139 KiB as float64, more
         # than the slack, so holding a second teacher at any point fails.
-        doc = base_config(tmp_path / "out")
-        doc["scenario"].update(
-            n_domains=5, teacher_exclusive_domains=[[1], [2], [3]], external_domains=[4]
-        )
-        doc["run"].update(teacher_epochs=2, teacher_hidden=[128, 128])
-        config = parse_config(doc)
-        cmd_gen(config)
-        cmd_teachers(config)
-        spec = config.scenario
-        paths = cdbench.cli._teacher_paths(config.output_dir, spec)
-        one = max(traced_peak(lambda: cdbench.cli._read_teacher(p, spec)) for p in paths)
+        config, one = three_wide_teachers(tmp_path / "out")
         assert traced_peak(lambda: cmd_run(config)) <= one + 96 * 1024
+
+    def test_analyze_holds_one_teacher_at_a_time(self, tmp_path):
+        # As for run: each teacher's entropy profiles are taken, and the
+        # teacher freed, before the next checkpoint is read.
+        config, one = three_wide_teachers(tmp_path / "out")
+        cmd_run(config)
+        assert traced_peak(lambda: cmd_analyze(config.output_dir)) <= one + 96 * 1024
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_bad_last_checkpoint_fails_before_any_cell(
@@ -684,7 +752,7 @@ class TestRun:
         ckpt = out / "checkpoints" / "teacher_1.ckpt"
         ckpt.write_bytes(ckpt.read_bytes()[:-4])
         cells = []
-        monkeypatch.setattr(cdbench.cli, "_run_cell", cells.append)
+        monkeypatch.setattr(cdbench.cli, "_run_cell", lambda *args: cells.append(args))
         path = str(write_config(tmp_path, base_config(out)))
         argv = ["run", "--config", path]
         if command == "sweep":
@@ -793,18 +861,6 @@ class TestRun:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
         assert not (tmp_path / "out" / "sweep.csv").exists()
-
-    def test_workers_default_to_single_threaded_blas(self, monkeypatch):
-        for name in BLAS_THREAD_ENVS:
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("MKL_NUM_THREADS", "3")
-        with _single_threaded_blas():
-            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-            assert os.environ["OMP_NUM_THREADS"] == "1"
-            assert os.environ["MKL_NUM_THREADS"] == "3"
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
-        assert "OMP_NUM_THREADS" not in os.environ
-        assert os.environ["MKL_NUM_THREADS"] == "3"
 
     def test_atomic_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         target = tmp_path / "x" / "summary.json"
