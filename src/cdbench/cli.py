@@ -72,24 +72,17 @@ SWEEP_COLUMNS = ("ed_ratio",) + RESULT_COLUMNS
 _CSV_TYPES = {"ed_ratio": float, "method": str, "accuracy": float, "elapsed_seconds": float}
 
 # Config sections are the fields of these dataclasses, under the same names
-# except for this one rename. The `run` section also takes the method
-# hyperparameters, which every listed method shares.
+# except for this one rename.
 _JSON_NAMES = {"n_classes": "classes"}
 
 
-def _schema(cls, exclude: tuple[str, ...] = ()) -> dict[str, tuple[str, object, bool]]:
+def _schema(cls) -> dict[str, tuple[str, object, bool]]:
     """JSON key -> (field name, field type, required) for a dataclass's fields."""
     hints = get_type_hints(cls)
     return {
         _JSON_NAMES.get(f.name, f.name): (f.name, hints[f.name], f.default is MISSING)
         for f in fields(cls)
-        if f.name not in exclude
     }
-
-
-_SCENARIO_SCHEMA = _schema(ScenarioSpec)
-_RUN_SCHEMA = _schema(RunConfig)
-_METHOD_SCHEMA = _schema(MethodConfig, exclude=("method",))
 
 
 class UsageError(ConfigError):
@@ -129,8 +122,25 @@ def _coerce(value, kind, where: str):
     """Check a JSON value against a field type and convert it.
 
     Lists become tuples and integers pass for floats; booleans pass only
-    for booleans, and floats must be finite.
+    for booleans, and floats must be finite. A section's object becomes its
+    dataclass, a method's name its MethodConfig, and a non-empty string a
+    Path.
     """
+    if kind in (ScenarioSpec, RunConfig):
+        kwargs = _parse_section(value, where, _schema(kind))
+        try:
+            return kind(**kwargs)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"invalid {where}: {exc}") from None
+    if kind is MethodConfig and type(value) is str:
+        try:  # MethodConfig's own error names the valid methods
+            return MethodConfig(value)
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from None
+    if kind is Path:
+        if type(value) is not str or not value:
+            raise ConfigError(f"field {where} must be a non-empty string")
+        return Path(value)
     if get_origin(kind) is tuple and isinstance(value, list):
         return tuple(_coerce(v, get_args(kind)[0], where) for v in value)
     if get_origin(kind) is UnionType:  # `float | None`
@@ -146,30 +156,28 @@ def _coerce(value, kind, where: str):
 
 
 def _parse_section(doc, where: str, schema: dict) -> dict:
-    """Constructor keywords from one config object; absent optional fields keep their defaults."""
+    """Constructor keywords from one config object; absent optional fields keep their defaults.
+
+    `where` names the object, "" for the whole document, and prefixes its keys in errors.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"field {where} must be an object")
+    prefix = f"{where}." if where else ""
     for key in doc:
         if key not in schema:
-            raise ConfigError(f"unknown field {where}.{key}")
+            raise ConfigError(f"unknown field {prefix}{key}")
     kwargs = {}
     for key, (name, kind, required) in schema.items():
         if key in doc:
-            kwargs[name] = _coerce(doc[key], kind, f"{where}.{key}")
+            kwargs[name] = _coerce(doc[key], kind, prefix + key)
         elif required:
-            raise ConfigError(f"missing required field {where}.{key}")
+            raise ConfigError(f"missing required field {prefix}{key}")
     return kwargs
 
 
-def _scenario_from_json(doc, where: str = "scenario") -> ScenarioSpec:
-    try:
-        return ScenarioSpec(**_parse_section(doc, where, _SCENARIO_SCHEMA))
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from None
-
-
 def _scenario_to_json(spec: ScenarioSpec) -> dict:
-    return {_JSON_NAMES.get(k, k): v for k, v in asdict(spec).items()}
+    """The scenario as a config writes it: JSON keys, and lists for tuples."""
+    return json.loads(json.dumps({_JSON_NAMES.get(k, k): v for k, v in asdict(spec).items()}))
 
 
 def _ratio_tag(ratio: float) -> str:
@@ -191,46 +199,20 @@ def _check_ratios(ratios: tuple[float, ...]) -> None:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a configuration document, rejecting unknown fields."""
+    """Validate a configuration document, rejecting unknown fields.
+
+    The schema version is checked before any section, so a document of
+    another version is refused for its version.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    for key in raw:
-        if key not in _EXPERIMENT_SCHEMA:
-            raise ConfigError(f"unknown field {key}")
-    for key, (_, _, required) in _EXPERIMENT_SCHEMA.items():
-        if required and key not in raw:
-            raise ConfigError(f"missing required field {key}")
-    if _coerce(raw["schema_version"], int, "schema_version") != SCHEMA_VERSION:
+    if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version {raw['schema_version']!r} unsupported (expected {SCHEMA_VERSION})"
         )
-    spec = _scenario_from_json(raw["scenario"])
-
-    names = raw["methods"]
-    if not isinstance(names, list):
-        raise ConfigError("field methods must be a list")
-    try:  # MethodConfig's own error names the valid methods
-        methods = tuple(MethodConfig(m) for m in names)
-    except InvalidArgumentError as exc:
-        raise ConfigError(str(exc)) from None
-
-    run_kwargs = _parse_section(raw["run"], "run", {**_RUN_SCHEMA, **_METHOD_SCHEMA})
-    extras = {k: run_kwargs.pop(k) for k in _METHOD_SCHEMA if k in run_kwargs}
-    try:  # the methods' hyperparameters are run settings
-        run = RunConfig(**run_kwargs)
-        methods = tuple(replace(m, **extras) for m in methods)
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid run settings: {exc}") from None
-
-    out = raw["output_dir"]
-    if not isinstance(out, str) or not out:
-        raise ConfigError("field output_dir must be a non-empty string")
-    optional = {
-        name: _coerce(raw[key], kind, key)
-        for key, (name, kind, required) in _EXPERIMENT_SCHEMA.items()
-        if not required and key in raw
-    }
-    return ExperimentConfig(spec, methods, run, Path(out), **optional)
+    kwargs = _parse_section(raw, "", _EXPERIMENT_SCHEMA)
+    del kwargs["schema_version"]
+    return ExperimentConfig(**kwargs)
 
 
 def _read_file(path: Path, error: type[Exception], missing: str) -> bytes:
@@ -312,7 +294,7 @@ def _manifest_scenario(results_dir: Path) -> ScenarioSpec:
     missing = f"no scenario found at {path}; run `cdbench gen` first"
     manifest = _read_json(path, FormatError, missing)
     try:
-        return _scenario_from_json(manifest.get("scenario"), "manifest.scenario")
+        return _coerce(manifest.get("scenario"), ScenarioSpec, "manifest.scenario")
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -383,6 +365,7 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     report = {
         "schema_version": SCHEMA_VERSION,
         "floor": config.run.teacher_accuracy_floor,
+        "scenario": _scenario_to_json(spec),
         "settings": config.run.teacher_settings,
         "teachers": entries,
     }
@@ -460,22 +443,30 @@ def _make_teacher(
 def _teacher_loaders(config: ExperimentConfig) -> list[Callable[[], MlpModel]]:
     """One loader per teacher checkpoint, `partial(_read_teacher, path, spec)`, in task order.
 
-    teacher_report.json must show that config's settings made the teachers.
-    Every checkpoint is then read, checked and dropped, one at a time, so a
-    bad one fails the stage before any cell starts.
+    teacher_report.json must show that config's scenario and settings made
+    the teachers. The scenario's ed_ratio is exempt: no teacher reads it,
+    since each generates only its own domains. Every checkpoint is then
+    read, checked and dropped, one at a time, so a bad one fails the stage
+    before any cell starts.
     """
     path = config.output_dir / "teacher_report.json"
     missing = f"no teacher report at {path}; run `cdbench teachers` first"
     report = _read_json(path, FormatError, missing)
-    recorded = report.get("settings", {})
-    if not isinstance(recorded, dict):
-        raise FormatError(f"{path}: settings is not a JSON object")
-    for key, value in config.run.teacher_settings.items():
-        if recorded.get(key) != value:
-            raise ConfigError(
-                f"run.{key} is {value!r}, but the teachers were trained with "
-                f"{recorded.get(key)!r}; rerun `cdbench teachers`"
-            )
+    scenario = _scenario_to_json(config.scenario)
+    del scenario["ed_ratio"]
+    for section, key, expected in (
+        ("run", "settings", config.run.teacher_settings),
+        ("scenario", "scenario", scenario),
+    ):
+        recorded = report.get(key, {})
+        if not isinstance(recorded, dict):
+            raise FormatError(f"{path}: {key} is not a JSON object")
+        for name, value in expected.items():
+            if recorded.get(name) != value:
+                raise ConfigError(
+                    f"{section}.{name} is {value!r}, but the teachers were trained with "
+                    f"{recorded.get(name)!r}; rerun `cdbench teachers`"
+                )
     spec = config.scenario
     loaders = [partial(_read_teacher, path, spec) for path in _teacher_paths(config.output_dir, spec)]
     for load in loaders:
@@ -832,15 +823,15 @@ def _comma_list(text: str, kind: type, flag: str) -> tuple:
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     """The config with the --out, --seeds and --ratio flags that were given applied."""
-    if getattr(args, "out", None):
-        config = replace(config, output_dir=Path(args.out))
-    if getattr(args, "seeds", None):
+    if getattr(args, "out", None) is not None:
+        config = replace(config, output_dir=_coerce(args.out, Path, "--out"))
+    if getattr(args, "seeds", None) is not None:
         seeds = _comma_list(args.seeds, int, "--seeds")
         try:
             config = replace(config, run=replace(config.run, seeds=seeds))
         except InvalidArgumentError as exc:
             raise ConfigError(f"--seeds: {exc}") from None
-    if getattr(args, "ratio", None):
+    if getattr(args, "ratio", None) is not None:
         config = replace(config, sweep_ratios=_comma_list(args.ratio, float, "--ratio"))
     return config
 
@@ -849,7 +840,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "analyze":
-            print(cmd_analyze(Path(args.out)))
+            print(cmd_analyze(_coerce(args.out, Path, "--out")))
             return 0
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "gen":

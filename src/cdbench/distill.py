@@ -32,25 +32,14 @@ _STD_EPS = 1e-8
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """A distillation method plus its hyperparameters; the temperature is RunConfig's."""
+    """A distillation method's name; its hyperparameters are RunConfig's."""
 
     method: str
-    dkd_alpha: float = 1.0
-    dkd_beta: float = 8.0
-    mds_low_q: float = 0.25
-    mds_high_q: float = 0.75
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise InvalidArgumentError(
                 f"unknown method {self.method!r}; valid methods: {', '.join(METHODS)}"
-            )
-        # Written so that NaN fails each check.
-        if not (0 <= self.dkd_alpha < math.inf and 0 <= self.dkd_beta < math.inf):
-            raise InvalidArgumentError("dkd_alpha and dkd_beta must be finite and nonnegative")
-        if not (0.0 <= self.mds_low_q < self.mds_high_q <= 1.0):
-            raise InvalidArgumentError(
-                f"need 0 <= low < high <= 1, got [{self.mds_low_q}, {self.mds_high_q}]"
             )
 
 

@@ -70,7 +70,7 @@ def derive_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Training hyperparameters shared by teacher pretraining and distillation."""
+    """Training hyperparameters shared by teacher pretraining, distillation and every method."""
 
     epochs: int = 3
     batch_size: int = 64
@@ -84,6 +84,11 @@ class RunConfig:
     teacher_hidden: tuple[int, ...] = (32, 32)
     student_hidden: tuple[int, ...] = (32, 32)
     teacher_accuracy_floor: float = 0.9
+    # The method hyperparameters: dkd's loss weights and mds's entropy band.
+    dkd_alpha: float = 1.0
+    dkd_beta: float = 8.0
+    mds_low_q: float = 0.25
+    mds_high_q: float = 0.75
 
     @property
     def teacher_lr(self) -> float:
@@ -124,6 +129,12 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < np.inf:
                 raise InvalidArgumentError(f"{name} must be finite and > 0, got {value}")
+        if not (0 <= self.dkd_alpha < np.inf and 0 <= self.dkd_beta < np.inf):
+            raise InvalidArgumentError("dkd_alpha and dkd_beta must be finite and nonnegative")
+        if not (0.0 <= self.mds_low_q < self.mds_high_q <= 1.0):
+            raise InvalidArgumentError(
+                f"need 0 <= mds_low_q < mds_high_q <= 1, got [{self.mds_low_q}, {self.mds_high_q}]"
+            )
         if not 0.0 <= self.teacher_accuracy_floor <= 1.0:
             raise InvalidArgumentError(
                 f"teacher_accuracy_floor must lie in [0, 1], got {self.teacher_accuracy_floor}"
@@ -397,9 +408,9 @@ def distill_task(
         """The loss of the epoch's rows start:stop, read from the epoch's gathers below."""
         batch_targets = epoch_targets[start:stop]
         if name == "dkd":
-            res = dkd_loss(student_logits, batch_targets, t, method.dkd_alpha, method.dkd_beta)
+            res = dkd_loss(student_logits, batch_targets, t, config.dkd_alpha, config.dkd_beta)
         elif name == "mds":
-            keep = mds_filter(epoch_entropies[start:stop], method.mds_low_q, method.mds_high_q)
+            keep = mds_filter(epoch_entropies[start:stop], config.mds_low_q, config.mds_high_q)
             res = kl_kd_loss(student_logits[keep], batch_targets[keep], t)
             dlogits = np.zeros_like(student_logits)
             dlogits[keep] = res.dlogits

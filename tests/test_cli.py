@@ -196,6 +196,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="schema_version"):
             parse_config(doc)
 
+    def test_schema_version_is_checked_before_the_sections(self, tmp_path):
+        # Another version may write its sections differently.
+        doc = base_config(tmp_path, schema_version=2, scenario={"classes": "three"})
+        with pytest.raises(ConfigError, match="^schema_version 2 unsupported"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("entry", [{"method": "kl"}, ["kl"], None])
+    def test_method_must_be_a_name(self, tmp_path, entry):
+        with pytest.raises(ConfigError, match="field methods has the wrong type"):
+            parse_config(base_config(tmp_path, methods=["se2d", entry]))
+
     def test_sweep_ratio_out_of_range(self, tmp_path):
         doc = base_config(tmp_path, sweep_ratios=[0.0, 1.0])
         with pytest.raises(ConfigError, match="ratio"):
@@ -231,6 +242,8 @@ class TestConfigValidation:
             ("run", "learning_rate", float("nan")),
             ("run", "teacher_learning_rate", float("inf")),
             ("run", "dkd_alpha", float("nan")),
+            ("run", "mds_low_q", True),
+            ("run", "mds_high_q", "x"),
             (None, "external_entropy_max", float("nan")),
             pytest.param("run", "learning_rate", 10**400, id="run-learning_rate-bigint"),
             ("run", "optimizer", "rmsprop"),
@@ -273,6 +286,27 @@ class TestConfigValidation:
         assert main(["run", "--config", str(path), "--seeds", "1,2,1"]) == 2
         assert "seed 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--out", ""],
+            ["run", "--out", ""],
+            ["run", "--seeds", ""],
+            ["sweep", "--ratio", ""],
+            ["analyze", "--out", ""],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_empty_flag_is_refused(self, finished_run, tmp_path, monkeypatch, argv):
+        # Each command would succeed without the flag; `analyze` runs in the results directory.
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        path = str(write_config(tmp_path, base_config(out, sweep_ratios=[0.5])))
+        monkeypatch.chdir(out)
+        config = [] if argv[0] == "analyze" else ["--config", path]
+        assert main([argv[0], *config, *argv[1:]]) == 2
+        assert not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("ratios", [[0.5, 0.5], [0.12341, 0.12342]])
     def test_repeated_sweep_ratio_rejected(self, tmp_path, ratios):
         with pytest.raises(ConfigError, match="ratio_0_5|ratio_0_1234"):
@@ -285,7 +319,7 @@ class TestConfigValidation:
             ("external_entropy_max", float("nan"), "external_entropy_max"),
             ("sweep_ratios", (0.5, 1.0), "sweep ratio 1.0"),
             ("sweep_ratios", (0.5, 0.5), "ratio_0_5"),
-            ("methods", (MethodConfig("kl"), MethodConfig("kl", dkd_beta=2.0)), "'kl'"),
+            ("methods", (MethodConfig("kl"), MethodConfig("kl")), "'kl'"),
             ("methods", (), "at least one method"),
         ],
         ids=["entropy-negative", "entropy-nan", "ratio-1", "ratio-twice", "method-twice", "none"],
@@ -902,6 +936,42 @@ class TestStaleTeachers:
         assert (out / "results.csv").read_bytes() == (finished_run[0] / "results.csv").read_bytes()
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_teachers_of_another_scenario_are_refused(self, finished_run, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        doc = base_config(out)
+        doc["scenario"]["seed"] = 6
+        path = str(write_config(tmp_path, doc))
+        assert main(["gen", "--config", path]) == 0
+        capsys.readouterr()
+        ratio = ["--ratio", "0,0.5"] if command == "sweep" else []
+        assert main([command, "--config", path, *ratio]) == 2
+        assert "scenario.seed is 6, but the teachers were trained with 5" in capsys.readouterr().err
+        assert (out / "results.csv").read_bytes() == (finished_run[0] / "results.csv").read_bytes()
+        assert not (out / "sweep.csv").exists()
+
+    def test_report_without_scenario_is_refused(self, finished_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        report = json.loads((out / "teacher_report.json").read_text())
+        del report["scenario"]
+        (out / "teacher_report.json").write_text(json.dumps(report))
+        path = str(write_config(tmp_path, base_config(out)))
+        assert main(["run", "--config", path]) == 2
+        assert "scenario.classes" in capsys.readouterr().err
+
+    def test_other_ed_ratio_keeps_the_teachers(self, finished_run, tmp_path):
+        # No teacher reads ed_ratio, so a `gen` at another ratio keeps them.
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        doc = base_config(out)
+        doc["scenario"]["ed_ratio"] = 0.25
+        doc["run"]["seeds"] = [1]
+        path = str(write_config(tmp_path, doc))
+        assert main(["gen", "--config", path]) == 0
+        assert main(["run", "--config", path]) == 0
+
     def test_report_without_settings_is_refused(self, finished_run, tmp_path, capsys):
         out = tmp_path / "out"
         shutil.copytree(finished_run[0], out)
@@ -950,6 +1020,10 @@ class TestStaleTeachers:
             "teacher_hidden": (8, 4),
             "student_hidden": (4,),
             "teacher_accuracy_floor": 0.5,
+            "dkd_alpha": 2.0,
+            "dkd_beta": 4.0,
+            "mds_low_q": 0.1,
+            "mds_high_q": 0.9,
         }
         assert list(changed) == [f.name for f in fields(RunConfig)]
         checkpoint = lambda run: serialize_model(train_benchmark_teacher(spec, run, 0))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cdbench import (
     InvalidArgumentError,
     MethodConfig,
+    RunConfig,
     ShapeError,
     dkd_loss,
     entropy,
@@ -583,20 +584,20 @@ class TestMethodConfig:
             MethodConfig("fancy")
 
     def test_bad_quantile_band(self):
-        with pytest.raises(InvalidArgumentError):
-            MethodConfig("mds", mds_low_q=0.9, mds_high_q=0.1)
+        with pytest.raises(InvalidArgumentError, match="mds_low_q"):
+            RunConfig(mds_low_q=0.9, mds_high_q=0.1)
 
     @pytest.mark.parametrize("field", ["dkd_alpha", "dkd_beta"])
     def test_nan_rejected(self, field):
         with pytest.raises(InvalidArgumentError, match=field):
-            MethodConfig("dkd", **{field: float("nan")})
+            RunConfig(**{field: float("nan")})
 
     @pytest.mark.parametrize("field", ["dkd_alpha", "dkd_beta"])
     def test_infinity_rejected(self, field):
         with pytest.raises(InvalidArgumentError, match=field):
-            MethodConfig("dkd", **{field: float("inf")})
+            RunConfig(**{field: float("inf")})
 
     def test_defaults(self):
-        cfg = MethodConfig("dkd")
+        cfg = RunConfig()
         assert cfg.dkd_alpha == 1.0 and cfg.dkd_beta == 8.0
         assert (cfg.mds_low_q, cfg.mds_high_q) == (0.25, 0.75)

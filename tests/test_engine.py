@@ -1,5 +1,6 @@
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,10 +120,10 @@ def per_batch_distill(student, teacher, distill_set, method, config, seed, prev_
                 res = ls_kd_loss(zs, zt, t)
                 loss, dlogits = res.loss, res.dlogits
             elif method.method == "dkd":
-                res = dkd_loss(zs, zt, t, method.dkd_alpha, method.dkd_beta)
+                res = dkd_loss(zs, zt, t, config.dkd_alpha, config.dkd_beta)
                 loss, dlogits = res.loss, res.dlogits
             elif method.method == "mds":
-                keep = mds_filter(teacher_entropy(zt, t), method.mds_low_q, method.mds_high_q)
+                keep = mds_filter(teacher_entropy(zt, t), config.mds_low_q, config.mds_high_q)
                 res = kl_kd_loss(zs[keep], zt[keep], t)
                 loss, dlogits = res.loss, np.zeros_like(zs)
                 dlogits[keep] = res.dlogits
@@ -266,15 +267,13 @@ class TestDistillTask:
         assert gap <= 0.03
 
     def test_mds_full_band_matches_kl(self, tiny_scenario, tiny_config, tiny_teachers):
+        config = replace(tiny_config, mds_low_q=0.0, mds_high_q=1.0)
         results = []
-        for method in (
-            MethodConfig("kl"),
-            MethodConfig("mds", mds_low_q=0.0, mds_high_q=1.0),
-        ):
-            student = new_student(6, 3, tiny_config, seed=4)
+        for method in (MethodConfig("kl"), MethodConfig("mds")):
+            student = new_student(6, 3, config, seed=4)
             student, log = distill_task(
                 student, tiny_teachers[0], tiny_scenario.distill_set, method,
-                tiny_config, task_index=0, seed=4,
+                config, task_index=0, seed=4,
             )
             results.append((student, log.epoch_losses))
         assert results[0][1] == results[1][1]
@@ -401,19 +400,36 @@ class TestDistillTask:
         assert set(log.epoch_accuracies[0]) == set(tiny_scenario.test_sets)
 
 
+def run_methods(methods, teachers, scenario, config, seed):
+    """method -> (final student, accuracies and epoch losses of every task) of run_sequence."""
+    outcomes = {}
+    for method in methods:
+        student = new_student(6, 3, config, seed)
+        logs = run_sequence(student, iter(teachers), scenario, MethodConfig(method), config, seed=seed)
+        outcomes[method] = (student, [l.accuracies for l in logs], [l.epoch_losses for l in logs])
+    return outcomes
+
+
 class TestRunSequence:
-    def test_single_teacher_se2d_matches_kl(self, tiny_scenario, tiny_config, tiny_teachers):
-        finals = []
-        for method in ("kl", "se2d"):
-            student = new_student(6, 3, tiny_config, seed=8)
-            logs = run_sequence(
-                student, iter(tiny_teachers[:1]), tiny_scenario,
-                MethodConfig(method), tiny_config, seed=8,
-            )
-            finals.append((student, logs[0].epoch_losses, logs[0].accuracies))
-        assert finals[0][1] == finals[1][1]
-        assert finals[0][2] == finals[1][2]
-        assert model_params_equal(finals[0][0], finals[1][0])
+    def test_checkpoint_methods_match_kl_at_task_0(self, tiny_scenario, tiny_config, tiny_teachers):
+        # No checkpoint method has a previous student at task 0.
+        mask = tiny_scenario.distill_set.external_mask
+        assert mask.any() and not mask.all()
+        outcomes = run_methods(
+            ("kl", "self_distill", "se2d"), tiny_teachers[:1], tiny_scenario, tiny_config, seed=8
+        )
+        for method in ("self_distill", "se2d"):
+            assert model_params_equal(outcomes[method][0], outcomes["kl"][0]), method
+            assert outcomes[method][1:] == outcomes["kl"][1:], method
+
+    def test_se2d_matches_kl_without_external_data(self, tiny_scenario, tiny_config, tiny_teachers):
+        # se2d's checkpoint term covers the external rows only, and there are none.
+        scenario = build_scenario(replace(tiny_scenario.spec, ed_ratio=0.0))
+        assert not scenario.distill_set.external_mask.any()
+        outcomes = run_methods(("kl", "se2d"), tiny_teachers, scenario, tiny_config, seed=8)
+        assert len(outcomes["kl"][1]) == tiny_scenario.spec.n_teachers == 2
+        assert model_params_equal(outcomes["se2d"][0], outcomes["kl"][0])
+        assert outcomes["se2d"][1:] == outcomes["kl"][1:]
 
     def test_accepts_pure_iterator_and_consumes_forward_only(self, tiny_scenario, tiny_config, tiny_teachers):
         student = new_student(6, 3, tiny_config, seed=9)
