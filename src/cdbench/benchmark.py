@@ -26,7 +26,3 @@ def train_benchmark_teacher(spec: ScenarioSpec, config: RunConfig, t: int) -> Ml
         return train_teacher(train, config, seed=spec.seed * 1000 + t, n_classes=spec.n_classes)
     except DivergenceError as exc:
         raise DivergenceError(f"teacher {t}, {exc}") from None
-
-
-def train_benchmark_teachers(spec: ScenarioSpec, config: RunConfig) -> list[MlpModel]:
-    return [train_benchmark_teacher(spec, config, t) for t in range(spec.n_teachers)]

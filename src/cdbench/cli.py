@@ -440,22 +440,19 @@ def _make_teacher(
     }
 
 
-def _teacher_loaders(config: ExperimentConfig) -> list[Callable[[], MlpModel]]:
-    """One loader per teacher checkpoint, `partial(_read_teacher, path, spec)`, in task order.
+def _check_teacher_report(out_dir: Path, spec: ScenarioSpec, settings: dict) -> None:
+    """Refuse out_dir's teachers unless teacher_report.json records these settings and `spec`.
 
-    teacher_report.json must show that config's scenario and settings made
-    the teachers. The scenario's ed_ratio is exempt: no teacher reads it,
-    since each generates only its own domains. Every checkpoint is then
-    read, checked and dropped, one at a time, so a bad one fails the stage
-    before any cell starts.
+    The settings are checked first. The scenario's ed_ratio is exempt: no
+    teacher reads it, since each generates only its own domains.
     """
-    path = config.output_dir / "teacher_report.json"
+    path = out_dir / "teacher_report.json"
     missing = f"no teacher report at {path}; run `cdbench teachers` first"
     report = _read_json(path, FormatError, missing)
-    scenario = _scenario_to_json(config.scenario)
+    scenario = _scenario_to_json(spec)
     del scenario["ed_ratio"]
     for section, key, expected in (
-        ("run", "settings", config.run.teacher_settings),
+        ("run", "settings", settings),
         ("scenario", "scenario", scenario),
     ):
         recorded = report.get(key, {})
@@ -467,7 +464,17 @@ def _teacher_loaders(config: ExperimentConfig) -> list[Callable[[], MlpModel]]:
                     f"{section}.{name} is {value!r}, but the teachers were trained with "
                     f"{recorded.get(name)!r}; rerun `cdbench teachers`"
                 )
+
+
+def _teacher_loaders(config: ExperimentConfig) -> list[Callable[[], MlpModel]]:
+    """One loader per teacher checkpoint, `partial(_read_teacher, path, spec)`, in task order.
+
+    The teachers must be config's (_check_teacher_report). Every checkpoint
+    is then read, checked and dropped, one at a time, so a bad one fails
+    the stage before any cell starts.
+    """
     spec = config.scenario
+    _check_teacher_report(config.output_dir, spec, config.run.teacher_settings)
     loaders = [partial(_read_teacher, path, spec) for path in _teacher_paths(config.output_dir, spec)]
     for load in loaders:
         load()
@@ -710,6 +717,10 @@ def cmd_analyze(results_dir: Path) -> Path:
     """Produce forgetting/transfer metrics and plot-data CSVs for a run or sweep directory."""
     results_dir = Path(results_dir)
     spec = _manifest_scenario(results_dir)
+    # analyze has no run settings to check the teachers against, only the scenario.
+    has_teachers = (results_dir / "checkpoints").exists()
+    if has_teachers:
+        _check_teacher_report(results_dir, spec, {})
     path = results_dir / "sweep.csv"
     if path.exists():
         rows = read_results_csv(path, spec, SWEEP_COLUMNS)
@@ -764,7 +775,7 @@ def cmd_analyze(results_dir: Path) -> Path:
             }
 
     # Teacher entropy profiles over every domain's test split, when teachers were trained.
-    if (results_dir / "checkpoints").exists():
+    if has_teachers:
         test_sets = {m: ds.test for m, ds in generate_domains(spec).items()}
         for t, path in enumerate(_teacher_paths(results_dir, spec)):
             model = _read_teacher(path, spec)

@@ -2,6 +2,7 @@
 one PASS line with the measured quantities (run with `pytest -s` to see the
 lines for passing criteria as well)."""
 
+import json
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -39,20 +40,22 @@ from cdbench import (
     softmax_t,
     train_teacher,
 )
-from cdbench.benchmark import train_benchmark_teachers
 from cdbench.cli import (
+    SWEEP_COLUMNS,
     _accuracy_matrices,
+    _teacher_loaders,
     cmd_analyze,
     cmd_gen,
     cmd_run,
+    cmd_sweep,
     cmd_teachers,
     load_config,
     parse_config,
-    run_grid,
+    read_results_csv,
 )
 from cdbench.distill import teacher_entropy
 
-from conftest import loaders, max_relative_error
+from conftest import max_relative_error
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
 KNOWN_DOMAINS = (0, 1, 2, 3)
@@ -72,27 +75,30 @@ def benchmark_config():
 
 
 @pytest.fixture(scope="module")
-def benchmark_runs(benchmark_config):
-    """The shipped config's teachers, then its grid through run_grid: kl at
-    every sweep ratio and se2d at ratio 0.5, every configured seed."""
+def benchmark_runs(benchmark_config, tmp_path_factory):
+    """The shipped config through the CLI's stages: gen, teachers, then kl and
+    se2d at every sweep ratio and configured seed, in a two-worker sweep."""
     start = time.perf_counter()
-    config = benchmark_config
-    spec = config.scenario
-    teachers = train_benchmark_teachers(spec, config.run)
+    out = tmp_path_factory.mktemp("benchmark")
+    config = replace(
+        benchmark_config,
+        output_dir=out,
+        methods=tuple(m for m in benchmark_config.methods if m.method in ("kl", "se2d")),
+    )
+    cmd_gen(config)
+    cmd_teachers(config)
+    sweep = cmd_sweep(config, jobs=2)
+    blocks: dict[float, list[dict]] = {}
+    for r in read_results_csv(sweep, config.scenario, SWEEP_COLUMNS):
+        blocks.setdefault(r["ed_ratio"], []).append(r)
     matrices: dict[tuple, AccuracyMatrix] = {}
-    for ratio in config.sweep_ratios:
-        names = ("kl", "se2d") if ratio == 0.5 else ("kl",)
-        grid = replace(
-            config,
-            scenario=replace(config.scenario, ed_ratio=ratio),
-            methods=tuple(m for m in config.methods if m.method in names),
-        )
-        rows, _ = run_grid(grid, loaders(teachers))
+    for ratio, rows in blocks.items():
         for (method, seed), matrix in _accuracy_matrices(rows, f"ratio {ratio}").items():
             matrices[method, ratio, seed] = matrix
     elapsed = time.perf_counter() - start
     return {
-        "teachers": teachers,
+        "out": out,
+        "teachers": [load() for load in _teacher_loaders(config)],
         "matrices": matrices,
         "ratios": config.sweep_ratios,
         "seeds": config.run.seeds,
@@ -229,13 +235,22 @@ def test_criterion_3_unseen_knowledge_transfer(benchmark_runs):
 
 
 def test_benchmark_teachers_meet_their_floor(benchmark_config, benchmark_runs):
-    """Every teacher the grid distills reaches the config's floor on each of its own domains."""
+    """Every teacher the grid distills reaches the config's floor on each of its own domains,
+    and the teachers stage's report says so with the same accuracy."""
     spec = benchmark_config.scenario
     test_sets = build_scenario(spec).test_sets
     floor = benchmark_config.run.teacher_accuracy_floor
+    report = json.loads((benchmark_runs["out"] / "teacher_report.json").read_text())
+    entries = report["teachers"]
+    assert [e["index"] for e in entries] == list(range(len(benchmark_runs["teachers"])))
     for t, teacher in enumerate(benchmark_runs["teachers"]):
         in_domain = min(evaluate(teacher, test_sets[d]) for d in spec.teacher_domain_ids(t))
         assert in_domain >= floor, f"teacher {t}: in-domain {in_domain:.3f} below {floor}"
+        assert entries[t]["meets_floor"] is True, f"teacher {t}: report says below the floor"
+        assert entries[t]["in_domain_min"] == in_domain, (
+            f"teacher {t}: report's in-domain {entries[t]['in_domain_min']!r} "
+            f"is not the checkpoint's {in_domain!r}"
+        )
 
 
 def test_criterion_4_ratio_trend(benchmark_runs):

@@ -39,7 +39,7 @@ import cdbench.benchmark
 import cdbench.cli
 import cdbench.domains
 import cdbench.engine
-from cdbench.benchmark import train_benchmark_teacher, train_benchmark_teachers
+from cdbench.benchmark import train_benchmark_teacher
 from cdbench.distill import MethodConfig
 from cdbench.domains import DistillSet, LabeledSet, build_scenario
 from cdbench.engine import (
@@ -116,6 +116,16 @@ def teachers_at_sgd_rate(tmp_path, capsys, rate):
     assert main(["gen", "--config", path]) == 0
     capsys.readouterr()
     return main(["teachers", "--config", path]), capsys.readouterr().err, path
+
+
+def stage_argv(command, config_path, out):
+    """The argv of one stage on this config; sweep runs ratios 0 and 0.5, analyze reads `out`."""
+    return {
+        "teachers": ["teachers", "--config", config_path],
+        "run": ["run", "--config", config_path],
+        "sweep": ["sweep", "--config", config_path, "--ratio", "0,0.5"],
+        "analyze": ["analyze", "--out", str(out)],
+    }[command]
 
 
 @pytest.fixture
@@ -501,12 +511,14 @@ class TestTeachers:
         assert not (tmp_path / "out" / "teacher_report.json").exists()
         assert main(["run", "--config", path]) == 2
 
-    def test_train_benchmark_teachers_names_the_diverging_teacher(self):
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_train_benchmark_teacher_names_the_diverging_teacher(self, t):
+        # Both teachers diverge at this rate (see the test above).
         doc = json.loads((CONFIG_DIR / "quick.json").read_text())
         doc["run"].update(optimizer="sgd", teacher_learning_rate=3.0)
         config = parse_config(doc)
-        with pytest.raises(DivergenceError, match="^teacher 0, epoch 0: the teacher diverged"):
-            train_benchmark_teachers(config.scenario, config.run)
+        with pytest.raises(DivergenceError, match=f"^teacher {t}, epoch 0: the teacher diverged"):
+            train_benchmark_teacher(config.scenario, config.run, t)
 
 
 @pytest.fixture
@@ -936,30 +948,34 @@ class TestStaleTeachers:
         assert (out / "results.csv").read_bytes() == (finished_run[0] / "results.csv").read_bytes()
         assert not (out / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "analyze"])
     def test_teachers_of_another_scenario_are_refused(self, finished_run, tmp_path, capsys, command):
         out = tmp_path / "out"
         shutil.copytree(finished_run[0], out)
+        (out / "metrics.json").unlink(missing_ok=True)
         doc = base_config(out)
         doc["scenario"]["seed"] = 6
         path = str(write_config(tmp_path, doc))
         assert main(["gen", "--config", path]) == 0
         capsys.readouterr()
-        ratio = ["--ratio", "0,0.5"] if command == "sweep" else []
-        assert main([command, "--config", path, *ratio]) == 2
+        assert main(stage_argv(command, path, out)) == 2
         assert "scenario.seed is 6, but the teachers were trained with 5" in capsys.readouterr().err
         assert (out / "results.csv").read_bytes() == (finished_run[0] / "results.csv").read_bytes()
         assert not (out / "sweep.csv").exists()
+        assert not (out / "metrics.json").exists()
 
-    def test_report_without_scenario_is_refused(self, finished_run, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_report_without_scenario_is_refused(self, finished_run, tmp_path, capsys, command):
         out = tmp_path / "out"
         shutil.copytree(finished_run[0], out)
+        (out / "metrics.json").unlink(missing_ok=True)
         report = json.loads((out / "teacher_report.json").read_text())
         del report["scenario"]
         (out / "teacher_report.json").write_text(json.dumps(report))
         path = str(write_config(tmp_path, base_config(out)))
-        assert main(["run", "--config", path]) == 2
+        assert main(stage_argv(command, path, out)) == 2
         assert "scenario.classes" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
 
     def test_other_ed_ratio_keeps_the_teachers(self, finished_run, tmp_path):
         # No teacher reads ed_ratio, so a `gen` at another ratio keeps them.
@@ -1062,13 +1078,7 @@ def test_malformed_manifest_is_a_data_error(finished_run, tmp_path, capsys, comm
     shutil.copytree(finished_run[0], out)
     overwrite(out / "manifest.json", data)
     path = str(write_config(tmp_path, base_config(out)))
-    argv = {
-        "teachers": ["teachers", "--config", path],
-        "run": ["run", "--config", path],
-        "sweep": ["sweep", "--config", path, "--ratio", "0,0.5"],
-        "analyze": ["analyze", "--out", str(out)],
-    }[command]
-    assert main(argv) == 3
+    assert main(stage_argv(command, path, out)) == 3
     assert str(out / "manifest.json") in capsys.readouterr().err
 
 
@@ -1085,7 +1095,7 @@ def three_teacher_grid():
     doc["run"].update(epochs=1, seeds=[1, 2], teacher_epochs=5)
     config = parse_config(doc)
     spec = config.scenario
-    return config, train_benchmark_teachers(spec, config.run)
+    return config, [train_benchmark_teacher(spec, config.run, t) for t in range(spec.n_teachers)]
 
 
 class TestGridCells:
@@ -1584,7 +1594,7 @@ class TestSingleScenarioPath:
     def test_library_teachers_match_cli_checkpoints(self, finished_run):
         out, config = finished_run
         spec = config.scenario
-        teachers = train_benchmark_teachers(spec, config.run)
+        teachers = [train_benchmark_teacher(spec, config.run, t) for t in range(spec.n_teachers)]
         assert len(teachers) == spec.n_teachers
         for t, teacher in enumerate(teachers):
             ckpt = out / "checkpoints" / f"teacher_{t}.ckpt"

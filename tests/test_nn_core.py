@@ -434,9 +434,18 @@ class TestFlatLayout:
             MlpModel([Layer(np.zeros((3, 2)), np.zeros(4))])
 
     def test_unpickled_model_keeps_views(self):
-        model = pickle.loads(pickle.dumps(init_mlp(35, [3, 4, 2])))
+        original = init_mlp(35, [3, 4, 2])
+        model = pickle.loads(pickle.dumps(original))
+        assert model.params.tobytes() == original.params.tobytes()
+        for layer in model.layers:
+            assert np.shares_memory(layer.weight, model.params)
+            assert np.shares_memory(layer.bias, model.params)
         model.layers[0].bias[1] = 4.0
         assert model.params[3 * 4 + 1] == 4.0
+        # The last layer's 2 x 4 weight, then its bias, end params: with the
+        # weight zeroed, the logits are the bias written there.
+        model.params[-10:] = [0.0] * 8 + [5.0, -5.0]
+        assert forward(model, np.ones((2, 3)))[0].tolist() == [[5.0, -5.0]] * 2
 
 
 @settings(max_examples=60, deadline=None)
