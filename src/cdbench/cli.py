@@ -35,6 +35,7 @@ from .domains import (
     ScenarioSpec,
     build_scenario,
     generate_domains,
+    mix_distill_set,
     write_domain_csv,
 )
 from .engine import (
@@ -267,9 +268,11 @@ def cmd_gen(config: ExperimentConfig) -> Path:
     out = config.output_dir
     (out / "scenario").mkdir(parents=True, exist_ok=True)
     spec = config.scenario
-    scenario = build_scenario(spec)
+    # gen alone exports the train splits; a scenario keeps none.
+    domains = generate_domains(spec)
+    distill_set = mix_distill_set(spec, domains)
     domains_meta = []
-    for m, ds in scenario.domains.items():
+    for m, ds in domains.items():
         rel_path = f"scenario/domain_{m}.csv"
         write_domain_csv(ds, out / rel_path)
         domains_meta.append(
@@ -280,9 +283,9 @@ def cmd_gen(config: ExperimentConfig) -> Path:
         "scenario": _scenario_to_json(spec),
         "domains": domains_meta,
         "distill": {
-            "size": len(scenario.distill_set),
-            "internal": int((~scenario.distill_set.external_mask).sum()),
-            "external": int(scenario.distill_set.external_mask.sum()),
+            "size": len(distill_set),
+            "internal": int((~distill_set.external_mask).sum()),
+            "external": int(distill_set.external_mask.sum()),
         },
     }
     _write_json(out / "manifest.json", manifest)

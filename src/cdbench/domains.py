@@ -174,15 +174,15 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class CdScenario:
-    """A materialized partition: every generated domain plus the distillation set."""
+    """What a run reads of a scenario: each domain's test split and the distillation set.
+
+    No train split is kept; the student sees training rows only through the
+    mixed distillation set.
+    """
 
     spec: ScenarioSpec
-    domains: dict[int, DomainDataset]
+    test_sets: dict[int, LabeledSet]
     distill_set: DistillSet
-
-    @property
-    def test_sets(self) -> dict[int, LabeledSet]:
-        return {m: ds.test for m, ds in self.domains.items()}
 
 
 def _base_class_means(n_classes: int, feature_dim: int) -> Matrix:
@@ -332,9 +332,12 @@ def generate_domains(spec: ScenarioSpec) -> dict[int, DomainDataset]:
     return {m: generate_spec_domain(spec, m) for m in range(spec.n_domains)}
 
 
-def build_scenario(spec: ScenarioSpec) -> CdScenario:
-    """Generate every domain once and mix the distillation set at spec.ed_ratio."""
-    domains = generate_domains(spec)
+def mix_distill_set(spec: ScenarioSpec, domains: dict[int, DomainDataset]) -> DistillSet:
+    """The shared and external domains' train splits, mixed at spec.ed_ratio.
+
+    `domains` holds the spec's domains (generate_domains). Raises
+    InvalidArgumentError if the set is empty.
+    """
 
     def pool(ids: tuple[int, ...]) -> LabeledSet:
         if not ids:
@@ -344,7 +347,17 @@ def build_scenario(spec: ScenarioSpec) -> CdScenario:
     distill_set = mix_ratio(pool(spec.shared_domains), pool(spec.external_domains), spec.ed_ratio)
     if len(distill_set) == 0:
         raise InvalidArgumentError("scenario has an empty distillation set")
-    return CdScenario(spec, domains, distill_set)
+    return distill_set
+
+
+def build_scenario(spec: ScenarioSpec) -> CdScenario:
+    """Generate every domain once; keep the test splits and the set mixed at spec.ed_ratio.
+
+    The train splits are freed on return.
+    """
+    domains = generate_domains(spec)
+    test_sets = {m: ds.test for m, ds in domains.items()}
+    return CdScenario(spec, test_sets, mix_distill_set(spec, domains))
 
 
 def balance_pair_stream(n_internal: int, n_external: int, batch_size: int, seed):

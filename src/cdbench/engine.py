@@ -206,20 +206,20 @@ def deserialize_model(data: bytes) -> MlpModel:
 
     pos = 8
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> int:
+        """The offset of the next n bytes; each value is read in place from there."""
         nonlocal pos
         if pos + n > len(data):
             raise FormatError("truncated checkpoint")
-        chunk = data[pos : pos + n]
         pos += n
-        return chunk
+        return pos - n
 
-    (n_layers,) = struct.unpack("<I", take(4))
+    (n_layers,) = struct.unpack_from("<I", data, take(4))
     if n_layers == 0:
         raise FormatError("checkpoint contains no layers")
     layers = []
     for k in range(n_layers):
-        rows, cols = struct.unpack("<II", take(8))
+        rows, cols = struct.unpack_from("<II", data, take(8))
         if rows == 0 or cols == 0:
             raise FormatError("checkpoint layer with zero dimension")
         if k and cols != layers[-1].bias.size:
@@ -227,8 +227,8 @@ def deserialize_model(data: bytes) -> MlpModel:
                 f"checkpoint layer {k} takes {cols} inputs, "
                 f"but layer {k - 1} gives {layers[-1].bias.size}"
             )
-        weight = np.frombuffer(take(4 * rows * cols), dtype="<f4")
-        bias = np.frombuffer(take(4 * rows), dtype="<f4")
+        weight = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=take(4 * rows * cols))
+        bias = np.frombuffer(data, dtype="<f4", count=rows, offset=take(4 * rows))
         if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
             raise FormatError(f"checkpoint layer {k} has a weight or bias that is not finite")
         layers.append(Layer(weight.reshape(rows, cols), bias))
@@ -396,7 +396,12 @@ def distill_task(
         prev_rows = np.arange(len(features))
         if name == "se2d":
             prev_rows = np.flatnonzero(distill_set.external_mask)
-        prev_logits = frozen_logits(prev_student, features[prev_rows], config.batch_size)
+        # A checkpoint over every row reads the set in place, not a gathered copy.
+        prev_logits = frozen_logits(
+            prev_student,
+            features if len(prev_rows) == len(features) else features[prev_rows],
+            config.batch_size,
+        )
         prev_targets = soft_targets(prev_logits, t)
         slot = np.full(len(features), -1)
         slot[prev_rows] = np.arange(len(prev_rows))
@@ -460,6 +465,9 @@ def distill_task(
             loss, dlogits = step_loss(student_logits, start, stop)
             student, opt = optimizer_step(student, backward(student, cache, dlogits, ws=ws), opt)
             losses.append(loss)
+        # Free this epoch's gathers (the last batch's cache views epoch_features),
+        # so the next epoch's are never held beside them.
+        epoch_features = epoch_targets = epoch_entropies = epoch_prev = cache = None
         if epoch == 0:
             first_loss = losses[0]
         epoch_losses.append(float(np.mean(losses)))

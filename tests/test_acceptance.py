@@ -26,6 +26,7 @@ from cdbench import (
     forgetting,
     forward,
     generate_domain,
+    generate_domains,
     init_mlp,
     kl_kd_loss,
     kurtosis,
@@ -326,12 +327,13 @@ def test_criterion_7_scope_identity_with_empty_internal(benchmark_config):
         seed=5,
     )
     scenario = build_scenario(spec)
+    domains = generate_domains(spec)
     assert scenario.distill_set.external_mask.all()
-    assert len(scenario.distill_set) == len(scenario.domains[4].train)
+    assert len(scenario.distill_set) == len(domains[4].train)
     config = replace(benchmark_config.run, epochs=4, teacher_epochs=30, teacher_hidden=(32, 32))
     teachers = [
         train_teacher(
-            LabeledSet.concat([scenario.domains[m].train for m in spec.teacher_domain_ids(t)]),
+            LabeledSet.concat([domains[m].train for m in spec.teacher_domain_ids(t)]),
             config,
             seed=50 + t,
         )

@@ -41,7 +41,7 @@ import cdbench.domains
 import cdbench.engine
 from cdbench.benchmark import train_benchmark_teacher
 from cdbench.distill import MethodConfig
-from cdbench.domains import DistillSet, LabeledSet, build_scenario
+from cdbench.domains import DistillSet, LabeledSet, build_scenario, generate_domains
 from cdbench.engine import (
     RunConfig,
     deserialize_model,
@@ -387,11 +387,11 @@ class TestGen:
         out = tmp_path / "out"
         config = parse_config(base_config(out))
         cmd_gen(config)
-        scenario = build_scenario(config.scenario)
+        domains = generate_domains(config.scenario)
         manifest = json.loads((out / "manifest.json").read_text())
         assert [entry["id"] for entry in manifest["domains"]] == list(range(4))
         for entry in manifest["domains"]:
-            ds = scenario.domains[entry["id"]]
+            ds = domains[entry["id"]]
             with open(out / entry["csv"], newline="", encoding="utf-8") as fh:
                 header, *rows = csv.reader(fh)
             assert header == [f"feature_{i}" for i in range(6)] + ["label", "domain"]
@@ -677,6 +677,33 @@ class TestRun:
         assert len(rows) == 2 * 3 * 2 * 4
         keys = {(r["seed"], r["method"], r["task"], r["domain"]) for r in rows}
         assert len(keys) == len(rows)
+
+    def test_grid_holds_no_train_split(self, tmp_path, monkeypatch):
+        # The student sees training rows only through the distillation set:
+        # every train split that domain generation returns is dead when a
+        # task starts.
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        config = parse_config(doc)
+        cmd_gen(config)
+        cmd_teachers(config)
+        generate, distill_task = cdbench.domains.generate_domain, cdbench.engine.distill_task
+        splits, starts = [], []
+
+        def generate_recorded(*args, **kwargs):
+            ds = generate(*args, **kwargs)
+            splits.append(weakref.ref(ds.train))
+            return ds
+
+        def distill_checked(*args, **kwargs):
+            starts.append((len(splits), sum(ref() is not None for ref in splits)))
+            return distill_task(*args, **kwargs)
+
+        monkeypatch.setattr(cdbench.domains, "generate_domain", generate_recorded)
+        monkeypatch.setattr(cdbench.engine, "distill_task", distill_checked)
+        cmd_run(config)
+        # The 4 domains, generated once; 2 methods x 2 seeds x 2 tasks.
+        assert starts == [(4, 0)] * 8
 
     def test_unchained_teacher_checkpoint_is_a_data_error(self, finished_run, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cdbench import (
     build_scenario,
     evaluate,
     generate_domain,
+    generate_domains,
     mix_ratio,
     train_teacher,
     write_domain_csv,
@@ -22,8 +24,9 @@ def row_set(features):
 
 
 def teacher_rows(scenario, t):
+    domains = generate_domains(scenario.spec)
     ids = scenario.spec.teacher_domain_ids(t)
-    return row_set(np.concatenate([scenario.domains[m].train.features for m in ids]))
+    return row_set(np.concatenate([domains[m].train.features for m in ids]))
 
 
 def distill_parts(scenario):
@@ -123,16 +126,18 @@ class TestBuildScenario:
 
     def test_distill_set_is_union_of_parts(self):
         scenario = build_scenario(spec_for())
+        domains = generate_domains(scenario.spec)
         internal, external = distill_parts(scenario)
-        assert row_set(internal) <= row_set(scenario.domains[0].train.features)
-        assert row_set(external) <= row_set(scenario.domains[4].train.features)
+        assert row_set(internal) <= row_set(domains[0].train.features)
+        assert row_set(external) <= row_set(domains[4].train.features)
         combined = row_set(internal) | row_set(external)
         assert row_set(scenario.distill_set.features) == combined
 
     def test_ratio_zero_gives_internal_only(self):
         scenario = build_scenario(spec_for(ratio=0.0))
+        domains = generate_domains(scenario.spec)
         assert len(distill_parts(scenario)[1]) == 0
-        assert np.array_equal(scenario.distill_set.features, scenario.domains[0].train.features)
+        assert np.array_equal(scenario.distill_set.features, domains[0].train.features)
         assert not scenario.distill_set.external_mask.any()
 
     def test_distill_set_carries_no_labels(self):
@@ -176,9 +181,20 @@ class TestBuildScenario:
         b = build_scenario(spec_for())
         assert np.array_equal(a.distill_set.features, b.distill_set.features)
         assert np.array_equal(a.distill_set.external_mask, b.distill_set.external_mask)
-        assert a.domains.keys() == b.domains.keys()
-        for m in a.domains:
-            assert np.array_equal(a.domains[m].train.features, b.domains[m].train.features)
+        domains_a, domains_b = generate_domains(spec_for()), generate_domains(spec_for())
+        assert domains_a.keys() == domains_b.keys()
+        for m in domains_a:
+            assert np.array_equal(domains_a[m].train.features, domains_b[m].train.features)
+
+    def test_scenario_keeps_the_test_splits(self):
+        # A scenario holds each domain's test split, as generated, and no train split.
+        scenario = build_scenario(spec_for())
+        domains = generate_domains(scenario.spec)
+        assert scenario.test_sets.keys() == domains.keys()
+        for m, ds in domains.items():
+            assert scenario.test_sets[m].features.tobytes() == ds.test.features.tobytes()
+            assert scenario.test_sets[m].labels.tolist() == ds.test.labels.tolist()
+        assert [f.name for f in fields(scenario)] == ["spec", "test_sets", "distill_set"]
 
 
 def labeled(n, dim=4, seed=0):

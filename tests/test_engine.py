@@ -611,6 +611,14 @@ class TestCheckpoints:
         after = evaluate(load_checkpoint(path), ds.test)
         assert abs(before - after) <= 1e-6
 
+    def test_parse_reads_the_payload_in_place(self):
+        # No layer's bytes are copied out of the payload, so the parse
+        # allocates little beyond the float64 params it returns.
+        data = serialize_model(init_mlp(0, [32, 512, 512, 10]))
+        parsed = []
+        peak = traced_peak(lambda: parsed.append(deserialize_model(data)))
+        assert peak < 1.1 * parsed[0].params.nbytes
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTCKPT1" + b"\x00" * 16)
