@@ -39,6 +39,7 @@ from .domains import (
     write_domain_csv,
 )
 from .engine import (
+    KL_LIKE_METHODS,
     FrozenTeacher,
     RunConfig,
     deserialize_model,
@@ -377,19 +378,29 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
 
 
 def _pool_map(fn: Callable, *columns, jobs: int) -> list:
-    """`list(map(fn, *columns))`, in forked one-BLAS-thread workers where that can run.
+    """`list(map(fn, *columns))`, each call at one OpenBLAS thread, forked where that can run.
 
     With more than one call, `jobs` above 1 and an OpenBLAS thread setter,
     the calls run in min(jobs, calls) forked workers. Each worker inherits
     `fn`, with everything it binds, through the fork and sets its OpenBLAS
     to one thread before its first call, so a task sends only its own
-    arguments and this process's thread count never changes. Otherwise the
-    calls run in order, in this process.
+    arguments. Otherwise the calls run in order, in this process, at one
+    thread too, and the caller's thread count comes back after them. So
+    every call computes the same way at any `jobs`, and this process's
+    thread count never changes. Without a setter, the calls run in this
+    process at its own count.
     """
     workers = min(jobs, len(columns[0]))
-    set_threads = _openblas_threads("set") if workers > 1 else None
+    set_threads = _openblas_threads("set")
     if set_threads is None:
         return list(map(fn, *columns))
+    if workers < 2:
+        before = _openblas_threads("get")()
+        set_threads(1)
+        try:
+            return list(map(fn, *columns))
+        finally:
+            set_threads(before)
     # Imported here, since the serial path, `gen` and `analyze` never need
     # them. OpenBLAS stops its threads at fork, so the workers start without
     # them.
@@ -505,21 +516,23 @@ def _filter_external_by_entropy(scenario, teachers, threshold: float, chunk: int
 
 
 def _run_cell(
-    scenario, run: RunConfig, teachers: list[FrozenTeacher], method: MethodConfig, seed: int
+    scenario, run: RunConfig, teachers: list[FrozenTeacher], methods: tuple, seed: int
 ) -> tuple[list[dict], list[tuple]]:
-    """One (method, seed) grid cell; executed possibly in a worker process."""
-    student = new_student(scenario.spec.feature_dim, scenario.spec.n_classes, run, seed)
+    """One seed of `methods`, which share run_sequence's `shared`; run possibly in a worker."""
+    shared: dict = {}
     rows: list[dict] = []
     curve_rows: list[tuple] = []
-    for log in run_sequence(student, iter(teachers), scenario, method, run, seed=seed):
-        t = log.task_index
-        for d, acc in sorted(log.accuracies.items()):
-            row = (seed, method.method, t, t, d, acc, log.elapsed_seconds)
-            rows.append(dict(zip(RESULT_COLUMNS, row)))
-        if log.epoch_accuracies is not None:
-            for e, accs in enumerate(log.epoch_accuracies):
-                for d, acc in sorted(accs.items()):
-                    curve_rows.append((method.method, seed, t, e, d, acc))
+    for method in methods:
+        student = new_student(scenario.spec.feature_dim, scenario.spec.n_classes, run, seed)
+        for log in run_sequence(student, iter(teachers), scenario, method, run, seed, shared):
+            t = log.task_index
+            for d, acc in sorted(log.accuracies.items()):
+                row = (seed, method.method, t, t, d, acc, log.elapsed_seconds)
+                rows.append(dict(zip(RESULT_COLUMNS, row)))
+            if log.epoch_accuracies is not None:
+                for e, accs in enumerate(log.epoch_accuracies):
+                    for d, acc in sorted(accs.items()):
+                        curve_rows.append((method.method, seed, t, e, d, acc))
     return rows, curve_rows
 
 
@@ -530,11 +543,13 @@ def run_grid(
 
     `teachers` holds one zero-argument loader per teacher, in task order.
     The scenario is built, and its external rows screened, once for all
-    cells. The cells run through _pool_map and share one FrozenTeacher per
-    teacher, so each teacher is loaded and runs over the distillation set
-    once in each process that runs cells, not once per cell. A teacher's
-    model is loaded when its pass is due and freed after it, so each
-    process holds at most one.
+    cells. A grid task is one seed of a group of methods: kl, self_distill
+    and se2d (KL_LIKE_METHODS) form one group, since they share task 0, and
+    every other method is its own. The tasks run through _pool_map and
+    share one FrozenTeacher per teacher, so each teacher is loaded and runs
+    over the distillation set once in each process that runs cells, not
+    once per cell. A teacher's model is loaded when its pass is due and
+    freed after it, so each process holds at most one.
     Returns the result rows, keyed by RESULT_COLUMNS and sorted by
     method, seed, task and domain, and the sorted per-epoch curve rows.
     """
@@ -546,9 +561,10 @@ def run_grid(
             scenario, teachers, config.external_entropy_max, config.run.batch_size
         )
     frozen = [FrozenTeacher(load, config.scenario.n_classes) for load in teachers]
-    methods, seeds = zip(*product(config.methods, config.run.seeds))
+    kl_like = tuple(m for m in config.methods if m.method in KL_LIKE_METHODS)
+    groups = ([kl_like] if kl_like else []) + [(m,) for m in config.methods if m not in kl_like]
     cell = partial(_run_cell, scenario, config.run, frozen)
-    done = _pool_map(cell, methods, seeds, jobs=jobs)
+    done = _pool_map(cell, *zip(*product(groups, config.run.seeds)), jobs=jobs)
     rows = [r for cell_rows, _ in done for r in cell_rows]
     rows.sort(key=lambda r: (r["method"], r["seed"], r["task"], r["domain"]))
     curves = sorted(c for _, cell_curves in done for c in cell_curves)

@@ -55,6 +55,11 @@ _SEED_TEACHER = 21
 _SEED_STUDENT = 22
 _SEED_SHUFFLE = 23
 
+# kl and the methods that train as kl where they have nothing to preserve:
+# task 0, with no previous student yet, and every se2d task on a set
+# without external rows, the only rows its checkpoint term covers.
+KL_LIKE_METHODS = ("kl", *CHECKPOINT_METHODS)
+
 # An epoch whose mean loss exceeds this multiple of the first-batch loss (of
 # its task, for a student) has diverged. In legitimate runs of
 # configs/quick.json, configs/benchmark.json and both perfbench workloads,
@@ -485,6 +490,13 @@ def distill_task(
     return student, log
 
 
+def _shares_kl_tasks(method: MethodConfig, t: int, distill_set: DistillSet) -> bool:
+    """Whether `method` trains tasks 0..t as kl does, as others of KL_LIKE_METHODS may."""
+    return method.method in KL_LIKE_METHODS and (
+        t == 0 or method.method != "self_distill" and not distill_set.external_mask.any()
+    )
+
+
 def run_sequence(
     student: MlpModel,
     teachers: Iterable[MlpModel | FrozenTeacher],
@@ -492,34 +504,51 @@ def run_sequence(
     method: MethodConfig,
     config: RunConfig,
     seed: int = 0,
+    shared: dict | None = None,
 ) -> list[TaskLog]:
     """Distill a sequence of teachers into one student, evaluating after each task.
 
     Teachers are pulled one at a time from a forward-only iterator; once a
     task ends its teacher is unreachable. Checkpoint-based methods serialize
     the student at each task end and distill from that frozen copy during
-    the next task. Each log's elapsed_seconds is its task's wall time.
+    the next task. Each log's elapsed_seconds is its task's wall time: its
+    distillation, its evaluation and the read of the previous checkpoint.
+
+    `shared`, a dict that calls from the same student, seed, scenario,
+    config and teachers may pass in common, maps t to the student after
+    kl's tasks 0..t and task t's log. A task another call ran there
+    (_shares_kl_tasks) is not run again: the student copies those
+    parameters in place, and the same log, elapsed_seconds included, is
+    returned.
     """
     teacher_stream: Iterator[MlpModel | FrozenTeacher] = iter(teachers)
     logs: list[TaskLog] = []
     checkpoint: bytes | None = None
+    shared = {} if shared is None else shared
     for t, teacher in enumerate(teacher_stream):
-        start = time.perf_counter()
-        prev_model = deserialize_model(checkpoint) if checkpoint is not None else None
-        student, log = distill_task(
-            student,
-            teacher,
-            scenario.distill_set,
-            method,
-            config,
-            task_index=t,
-            seed=seed,
-            prev_student=prev_model,
-            test_sets=scenario.test_sets,
-        )
+        key = t if _shares_kl_tasks(method, t, scenario.distill_set) else None
+        if key is not None and key in shared:
+            params, log = shared[key]
+            student.params[...] = params
+        else:
+            start = time.perf_counter()
+            prev_model = deserialize_model(checkpoint) if checkpoint is not None else None
+            student, log = distill_task(
+                student,
+                teacher,
+                scenario.distill_set,
+                method,
+                config,
+                task_index=t,
+                seed=seed,
+                prev_student=prev_model,
+                test_sets=scenario.test_sets,
+            )
+            log.elapsed_seconds = time.perf_counter() - start
+            if key is not None:
+                shared[key] = (student.params.copy(), log)
         if method.method in CHECKPOINT_METHODS:
             checkpoint = serialize_model(student)
-        log.elapsed_seconds = time.perf_counter() - start
         logs.append(log)
     if not logs:
         raise InvalidArgumentError("teacher sequence is empty")

@@ -702,8 +702,37 @@ class TestRun:
         monkeypatch.setattr(cdbench.domains, "generate_domain", generate_recorded)
         monkeypatch.setattr(cdbench.engine, "distill_task", distill_checked)
         cmd_run(config)
-        # The 4 domains, generated once; 2 methods x 2 seeds x 2 tasks.
-        assert starts == [(4, 0)] * 8
+        # The 4 domains, generated once; 2 methods x 2 seeds x 2 tasks, less
+        # se2d's task 0, which is kl's.
+        assert starts == [(4, 0)] * 6
+
+    def test_serial_cells_run_at_one_blas_thread(self, tmp_path, monkeypatch):
+        # A serial grid computes as a forked worker does, and hands the
+        # caller's thread count back.
+        get, set_threads = _openblas_threads("get"), _openblas_threads("set")
+        if set_threads is None:
+            pytest.skip("needs an OpenBLAS thread setter")
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        config = parse_config(doc)
+        cmd_gen(config)
+        cmd_teachers(config)
+        sequence, threads = cdbench.cli.run_sequence, []
+
+        def sequence_recorded(*args, **kwargs):
+            threads.append(get())
+            return sequence(*args, **kwargs)
+
+        monkeypatch.setattr(cdbench.cli, "run_sequence", sequence_recorded)
+        before = get()
+        set_threads(2)
+        try:
+            cmd_run(config, jobs=1)
+            assert get() == 2
+        finally:
+            set_threads(before)
+        # 2 methods x 2 seeds
+        assert threads == [1] * 4
 
     def test_unchained_teacher_checkpoint_is_a_data_error(self, finished_run, tmp_path, capsys):
         out = tmp_path / "out"
@@ -843,8 +872,8 @@ class TestRun:
         assert main(["teachers", "--config", path]) == 0
         want = []
 
-        def recorded(student, teachers, scenario, method, config, seed=0):
-            logs = run_sequence(student, teachers, scenario, method, config, seed=seed)
+        def recorded(student, teachers, scenario, method, config, seed=0, shared=None):
+            logs = run_sequence(student, teachers, scenario, method, config, seed=seed, shared=shared)
             for log in logs:
                 for epoch, accs in enumerate(log.epoch_accuracies):
                     for d, acc in accs.items():
@@ -1125,6 +1154,19 @@ def three_teacher_grid():
     return config, [train_benchmark_teacher(spec, config.run, t) for t in range(spec.n_teachers)]
 
 
+def sequence_rows(config, teachers):
+    """(method, seed, task, domain, accuracy) of one run_sequence per method and seed of config."""
+    spec = config.scenario
+    scenario = build_scenario(spec)
+    rows = []
+    for method, seed in product(config.methods, config.run.seeds):
+        student = new_student(spec.feature_dim, spec.n_classes, config.run, seed)
+        for log in run_sequence(student, teachers, scenario, method, config.run, seed=seed):
+            for d, acc in sorted(log.accuracies.items()):
+                rows.append((method.method, seed, log.task_index, d, acc))
+    return rows
+
+
 class TestGridCells:
     def test_each_teacher_runs_over_the_set_once_per_grid(self, three_teacher_grid, monkeypatch):
         config, teachers = three_teacher_grid
@@ -1143,17 +1185,42 @@ class TestGridCells:
 
     def test_rows_match_a_run_sequence_per_cell(self, three_teacher_grid):
         config, teachers = three_teacher_grid
-        spec = config.scenario
-        scenario = build_scenario(spec)
-        want = []
-        for method, seed in product(config.methods, config.run.seeds):
-            student = new_student(spec.feature_dim, spec.n_classes, config.run, seed)
-            for log in run_sequence(student, teachers, scenario, method, config.run, seed=seed):
-                for d, acc in sorted(log.accuracies.items()):
-                    want.append((method.method, seed, log.task_index, d, acc))
+        want = sequence_rows(config, teachers)
         rows, _ = run_grid(config, loaders(teachers))
         got = [(r["method"], r["seed"], r["task"], r["domain"], r["accuracy"]) for r in rows]
         assert got == sorted(want)
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.0])
+    def test_task_0_runs_once_per_seed(self, three_teacher_grid, monkeypatch, ratio):
+        # No checkpoint method has a previous student at task 0, so kl,
+        # self_distill and se2d train it alike; without external rows, se2d
+        # trains every task as kl does. Listed before kl, se2d runs them.
+        config, teachers = three_teacher_grid
+        methods = tuple(MethodConfig(m) for m in ("se2d", "kl", "ls", "self_distill"))
+        spec = replace(config.scenario, ed_ratio=ratio)
+        config = replace(config, scenario=spec, methods=methods)
+        original, calls = cdbench.engine.distill_task, []
+
+        def recorded(*args, **kwargs):
+            calls.append((args[3].method, kwargs["seed"], kwargs["task_index"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cdbench.engine, "distill_task", recorded)
+        rows, _ = run_grid(config, loaders(teachers))
+        tasks = {"se2d": [0, 1, 2], "kl": [], "ls": [0, 1, 2], "self_distill": [1, 2]}
+        if ratio:
+            tasks["kl"] = [1, 2]
+        want_calls = [(m, s, t) for m, ts in tasks.items() for s in (1, 2) for t in ts]
+        assert sorted(calls) == sorted(want_calls)
+
+        got = [(r["method"], r["seed"], r["task"], r["domain"], r["accuracy"]) for r in rows]
+        assert got == sorted(sequence_rows(config, teachers))
+        # Each shared task's rows carry its one run's wall time.
+        elapsed = {(r["method"], r["seed"], r["task"]): r["elapsed_seconds"] for r in rows}
+        for seed in (1, 2):
+            task_0 = {elapsed[m, seed, 0] for m in ("kl", "self_distill", "se2d")}
+            assert len(task_0) == 1
+            assert (elapsed["kl", seed, 1] == elapsed["se2d", seed, 1]) is (ratio == 0.0)
 
     def test_elapsed_seconds_is_each_tasks_own(self, three_teacher_grid, monkeypatch):
         config, teachers = three_teacher_grid
@@ -1272,6 +1339,27 @@ class TestSweep:
         assert (tmp_path / "out" / "ratio_0" / "summary.json").read_bytes() == (
             tmp_path / "plain" / "summary.json"
         ).read_bytes()
+
+    def test_se2d_reuses_kl_without_external_rows(self, tmp_path, monkeypatch):
+        # In the ratio-0 block se2d trains every task as kl does, so it runs
+        # none; at 0.5 it shares kl's task 0 alone.
+        config = parse_config(base_config(tmp_path / "out", sweep_ratios=[0.0, 0.5]))
+        cmd_gen(config)
+        cmd_teachers(config)
+        original, calls = cdbench.engine.distill_task, []
+
+        def recorded(*args, **kwargs):
+            external = bool(args[2].external_mask.any())
+            calls.append((external, args[3].method, kwargs["seed"], kwargs["task_index"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cdbench.engine, "distill_task", recorded)
+        cmd_sweep(config)
+        seeds_tasks = list(product(config.run.seeds, range(config.scenario.n_teachers)))
+        want = [(False, "kl", s, t) for s, t in seeds_tasks]
+        want += [(True, "kl", s, t) for s, t in seeds_tasks]
+        want += [(True, "se2d", s, t) for s, t in seeds_tasks if t > 0]
+        assert sorted(calls) == sorted(want)
 
     def test_empty_ratio_list_rejected(self, tmp_path):
         config = parse_config(base_config(tmp_path / "out"))
