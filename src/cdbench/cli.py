@@ -65,8 +65,9 @@ _OPENBLAS_FUNCTIONS = (
 )
 _OPENBLAS_SIGNATURES = {"set": ([ctypes.c_int], None), "get": ([], ctypes.c_int)}
 
-RESULT_COLUMNS = ("seed", "method", "task", "teacher", "domain", "accuracy", "elapsed_seconds")
-SWEEP_COLUMNS = ("ed_ratio",) + RESULT_COLUMNS
+RESULT_COLUMNS = (
+    "ed_ratio", "seed", "method", "task", "teacher", "domain", "accuracy", "elapsed_seconds"
+)
 
 
 # Parsers of the results.csv and sweep.csv columns; the other columns are
@@ -519,6 +520,7 @@ def _run_cell(
     scenario, run: RunConfig, teachers: list[FrozenTeacher], methods: tuple, seed: int
 ) -> tuple[list[dict], list[tuple]]:
     """One seed of `methods`, which share run_sequence's `shared`; run possibly in a worker."""
+    ratio = scenario.spec.ed_ratio
     shared: dict = {}
     rows: list[dict] = []
     curve_rows: list[tuple] = []
@@ -527,7 +529,7 @@ def _run_cell(
         for log in run_sequence(student, iter(teachers), scenario, method, run, seed, shared):
             t = log.task_index
             for d, acc in sorted(log.accuracies.items()):
-                row = (seed, method.method, t, t, d, acc, log.elapsed_seconds)
+                row = (ratio, seed, method.method, t, t, d, acc, log.elapsed_seconds)
                 rows.append(dict(zip(RESULT_COLUMNS, row)))
             if log.epoch_accuracies is not None:
                 for e, accs in enumerate(log.epoch_accuracies):
@@ -553,8 +555,6 @@ def run_grid(
     Returns the result rows, keyed by RESULT_COLUMNS and sorted by
     method, seed, task and domain, and the sorted per-epoch curve rows.
     """
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
     scenario = build_scenario(config.scenario)
     if config.external_entropy_max is not None:
         scenario = _filter_external_by_entropy(
@@ -571,12 +571,12 @@ def run_grid(
     return rows, curves
 
 
-def _write_results_csv(path: Path, rows: list[dict], columns=RESULT_COLUMNS) -> None:
+def _write_results_csv(path: Path, rows: list[dict]) -> None:
     """Write result rows; a float column prints as repr, elapsed_seconds to the microsecond."""
     _write_csv(
         path,
-        columns,
-        ([f"{r[c]:.6f}" if c == "elapsed_seconds" else r[c] for c in columns] for r in rows),
+        RESULT_COLUMNS,
+        ([f"{r[c]:.6f}" if c == "elapsed_seconds" else r[c] for c in RESULT_COLUMNS] for r in rows),
     )
 
 
@@ -602,32 +602,34 @@ def cmd_run(config: ExperimentConfig, jobs: int = 1) -> Path:
     return _write_grid(config.output_dir, config, rows, curves)
 
 
-def _accuracy_matrices(rows: list[dict], where: str) -> dict[tuple[str, int], AccuracyMatrix]:
-    """(method, seed) -> AccuracyMatrix over every domain and task in the rows.
+def _accuracy_matrices(rows: list[dict], where: str) -> dict[float, dict]:
+    """ed_ratio -> (method, seed) -> AccuracyMatrix over every domain and task, ratios ascending.
 
-    The rows must hold every method x seed x task x domain combination once.
+    At each ratio, the rows must hold every method x seed x task x domain combination once.
     """
-    acc = {}
+    acc: dict[float, dict[tuple, float]] = {}
     for r in rows:
-        key = (r["method"], r["seed"], r["task"], r["domain"])
-        if key in acc:
+        ratio, key = r["ed_ratio"], (r["method"], r["seed"], r["task"], r["domain"])
+        block = acc.setdefault(ratio, {})
+        if key in block:
             raise FormatError(
                 f"{where}: repeated result for method {key[0]}, seed {key[1]}, task {key[2]}, "
-                f"domain {key[3]}"
+                f"domain {key[3]} at ed_ratio {ratio}"
             )
-        acc[key] = r["accuracy"]
-    methods, seeds, tasks, domains = (sorted({key[i] for key in acc}) for i in range(4))
-    matrices = {}
-    for method in methods:
-        for seed in seeds:
+        block[key] = r["accuracy"]
+    matrices: dict[float, dict] = {}
+    for ratio, block in sorted(acc.items()):
+        methods, seeds, tasks, domains = (sorted({key[i] for key in block}) for i in range(4))
+        for method, seed in product(methods, seeds):
             values = np.empty((len(domains), max(tasks) + 1))
             for (i, d), t in product(enumerate(domains), range(values.shape[1])):
-                if (method, seed, t, d) not in acc:
+                if (method, seed, t, d) not in block:
                     raise FormatError(
-                        f"{where}: no result for method {method}, seed {seed}, task {t}, domain {d}"
+                        f"{where}: no result for method {method}, seed {seed}, task {t}, "
+                        f"domain {d} at ed_ratio {ratio}"
                     )
-                values[i, t] = acc[method, seed, t, d]
-            matrices[method, seed] = AccuracyMatrix(tuple(domains), values)
+                values[i, t] = block[method, seed, t, d]
+            matrices.setdefault(ratio, {})[method, seed] = AccuracyMatrix(tuple(domains), values)
     return matrices
 
 
@@ -640,9 +642,20 @@ def _seed_mean(per_seed: list[dict[int, float]]) -> dict[str, float]:
     return {str(d): float(np.mean([v[d] for v in per_seed])) for d in per_seed[0]}
 
 
+def _forgetting_report(runs: list[AccuracyMatrix], known: tuple[int, ...]) -> dict:
+    """Forgetting after the last task of runs of two or more tasks: each domain's mean
+    over the runs, and the mean and std of their average forgetting on `known`."""
+    return {
+        "per_domain": _seed_mean(
+            [{d: forgetting(m, d, m.n_tasks - 1) for d in m.domain_ids} for m in runs]
+        ),
+        "average": _mean_std([average_forgetting(m, domains=known) for m in runs]),
+    }
+
+
 def _summarize(config: ExperimentConfig, rows: list[dict]) -> dict:
     known = config.scenario.teacher_known_domains
-    matrices = _accuracy_matrices(rows, "grid")
+    matrices = _accuracy_matrices(rows, "grid")[config.scenario.ed_ratio]
     n_tasks = max(r["task"] for r in rows) + 1
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -661,9 +674,7 @@ def _summarize(config: ExperimentConfig, rows: list[dict]) -> dict:
             "mean_final_accuracy_known": _mean_std(
                 [float(np.mean([m.final(d) for d in known])) for m in runs]
             ),
-            "average_forgetting": _mean_std(
-                [average_forgetting(m, domains=known) for m in runs]
-            )
+            "average_forgetting": _forgetting_report(runs, known)["average"]
             if n_tasks >= 2
             else None,
         }
@@ -683,8 +694,8 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
         at_ratio = replace(config, scenario=replace(config.scenario, ed_ratio=float(ratio)))
         rows, curves = run_grid(at_ratio, teachers, jobs)
         _write_grid(out / f"ratio_{_ratio_tag(ratio)}", at_ratio, rows, curves)
-        swept.extend({"ed_ratio": at_ratio.scenario.ed_ratio, **r} for r in rows)
-    _write_results_csv(out / "sweep.csv", swept, SWEEP_COLUMNS)
+        swept.extend(rows)
+    _write_results_csv(out / "sweep.csv", swept)
     return out / "sweep.csv"
 
 
@@ -692,7 +703,7 @@ def _check_row(row: dict, spec: ScenarioSpec) -> None:
     """Raise ValueError for a value no grid of `spec` writes; each range check fails NaN."""
     if not 0.0 <= row["accuracy"] <= 1.0:
         raise ValueError(f"accuracy {row['accuracy']!r} lies outside [0, 1]")
-    if "ed_ratio" in row and not 0.0 <= row["ed_ratio"] < 1.0:
+    if not 0.0 <= row["ed_ratio"] < 1.0:
         raise ValueError(f"ed_ratio {row['ed_ratio']!r} lies outside [0, 1)")
     for key, count in (("task", spec.n_teachers), ("domain", spec.n_domains)):
         if not 0 <= row[key] < count:
@@ -701,10 +712,8 @@ def _check_row(row: dict, spec: ScenarioSpec) -> None:
         raise ValueError(f"teacher {row['teacher']} is not the row's task {row['task']}")
 
 
-def read_results_csv(
-    path: Path, spec: ScenarioSpec, columns: tuple[str, ...] = RESULT_COLUMNS
-) -> list[dict]:
-    """Parse results.csv, or sweep.csv with SWEEP_COLUMNS, reporting the offending line.
+def read_results_csv(path: Path, spec: ScenarioSpec) -> list[dict]:
+    """Parse results.csv or sweep.csv, reporting the offending line.
 
     Every row must also fit `spec`, the scenario that made it (see _check_row).
     """
@@ -716,11 +725,11 @@ def read_results_csv(
     reader = csv.DictReader(io.StringIO(text, newline=""))
     rows = []
     try:
-        missing = [c for c in columns if c not in (reader.fieldnames or [])]
+        missing = [c for c in RESULT_COLUMNS if c not in (reader.fieldnames or [])]
         if missing:
             raise FormatError(f"{path}: missing columns {missing}")
         for row in reader:
-            rows.append({c: _CSV_TYPES.get(c, int)(row[c]) for c in columns})
+            rows.append({c: _CSV_TYPES.get(c, int)(row[c]) for c in RESULT_COLUMNS})
             _check_row(rows[-1], spec)
     except FormatError:
         raise
@@ -741,18 +750,10 @@ def cmd_analyze(results_dir: Path) -> Path:
     if has_teachers:
         _check_teacher_report(results_dir, spec, {})
     path = results_dir / "sweep.csv"
-    if path.exists():
-        rows = read_results_csv(path, spec, SWEEP_COLUMNS)
-    else:
+    if not path.exists():
         path = results_dir / "results.csv"
-        rows = [{"ed_ratio": spec.ed_ratio, **r} for r in read_results_csv(path, spec)]
-    blocks: dict[float, list[dict]] = {}
-    for r in rows:
-        blocks.setdefault(r["ed_ratio"], []).append(r)
-    matrices = {
-        ratio: _accuracy_matrices(block, f"{path} at ed_ratio {ratio}")
-        for ratio, block in sorted(blocks.items())
-    }
+    rows = read_results_csv(path, spec)
+    matrices = _accuracy_matrices(rows, str(path))
 
     known = spec.teacher_known_domains
     unseen = spec.unseen_domains
@@ -776,13 +777,7 @@ def cmd_analyze(results_dir: Path) -> Path:
             if with_base and (method, seed) in base:
                 gains.setdefault(method, []).append(ukt_gain(mat, base[method, seed], unseen))
         metrics_doc["forgetting"][repr(ratio)] = {
-            method: {
-                "per_domain": _seed_mean(
-                    [{d: forgetting(m, d, m.n_tasks - 1) for d in m.domain_ids} for m in ms]
-                ),
-                "average": _mean_std([average_forgetting(m, domains=known) for m in ms]),
-            }
-            for method, ms in runs.items()
+            method: _forgetting_report(ms, known) for method, ms in runs.items()
         }
         if with_base:
             metrics_doc["ukt"][repr(ratio)] = {
@@ -872,6 +867,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             print(cmd_analyze(_coerce(args.out, Path, "--out")))
             return 0
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "gen":
             print(cmd_gen(config))

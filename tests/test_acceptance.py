@@ -42,7 +42,6 @@ from cdbench import (
     train_teacher,
 )
 from cdbench.cli import (
-    SWEEP_COLUMNS,
     _accuracy_matrices,
     _teacher_loaders,
     cmd_analyze,
@@ -89,13 +88,12 @@ def benchmark_runs(benchmark_config, tmp_path_factory):
     cmd_gen(config)
     cmd_teachers(config)
     sweep = cmd_sweep(config, jobs=2)
-    blocks: dict[float, list[dict]] = {}
-    for r in read_results_csv(sweep, config.scenario, SWEEP_COLUMNS):
-        blocks.setdefault(r["ed_ratio"], []).append(r)
-    matrices: dict[tuple, AccuracyMatrix] = {}
-    for ratio, rows in blocks.items():
-        for (method, seed), matrix in _accuracy_matrices(rows, f"ratio {ratio}").items():
-            matrices[method, ratio, seed] = matrix
+    blocks = _accuracy_matrices(read_results_csv(sweep, config.scenario), str(sweep))
+    matrices = {
+        (method, ratio, seed): matrix
+        for ratio, block in blocks.items()
+        for (method, seed), matrix in block.items()
+    }
     elapsed = time.perf_counter() - start
     return {
         "out": out,

@@ -17,7 +17,6 @@ import pytest
 
 from cdbench.cli import (
     RESULT_COLUMNS,
-    SWEEP_COLUMNS,
     ExperimentConfig,
     _apply_overrides,
     _atomic_write,
@@ -964,6 +963,16 @@ class TestRun:
         assert not (tmp_path / "out" / "results.csv").exists()
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_nonpositive_jobs_rejected_before_any_input(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = write_config(tmp_path, base_config(out, sweep_ratios=[0.0, 0.5]))
+        assert main([command, "--config", str(path), "--jobs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "manifest" not in err
+        assert list(out.iterdir()) == []
+
     def test_atomic_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         target = tmp_path / "x" / "summary.json"
 
@@ -1296,29 +1305,35 @@ class TestSweep:
     def test_blocks_and_ratio_zero_equivalence(self, tmp_path):
         # Each ratio's block equals a plain run at that ratio, so no teacher
         # logits from one ratio's distillation set reach another's grid.
-        doc = base_config(tmp_path / "out", sweep_ratios=[0.0, 0.5])
-        config = parse_config(doc)
+        out = tmp_path / "out"
+        config = parse_config(base_config(out, sweep_ratios=[0.0, 0.5]))
         cmd_gen(config)
         cmd_teachers(config)
         cmd_sweep(config)
-        with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        ratios = sorted({r["ed_ratio"] for r in rows})
-        assert ratios == ["0.0", "0.5"]
         for block_dir in ("ratio_0", "ratio_0_5"):
-            written = {p.name for p in (tmp_path / "out" / block_dir).iterdir()}
+            written = {p.name for p in (out / block_dir).iterdir()}
             assert written == {"results.csv", "summary.json"}
+        # sweep.csv is the header, then each ratio's results.csv body in ratio order.
+        header = ",".join(RESULT_COLUMNS).encode()
+        blocks = [
+            (out / d / "results.csv").read_bytes().split(b"\n", 1) for d in ("ratio_0", "ratio_0_5")
+        ]
+        assert [head for head, _ in blocks] == [header, header]
+        assert (out / "sweep.csv").read_bytes() == header + b"\n" + b"".join(b for _, b in blocks)
+
+        def without_wall_time(rows):
+            return [{c: v for c, v in r.items() if c != "elapsed_seconds"} for r in rows]
+
+        swept = without_wall_time(read_results_csv(out / "sweep.csv", config.scenario))
+        at = {ratio: [r for r in swept if r["ed_ratio"] == ratio] for ratio in (0.0, 0.5)}
+        assert len(at[0.0]) + len(at[0.5]) == len(swept)
 
         # the ratio-0.5 block must match a plain run of the config (ed_ratio 0.5)
         cmd_run(config)
-        same = read_results_csv(tmp_path / "out" / "results.csv", config.scenario)
-        block = read_results_csv(tmp_path / "out" / "ratio_0_5" / "results.csv", config.scenario)
-        assert [r["accuracy"] for r in block] == [r["accuracy"] for r in same]
-        assert [float(r["accuracy"]) for r in rows if r["ed_ratio"] == "0.5"] == [
-            r["accuracy"] for r in same
-        ]
-        assert (tmp_path / "out" / "ratio_0_5" / "summary.json").read_bytes() == (
-            tmp_path / "out" / "summary.json"
+        same = read_results_csv(out / "results.csv", config.scenario)
+        assert at[0.5] == without_wall_time(same)
+        assert (out / "ratio_0_5" / "summary.json").read_bytes() == (
+            out / "summary.json"
         ).read_bytes()
 
         # the ratio-0 block must match a plain run at ed_ratio 0
@@ -1329,14 +1344,8 @@ class TestSweep:
         cmd_teachers(plain)
         cmd_run(plain)
         plain_rows = read_results_csv(tmp_path / "plain" / "results.csv", plain.scenario)
-        block = [r for r in rows if r["ed_ratio"] == "0.0"]
-        assert len(block) == len(plain_rows)
-        for swept, ref in zip(
-            sorted(block, key=lambda r: (r["method"], int(r["seed"]), int(r["task"]), int(r["domain"]))),
-            sorted(plain_rows, key=lambda r: (r["method"], r["seed"], r["task"], r["domain"])),
-        ):
-            assert float(swept["accuracy"]) == ref["accuracy"]
-        assert (tmp_path / "out" / "ratio_0" / "summary.json").read_bytes() == (
+        assert at[0.0] == without_wall_time(plain_rows)
+        assert (out / "ratio_0" / "summary.json").read_bytes() == (
             tmp_path / "plain" / "summary.json"
         ).read_bytes()
 
@@ -1417,11 +1426,11 @@ class TestAnalyze:
         )
         config = parse_config(doc)
         cmd_gen(config)
-        lines = ["seed,method,task,teacher,domain,accuracy,elapsed_seconds"]
+        lines = [",".join(RESULT_COLUMNS)]
         traj = {0: (0.6, 0.7, 0.5), 1: (0.9, 0.8, 0.7), 2: (0.2, 0.4, 0.3), 3: (0.5, 0.5, 0.5)}
         for task in range(3):
             for domain, accs in traj.items():
-                lines.append(f"1,kl,{task},{task},{domain},{accs[task]},0.0")
+                lines.append(f"0.5,1,kl,{task},{task},{domain},{accs[task]},0.0")
         (out / "results.csv").write_text("\n".join(lines) + "\n")
         cmd_analyze(out)
         metrics = json.loads((out / "metrics.json").read_text())
@@ -1437,7 +1446,7 @@ class TestAnalyze:
         config = parse_config(base_config(out))
         cmd_gen(config)
         (out / "results.csv").write_text(
-            "seed,method,task,teacher,domain,accuracy,elapsed_seconds\n1,kl,0,0,0,not_a_number,0\n"
+            f"{','.join(RESULT_COLUMNS)}\n0.5,1,kl,0,0,0,not_a_number,0\n"
         )
         with pytest.raises(FormatError, match="line 2"):
             cmd_analyze(out)
@@ -1446,9 +1455,8 @@ class TestAnalyze:
     def test_missing_row_names_the_cell(self, tmp_path, capsys, name):
         out = tmp_path / "out"
         cmd_gen(parse_config(base_config(out)))
-        sweep = name == "sweep.csv"
-        prefixes = ["0.0,", "0.5,"] if sweep else [""]
-        lines = [",".join(SWEEP_COLUMNS if sweep else RESULT_COLUMNS)]
+        prefixes = ["0.0,", "0.5,"] if name == "sweep.csv" else ["0.5,"]
+        lines = [",".join(RESULT_COLUMNS)]
         for prefix, seed, task, domain in product(prefixes, (1, 2), (0, 1), range(4)):
             if (prefix, seed, task, domain) != (prefixes[-1], 2, 1, 3):
                 lines.append(f"{prefix}{seed},kl,{task},{task},{domain},0.5,0.0")
@@ -1463,10 +1471,8 @@ class TestAnalyze:
         # Every row of a one-seed grid, then each cell again at accuracy 0.
         out = tmp_path / "out"
         cmd_gen(parse_config(base_config(out)))
-        sweep = name == "sweep.csv"
-        prefix = "0.5," if sweep else ""
-        cells = [f"{prefix}1,kl,{t},{t},{d}" for t, d in product((0, 1), range(4))]
-        lines = [",".join(SWEEP_COLUMNS if sweep else RESULT_COLUMNS)]
+        cells = [f"0.5,1,kl,{t},{t},{d}" for t, d in product((0, 1), range(4))]
+        lines = [",".join(RESULT_COLUMNS)]
         lines += [f"{cell},0.5,0.0" for cell in cells] + [f"{cell},0.0,0.0" for cell in cells]
         (out / name).write_text("\n".join(lines) + "\n")
         assert main(["analyze", "--out", str(out)]) == 3
@@ -1480,16 +1486,14 @@ class TestAnalyze:
         (out / "sweep.csv").write_text("ed_ratio,seed,method,task\n0.0,1,kl,0\n")
         with pytest.raises(FormatError, match="missing columns"):
             cmd_analyze(out)
-        (out / "sweep.csv").write_text(",".join(SWEEP_COLUMNS) + "\n")
+        (out / "sweep.csv").write_text(",".join(RESULT_COLUMNS) + "\n")
         with pytest.raises(FormatError, match="no data rows"):
             cmd_analyze(out)
 
     def test_short_row_is_a_format_error(self, tmp_path):
         out = tmp_path / "out"
         cmd_gen(parse_config(base_config(out)))
-        (out / "results.csv").write_text(
-            "seed,method,task,teacher,domain,accuracy,elapsed_seconds\n1,kl,0,0,0\n"
-        )
+        (out / "results.csv").write_text(f"{','.join(RESULT_COLUMNS)}\n0.5,1,kl,0,0,0\n")
         with pytest.raises(FormatError, match="line 2"):
             cmd_analyze(out)
 
@@ -1504,6 +1508,18 @@ class TestAnalyze:
         (out / "results.csv").write_text("seed,method\n1,kl\n")
         assert main(["analyze", "--out", str(out)]) == 3
 
+    def test_results_without_ed_ratio_are_refused(self, tmp_path, capsys):
+        # The format before every row carried its ed_ratio; `run` rewrites it.
+        out = tmp_path / "out"
+        cmd_gen(parse_config(base_config(out)))
+        lines = [",".join(RESULT_COLUMNS[1:])]
+        lines += [f"1,kl,{t},{t},{d},0.5,0.0" for t, d in product((0, 1), range(4))]
+        (out / "results.csv").write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(out / "results.csv") in err
+        assert "missing columns ['ed_ratio']" in err
+
     @pytest.mark.parametrize(
         "name, data, named",
         [
@@ -1512,7 +1528,7 @@ class TestAnalyze:
             *(
                 pytest.param(
                     "results.csv",
-                    f"{','.join(RESULT_COLUMNS)}\n1,kl,0,0,0,{acc},0.0\n".encode(),
+                    f"{','.join(RESULT_COLUMNS)}\n0.5,1,kl,0,0,0,{acc},0.0\n".encode(),
                     "line 2",
                     id=f"accuracy-{acc}",
                 )
@@ -1520,14 +1536,14 @@ class TestAnalyze:
             ),
             pytest.param(
                 "results.csv",
-                f"{','.join(RESULT_COLUMNS)}\n1,kl,0,0,0,0.5,{'0' * 200_000}\n".encode(),
+                f"{','.join(RESULT_COLUMNS)}\n0.5,1,kl,0,0,0,0.5,{'0' * 200_000}\n".encode(),
                 "line 2",
                 id="field-over-csv-limit",
             ),
             *(
                 pytest.param(
                     "sweep.csv",
-                    f"{','.join(SWEEP_COLUMNS)}\n{ratio},1,kl,0,0,0,0.5,0.0\n".encode(),
+                    f"{','.join(RESULT_COLUMNS)}\n{ratio},1,kl,0,0,0,0.5,0.0\n".encode(),
                     "line 2",
                     id=f"ed_ratio-{ratio}",
                 )
@@ -1537,40 +1553,42 @@ class TestAnalyze:
                 "results.csv",
                 "\n".join(
                     [",".join(RESULT_COLUMNS)]
-                    + [f"1,kl,{t},{t},{d},0.5,0.0" for t, d in product((0, 1), range(4))]
-                    + ["1,kl,-1,0,0,0.5,0.0\n"]
+                    + [f"0.5,1,kl,{t},{t},{d},0.5,0.0" for t, d in product((0, 1), range(4))]
+                    + ["0.5,1,kl,-1,0,0,0.5,0.0\n"]
                 ).encode(),
                 "line 10",
                 id="task-below-0",
             ),
             pytest.param(
                 "results.csv",
-                f"{','.join(RESULT_COLUMNS)}\n1,kl,0,0,-1,0.5,0.0\n".encode(),
+                f"{','.join(RESULT_COLUMNS)}\n0.5,1,kl,0,0,-1,0.5,0.0\n".encode(),
                 "line 2",
                 id="domain-below-0",
             ),
             # The manifest's scenario has domains 0 to 3 and tasks 0 and 1.
             pytest.param(
                 "results.csv",
-                f"{','.join(RESULT_COLUMNS)}\n1,kl,0,0,0,0.5,0.0\n1,kl,0,0,9,0.5,0.0\n".encode(),
+                (
+                    f"{','.join(RESULT_COLUMNS)}\n0.5,1,kl,0,0,0,0.5,0.0\n0.5,1,kl,0,0,9,0.5,0.0\n"
+                ).encode(),
                 "line 3",
                 id="domain-outside-scenario",
             ),
             pytest.param(
                 "results.csv",
-                f"{','.join(RESULT_COLUMNS)}\n1,kl,2,2,0,0.5,0.0\n".encode(),
+                f"{','.join(RESULT_COLUMNS)}\n0.5,1,kl,2,2,0,0.5,0.0\n".encode(),
                 "line 2",
                 id="task-outside-scenario",
             ),
             pytest.param(
                 "results.csv",
-                f"{','.join(RESULT_COLUMNS)}\n1,kl,0,7,0,0.5,0.0\n".encode(),
+                f"{','.join(RESULT_COLUMNS)}\n0.5,1,kl,0,7,0,0.5,0.0\n".encode(),
                 "line 2",
                 id="teacher-not-task",
             ),
             pytest.param(
                 "sweep.csv",
-                f"{','.join(SWEEP_COLUMNS)}\n0.5,1,kl,1,0,0,0.5,0.0\n".encode(),
+                f"{','.join(RESULT_COLUMNS)}\n0.5,1,kl,1,0,0,0.5,0.0\n".encode(),
                 "line 2",
                 id="sweep-teacher-not-task",
             ),

@@ -11,9 +11,11 @@ in the same commit and says why:
     PYTHONPATH=src python tests/test_pipeline_digests.py
 
 Float64 BLAS results can differ between CPU kernels and library builds, so
-the digests carry the Python, numpy and BLAS versions that made them.
+the digests carry the Python, numpy and BLAS versions and the OpenBLAS
+kernel that made them.
 """
 
+import ctypes
 import hashlib
 import json
 import platform
@@ -30,6 +32,31 @@ from cdbench.distill import METHODS
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "pipeline_digests.json"
 WALL_TIME_COLUMN = "elapsed_seconds"
+# OpenBLAS's core-name function, in the order blas_kernel tries them: numpy
+# 2's wheels bundle the first; the others are plain OpenBLAS's names, with
+# and without its 64-bit-integer suffix.
+CORENAME_FUNCTIONS = (
+    "scipy_openblas_get_corename64_",
+    "openblas_get_corename64_",
+    "openblas_get_corename",
+)
+
+
+def blas_kernel() -> str | None:
+    """The kernel of the OpenBLAS in numpy.libs, such as "SkylakeX"; None without one."""
+    libs = []
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            libs.append(ctypes.CDLL(str(path)))
+        except OSError:
+            pass
+    for name in CORENAME_FUNCTIONS:
+        for lib in libs:
+            function = getattr(lib, name, None)
+            if function is not None:
+                function.argtypes, function.restype = [], ctypes.c_char_p
+                return function().decode()
+    return None
 
 
 def versions() -> dict:
@@ -38,6 +65,7 @@ def versions() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_kernel": blas_kernel(),
     }
 
 
