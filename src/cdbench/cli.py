@@ -2,7 +2,7 @@
 
 Subcommands: `gen` materializes a scenario to CSV, `teachers` pretrains and
 checkpoints the teacher sequence, `run` executes the method x seed grid,
-`sweep` repeats `run` across external-data ratios, and `analyze` turns
+`sweep` executes it at several external-data ratios at once, and `analyze` turns
 results into forgetting/transfer metrics and plot-ready CSV files.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 data/format error,
@@ -517,9 +517,10 @@ def _filter_external_by_entropy(scenario, teachers, threshold: float, chunk: int
 
 
 def _run_cell(
-    scenario, run: RunConfig, teachers: list[FrozenTeacher], methods: tuple, seed: int
+    plans: list[tuple], run: RunConfig, index: int, methods: tuple, seed: int
 ) -> tuple[list[dict], list[tuple]]:
-    """One seed of `methods`, which share run_sequence's `shared`; run possibly in a worker."""
+    """One seed of `methods` at plans[index], sharing run_sequence's `shared`; maybe in a worker."""
+    scenario, teachers = plans[index]
     ratio = scenario.spec.ed_ratio
     shared: dict = {}
     rows: list[dict] = []
@@ -534,40 +535,50 @@ def _run_cell(
             if log.epoch_accuracies is not None:
                 for e, accs in enumerate(log.epoch_accuracies):
                     for d, acc in sorted(accs.items()):
-                        curve_rows.append((method.method, seed, t, e, d, acc))
+                        curve_rows.append((ratio, method.method, seed, t, e, d, acc))
     return rows, curve_rows
 
 
 def run_grid(
-    config: ExperimentConfig, teachers: list[Callable[[], MlpModel]], jobs: int = 1
+    config: ExperimentConfig,
+    ratios: tuple[float, ...],
+    teachers: list[Callable[[], MlpModel]],
+    jobs: int = 1,
 ) -> tuple[list[dict], list[tuple]]:
-    """Run config's method x seed grid on config.scenario in memory.
+    """Run config's method x seed grid at each external-data ratio of `ratios`, in memory.
 
     `teachers` holds one zero-argument loader per teacher, in task order.
-    The scenario is built, and its external rows screened, once for all
-    cells. A grid task is one seed of a group of methods: kl, self_distill
-    and se2d (KL_LIKE_METHODS) form one group, since they share task 0, and
-    every other method is its own. The tasks run through _pool_map and
-    share one FrozenTeacher per teacher, so each teacher is loaded and runs
-    over the distillation set once in each process that runs cells, not
-    once per cell. A teacher's model is loaded when its pass is due and
-    freed after it, so each process holds at most one.
-    Returns the result rows, keyed by RESULT_COLUMNS and sorted by
-    method, seed, task and domain, and the sorted per-epoch curve rows.
+    Each ratio's plan is made once for all its cells: its scenario, with
+    its external rows screened, and one FrozenTeacher per teacher, so each
+    teacher is loaded and runs over that ratio's distillation set once in
+    each process that runs its cells. A teacher's model is loaded when its
+    pass is due and freed after it, so each process holds at most one. A
+    grid task is one seed of a group of methods at one ratio: kl,
+    self_distill and se2d (KL_LIKE_METHODS) form one group, since they
+    share task 0, and every other method is its own. The tasks of every
+    ratio, ratio by ratio, run through one _pool_map.
+    Returns the result rows, keyed by RESULT_COLUMNS, and the per-epoch
+    curve rows, each led by its ratio, both sorted by the order of
+    `ratios`, then method, seed, task and domain.
     """
-    scenario = build_scenario(config.scenario)
-    if config.external_entropy_max is not None:
-        scenario = _filter_external_by_entropy(
-            scenario, teachers, config.external_entropy_max, config.run.batch_size
-        )
-    frozen = [FrozenTeacher(load, config.scenario.n_classes) for load in teachers]
+    plans = []
+    for ratio in ratios:
+        scenario = build_scenario(replace(config.scenario, ed_ratio=float(ratio)))
+        if config.external_entropy_max is not None:
+            scenario = _filter_external_by_entropy(
+                scenario, teachers, config.external_entropy_max, config.run.batch_size
+            )
+        plans.append((scenario, [FrozenTeacher(t, config.scenario.n_classes) for t in teachers]))
     kl_like = tuple(m for m in config.methods if m.method in KL_LIKE_METHODS)
     groups = ([kl_like] if kl_like else []) + [(m,) for m in config.methods if m not in kl_like]
-    cell = partial(_run_cell, scenario, config.run, frozen)
-    done = _pool_map(cell, *zip(*product(groups, config.run.seeds)), jobs=jobs)
+    tasks = product(range(len(ratios)), groups, config.run.seeds)
+    done = _pool_map(partial(_run_cell, plans, config.run), *zip(*tasks), jobs=jobs)
     rows = [r for cell_rows, _ in done for r in cell_rows]
-    rows.sort(key=lambda r: (r["method"], r["seed"], r["task"], r["domain"]))
-    curves = sorted(c for _, cell_curves in done for c in cell_curves)
+    rows.sort(
+        key=lambda r: (ratios.index(r["ed_ratio"]), r["method"], r["seed"], r["task"], r["domain"])
+    )
+    curves = [c for _, cell_curves in done for c in cell_curves]
+    curves.sort(key=lambda c: (ratios.index(c[0]), c))
     return rows, curves
 
 
@@ -583,8 +594,11 @@ def _write_results_csv(path: Path, rows: list[dict]) -> None:
 def _write_grid(
     out: Path, config: ExperimentConfig, rows: list[dict], curves: list[tuple]
 ) -> Path:
-    """Write one grid's results.csv, optional per-epoch curves and summary.json."""
+    """Write the block of config's ratio: results.csv, optional per-epoch curves, summary.json."""
+    ratio = config.scenario.ed_ratio
+    rows = [r for r in rows if r["ed_ratio"] == ratio]
     _write_results_csv(out / "results.csv", rows)
+    curves = [c[1:] for c in curves if c[0] == ratio]
     if curves:
         _write_csv(
             out / "curves" / "epoch_accuracy.csv",
@@ -598,14 +612,15 @@ def _write_grid(
 def cmd_run(config: ExperimentConfig, jobs: int = 1) -> Path:
     """Execute the full method x seed grid and write results + summary."""
     _require_manifest(config)
-    rows, curves = run_grid(config, _teacher_loaders(config), jobs)
+    rows, curves = run_grid(config, (config.scenario.ed_ratio,), _teacher_loaders(config), jobs)
     return _write_grid(config.output_dir, config, rows, curves)
 
 
-def _accuracy_matrices(rows: list[dict], where: str) -> dict[float, dict]:
-    """ed_ratio -> (method, seed) -> AccuracyMatrix over every domain and task, ratios ascending.
+def _accuracy_matrices(rows: list[dict], spec: ScenarioSpec, where: str) -> dict[float, dict]:
+    """ed_ratio -> (method, seed) -> AccuracyMatrix over spec's domains and tasks, ratios ascending.
 
-    At each ratio, the rows must hold every method x seed x task x domain combination once.
+    At each ratio, the rows must hold every domain of every task of `spec`
+    once, for each method and seed they name.
     """
     acc: dict[float, dict[tuple, float]] = {}
     for r in rows:
@@ -617,19 +632,20 @@ def _accuracy_matrices(rows: list[dict], where: str) -> dict[float, dict]:
                 f"domain {key[3]} at ed_ratio {ratio}"
             )
         block[key] = r["accuracy"]
+    domains = tuple(range(spec.n_domains))
     matrices: dict[float, dict] = {}
     for ratio, block in sorted(acc.items()):
-        methods, seeds, tasks, domains = (sorted({key[i] for key in block}) for i in range(4))
+        methods, seeds = (sorted({key[i] for key in block}) for i in range(2))
         for method, seed in product(methods, seeds):
-            values = np.empty((len(domains), max(tasks) + 1))
-            for (i, d), t in product(enumerate(domains), range(values.shape[1])):
+            values = np.empty((spec.n_domains, spec.n_teachers))
+            for d, t in product(domains, range(spec.n_teachers)):
                 if (method, seed, t, d) not in block:
                     raise FormatError(
                         f"{where}: no result for method {method}, seed {seed}, task {t}, "
                         f"domain {d} at ed_ratio {ratio}"
                     )
-                values[i, t] = block[method, seed, t, d]
-            matrices.setdefault(ratio, {})[method, seed] = AccuracyMatrix(tuple(domains), values)
+                values[d, t] = block[method, seed, t, d]
+            matrices.setdefault(ratio, {})[method, seed] = AccuracyMatrix(domains, values)
     return matrices
 
 
@@ -655,8 +671,8 @@ def _forgetting_report(runs: list[AccuracyMatrix], known: tuple[int, ...]) -> di
 
 def _summarize(config: ExperimentConfig, rows: list[dict]) -> dict:
     known = config.scenario.teacher_known_domains
-    matrices = _accuracy_matrices(rows, "grid")[config.scenario.ed_ratio]
-    n_tasks = max(r["task"] for r in rows) + 1
+    matrices = _accuracy_matrices(rows, config.scenario, "grid")[config.scenario.ed_ratio]
+    n_tasks = config.scenario.n_teachers
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
         "ed_ratio": config.scenario.ed_ratio,
@@ -682,20 +698,17 @@ def _summarize(config: ExperimentConfig, rows: list[dict]) -> dict:
 
 
 def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
-    """Run the grid once per ratio of config.sweep_ratios; each ratio reads the teachers afresh."""
+    """Run the grid at every ratio of config.sweep_ratios in one run_grid call; write each block."""
     ratios = config.sweep_ratios
     if ratios is None:  # a ratio list that is given was checked at construction
         raise ConfigError("sweep needs at least one ratio: set sweep_ratios or pass --ratio")
     _require_manifest(config)
-    teachers = _teacher_loaders(config)
+    rows, curves = run_grid(config, ratios, _teacher_loaders(config), jobs)
     out = config.output_dir
-    swept: list[dict] = []
     for ratio in ratios:
         at_ratio = replace(config, scenario=replace(config.scenario, ed_ratio=float(ratio)))
-        rows, curves = run_grid(at_ratio, teachers, jobs)
         _write_grid(out / f"ratio_{_ratio_tag(ratio)}", at_ratio, rows, curves)
-        swept.extend(rows)
-    _write_results_csv(out / "sweep.csv", swept)
+    _write_results_csv(out / "sweep.csv", rows)
     return out / "sweep.csv"
 
 
@@ -753,7 +766,7 @@ def cmd_analyze(results_dir: Path) -> Path:
     if not path.exists():
         path = results_dir / "results.csv"
     rows = read_results_csv(path, spec)
-    matrices = _accuracy_matrices(rows, str(path))
+    matrices = _accuracy_matrices(rows, spec, str(path))
 
     known = spec.teacher_known_domains
     unseen = spec.unseen_domains

@@ -88,7 +88,8 @@ def benchmark_runs(benchmark_config, tmp_path_factory):
     cmd_gen(config)
     cmd_teachers(config)
     sweep = cmd_sweep(config, jobs=2)
-    blocks = _accuracy_matrices(read_results_csv(sweep, config.scenario), str(sweep))
+    spec = config.scenario
+    blocks = _accuracy_matrices(read_results_csv(sweep, spec), spec, str(sweep))
     matrices = {
         (method, ratio, seed): matrix
         for ratio, block in blocks.items()

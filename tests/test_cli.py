@@ -1187,7 +1187,7 @@ class TestGridCells:
             return original(model, features, chunk)
 
         monkeypatch.setattr(cdbench.engine, "frozen_logits", counted)
-        run_grid(config, loaders(teachers))
+        run_grid(config, (config.scenario.ed_ratio,), loaders(teachers))
         # kl and dkd read no checkpoint, so every pass is a teacher's: one
         # each for the grid's four cells, not one per cell.
         assert [id(m) for m in passes] == [id(t) for t in teachers]
@@ -1195,7 +1195,7 @@ class TestGridCells:
     def test_rows_match_a_run_sequence_per_cell(self, three_teacher_grid):
         config, teachers = three_teacher_grid
         want = sequence_rows(config, teachers)
-        rows, _ = run_grid(config, loaders(teachers))
+        rows, _ = run_grid(config, (config.scenario.ed_ratio,), loaders(teachers))
         got = [(r["method"], r["seed"], r["task"], r["domain"], r["accuracy"]) for r in rows]
         assert got == sorted(want)
 
@@ -1215,7 +1215,7 @@ class TestGridCells:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cdbench.engine, "distill_task", recorded)
-        rows, _ = run_grid(config, loaders(teachers))
+        rows, _ = run_grid(config, (config.scenario.ed_ratio,), loaders(teachers))
         tasks = {"se2d": [0, 1, 2], "kl": [], "ls": [0, 1, 2], "self_distill": [1, 2]}
         if ratio:
             tasks["kl"] = [1, 2]
@@ -1244,7 +1244,7 @@ class TestGridCells:
         one_cell = replace(
             config, methods=config.methods[:1], run=replace(config.run, seeds=(1,))
         )
-        rows, _ = run_grid(one_cell, loaders(teachers))
+        rows, _ = run_grid(one_cell, (config.scenario.ed_ratio,), loaders(teachers))
         elapsed = {}
         for r in rows:
             elapsed.setdefault(r["task"], set()).add(r["elapsed_seconds"])
@@ -1349,6 +1349,26 @@ class TestSweep:
             tmp_path / "plain" / "summary.json"
         ).read_bytes()
 
+    def test_one_pool_serves_every_ratio(self, finished_run, tmp_path, monkeypatch):
+        # The workers inherit every ratio's scenario and teachers through the
+        # fork, so a task sends only its ratio's index, its methods and its seed.
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        original, calls = cdbench.cli._pool_map, []
+
+        def recorded(fn, *columns, jobs):
+            calls.append((columns, jobs))
+            return original(fn, *columns, jobs=jobs)
+
+        monkeypatch.setattr(cdbench.cli, "_pool_map", recorded)
+        path = str(write_config(tmp_path, base_config(out)))
+        assert main(["sweep", "--config", path, "--ratio", "0,0.5", "--jobs", "2"]) == 0
+        assert len(calls) == 1
+        columns, jobs = calls[0]
+        group = (MethodConfig("kl"), MethodConfig("se2d"))
+        assert jobs == 2
+        assert list(zip(*columns)) == list(product(range(2), [group], (1, 2, 3)))
+
     def test_se2d_reuses_kl_without_external_rows(self, tmp_path, monkeypatch):
         # In the ratio-0 block se2d trains every task as kl does, so it runs
         # none; at 0.5 it shares kl's task 0 alone.
@@ -1420,14 +1440,21 @@ class TestAnalyze:
         out = tmp_path / "out"
         out.mkdir()
         doc = base_config(out)
-        # Three teachers, for the trajectory's three tasks, that know its four domains.
+        # Three teachers, for the trajectory's three tasks, that know its
+        # domains 0-3; domain 4 is the external one.
         doc["scenario"].update(
             n_domains=5, teacher_exclusive_domains=[[1], [2], [3]], external_domains=[4]
         )
         config = parse_config(doc)
         cmd_gen(config)
         lines = [",".join(RESULT_COLUMNS)]
-        traj = {0: (0.6, 0.7, 0.5), 1: (0.9, 0.8, 0.7), 2: (0.2, 0.4, 0.3), 3: (0.5, 0.5, 0.5)}
+        traj = {
+            0: (0.6, 0.7, 0.5),
+            1: (0.9, 0.8, 0.7),
+            2: (0.2, 0.4, 0.3),
+            3: (0.5, 0.5, 0.5),
+            4: (0.4, 0.6, 0.5),
+        }
         for task in range(3):
             for domain, accs in traj.items():
                 lines.append(f"0.5,1,kl,{task},{task},{domain},{accs[task]},0.0")
@@ -1439,6 +1466,28 @@ class TestAnalyze:
         assert per_domain["1"] == pytest.approx(0.2)
         assert per_domain["2"] == pytest.approx(0.1)
         assert per_domain["3"] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize(
+        "tasks, domains, cell",
+        [
+            pytest.param((0,), range(4), "task 1, domain 0", id="task-0-only"),
+            pytest.param((0, 1), (0, 1, 3), "task 0, domain 2", id="no-domain-2"),
+        ],
+    )
+    def test_rows_short_of_the_scenario_name_the_cell(
+        self, tmp_path, capsys, tasks, domains, cell
+    ):
+        # The matrices take their shape from the manifest's scenario, which
+        # has tasks 0 and 1 and domains 0 to 3, not from the rows.
+        out = tmp_path / "out"
+        cmd_gen(parse_config(base_config(out)))
+        lines = [",".join(RESULT_COLUMNS)]
+        lines += [f"0.5,1,kl,{t},{t},{d},0.5,0.0" for t, d in product(tasks, domains)]
+        (out / "results.csv").write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(out / "results.csv") in err
+        assert f"method kl, seed 1, {cell} at ed_ratio 0.5" in err
 
     def test_malformed_results_report_line(self, tmp_path):
         out = tmp_path / "out"

@@ -5,20 +5,31 @@ The pipeline runs `configs/quick.json` with all six methods through `gen`,
 `analyze` in one output directory. The `elapsed_seconds` column is wall
 time and is blanked before hashing.
 
+Float64 BLAS results can differ between CPU kernels and library builds, so
+the file keeps one digest set per OpenBLAS kernel, each with the Python,
+numpy and BLAS versions that made it. The test compares the set of the
+kernel it runs on, exactly; on a kernel with no recorded set it fails and
+names the kernels that have one.
+
 A change that means to alter an artifact's bytes regenerates the digests
 in the same commit and says why:
 
     PYTHONPATH=src python tests/test_pipeline_digests.py
 
-Float64 BLAS results can differ between CPU kernels and library builds, so
-the digests carry the Python, numpy and BLAS versions and the OpenBLAS
-kernel that made them.
+It records this machine's kernel, then each of RECORDED_KERNELS in a
+child process whose environment alone sets OPENBLAS_CORETYPE, and rewrites
+the file with those sets alone. A set is filed under the kernel OpenBLAS
+reports, which for Prescott is Katmai.
 """
 
+import contextlib
 import ctypes
 import hashlib
+import io
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -32,6 +43,8 @@ from cdbench.distill import METHODS
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "pipeline_digests.json"
 WALL_TIME_COLUMN = "elapsed_seconds"
+# The kernels recorded besides this machine's, as OPENBLAS_CORETYPE names them.
+RECORDED_KERNELS = ("Haswell", "Sandybridge", "Prescott")
 # OpenBLAS's core-name function, in the order blas_kernel tries them: numpy
 # 2's wheels bundle the first; the others are plain OpenBLAS's names, with
 # and without its 64-bit-integer suffix.
@@ -122,16 +135,23 @@ def test_pipeline_artifacts_match_committed_digests(tmp_path):
     trees = run_pipeline(tmp_path)
     assert trees["run --jobs 2"] == trees["run"], "`run --jobs 2` wrote other bytes than `run`"
 
-    recorded = json.loads(DIGESTS.read_text())
+    kernels = json.loads(DIGESTS.read_text())
+    now = versions()
+    recorded = kernels.get(str(now["blas_kernel"]))
+    if recorded is None:
+        raise AssertionError(
+            f"{DIGESTS.name} holds no digests for the OpenBLAS kernel {now['blas_kernel']!r}, "
+            f"only for {sorted(kernels)}; record them with "
+            "`PYTHONPATH=src python tests/test_pipeline_digests.py`"
+        )
     actual = trees["analyze"]
     expected = recorded["artifacts"]
     differing = sorted(p for p in expected.keys() & actual.keys() if expected[p] != actual[p])
     missing = sorted(expected.keys() - actual.keys())
     extra = sorted(actual.keys() - expected.keys())
-    now = versions()
     if differing or missing or extra:
         lines = [
-            f"artifact bytes differ from {DIGESTS.name}:",
+            f"artifact bytes differ from the {now['blas_kernel']} digests in {DIGESTS.name}:",
             f"  changed: {differing}",
             f"  missing: {missing}",
             f"  new: {extra}",
@@ -153,11 +173,32 @@ def test_pipeline_artifacts_match_committed_digests(tmp_path):
         )
 
 
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
+def record() -> dict:
+    """This process's digest set: its versions and the artifacts after `analyze`.
+
+    The stages' own output is dropped, so a child's stdout is its set alone.
+    """
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         trees = run_pipeline(Path(tmp))
     if trees["run --jobs 2"] != trees["run"]:
         sys.exit("`run --jobs 2` wrote other bytes than `run`; no digests written")
-    document = {"versions": versions(), "artifacts": trees["analyze"]}
+    return {"versions": versions(), "artifacts": trees["analyze"]}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--print"]:
+        print(json.dumps(record()))
+        sys.exit()
+    sets = [record()]
+    for kernel in RECORDED_KERNELS:
+        child = subprocess.run(
+            [sys.executable, __file__, "--print"],
+            env=dict(os.environ, OPENBLAS_CORETYPE=kernel),
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        sets.append(json.loads(child.stdout))
+    document = {str(s["versions"]["blas_kernel"]): s for s in sets}
     DIGESTS.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(document['artifacts'])} digests to {DIGESTS}")
+    print(f"wrote digests for the kernels {sorted(document)} to {DIGESTS}")
