@@ -50,20 +50,15 @@ from .engine import (
     save_checkpoint,
 )
 from .errors import ConfigError, FormatError, InvalidArgumentError
-from .metrics import AccuracyMatrix, average_forgetting, entropy_histogram, forgetting, ukt_gain
+from .metrics import entropy_histogram, entropy_report, metrics_report, summary_report
 from .nn_core import MlpModel
 
 SCHEMA_VERSION = 1
-# OpenBLAS's thread-count functions, in the order _openblas_threads tries
-# them, with `{}` "set" or "get", and each one's C signature. numpy 2's
-# wheels bundle the first; the others are plain OpenBLAS's names, with and
-# without its 64-bit-integer suffix.
-_OPENBLAS_FUNCTIONS = (
-    "scipy_openblas_{}_num_threads64_",
-    "openblas_{}_num_threads64_",
-    "openblas_{}_num_threads",
-)
-_OPENBLAS_SIGNATURES = {"set": ([ctypes.c_int], None), "get": ([], ctypes.c_int)}
+# The names under which OpenBLAS may export a function, `{}` being its
+# plain name, in the order _openblas_function tries them: numpy 2's wheels
+# bundle the first; the others are plain OpenBLAS's, with and without its
+# 64-bit-integer suffix.
+_OPENBLAS_NAMES = ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}")
 
 RESULT_COLUMNS = (
     "ed_ratio", "seed", "method", "task", "teacher", "domain", "accuracy", "elapsed_seconds"
@@ -330,12 +325,12 @@ def _read_teacher(path: Path, spec: ScenarioSpec) -> MlpModel:
     return model
 
 
-def _openblas_threads(action: str):
-    """OpenBLAS's `action`_num_threads function, "set" or "get", through ctypes; None if absent.
+def _openblas_function(names: list[str], signature: tuple):
+    """The first of `names` that numpy's bundled OpenBLAS exports, through ctypes; None if absent.
 
-    It looks in the OpenBLAS that numpy's wheels bundle in numpy.libs.
-    numpy built on another BLAS (MKL, Accelerate, a system OpenBLAS) has
-    none there.
+    `signature` is the function's (argtypes, restype). It looks in the
+    OpenBLAS that numpy's wheels bundle in numpy.libs. numpy built on
+    another BLAS (MKL, Accelerate, a system OpenBLAS) has none there.
     """
     libs = []
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
@@ -343,13 +338,20 @@ def _openblas_threads(action: str):
             libs.append(ctypes.CDLL(str(path)))
         except OSError:
             pass
-    for name in _OPENBLAS_FUNCTIONS:
+    for name in names:
         for lib in libs:
-            function = getattr(lib, name.format(action), None)
+            function = getattr(lib, name, None)
             if function is not None:
-                function.argtypes, function.restype = _OPENBLAS_SIGNATURES[action]
+                function.argtypes, function.restype = signature
                 return function
     return None
+
+
+def _openblas_threads(action: str):
+    """OpenBLAS's `action`_num_threads function, "set" or "get"; None if absent."""
+    names = [name.format(f"{action}_num_threads") for name in _OPENBLAS_NAMES]
+    signature = ([ctypes.c_int], None) if action == "set" else ([], ctypes.c_int)
+    return _openblas_function(names, signature)
 
 
 def cmd_teachers(config: ExperimentConfig) -> Path:
@@ -605,7 +607,8 @@ def _write_grid(
             ("method", "seed", "task", "epoch", "domain", "accuracy"),
             curves,
         )
-    _write_json(out / "summary.json", _summarize(config, rows))
+    summary = summary_report(rows, config.scenario, config.run.seeds)
+    _write_json(out / "summary.json", {"schema_version": SCHEMA_VERSION, **summary})
     return out / "summary.json"
 
 
@@ -614,87 +617,6 @@ def cmd_run(config: ExperimentConfig, jobs: int = 1) -> Path:
     _require_manifest(config)
     rows, curves = run_grid(config, (config.scenario.ed_ratio,), _teacher_loaders(config), jobs)
     return _write_grid(config.output_dir, config, rows, curves)
-
-
-def _accuracy_matrices(rows: list[dict], spec: ScenarioSpec, where: str) -> dict[float, dict]:
-    """ed_ratio -> (method, seed) -> AccuracyMatrix over spec's domains and tasks, ratios ascending.
-
-    At each ratio, the rows must hold every domain of every task of `spec`
-    once, for each method and seed they name.
-    """
-    acc: dict[float, dict[tuple, float]] = {}
-    for r in rows:
-        ratio, key = r["ed_ratio"], (r["method"], r["seed"], r["task"], r["domain"])
-        block = acc.setdefault(ratio, {})
-        if key in block:
-            raise FormatError(
-                f"{where}: repeated result for method {key[0]}, seed {key[1]}, task {key[2]}, "
-                f"domain {key[3]} at ed_ratio {ratio}"
-            )
-        block[key] = r["accuracy"]
-    domains = tuple(range(spec.n_domains))
-    matrices: dict[float, dict] = {}
-    for ratio, block in sorted(acc.items()):
-        methods, seeds = (sorted({key[i] for key in block}) for i in range(2))
-        for method, seed in product(methods, seeds):
-            values = np.empty((spec.n_domains, spec.n_teachers))
-            for d, t in product(domains, range(spec.n_teachers)):
-                if (method, seed, t, d) not in block:
-                    raise FormatError(
-                        f"{where}: no result for method {method}, seed {seed}, task {t}, "
-                        f"domain {d} at ed_ratio {ratio}"
-                    )
-                values[d, t] = block[method, seed, t, d]
-            matrices.setdefault(ratio, {})[method, seed] = AccuracyMatrix(domains, values)
-    return matrices
-
-
-def _mean_std(values: list[float]) -> dict:
-    return {"mean": float(np.mean(values)), "std": float(np.std(values))}
-
-
-def _seed_mean(per_seed: list[dict[int, float]]) -> dict[str, float]:
-    """Per-domain mean over seeds."""
-    return {str(d): float(np.mean([v[d] for v in per_seed])) for d in per_seed[0]}
-
-
-def _forgetting_report(runs: list[AccuracyMatrix], known: tuple[int, ...]) -> dict:
-    """Forgetting after the last task of runs of two or more tasks: each domain's mean
-    over the runs, and the mean and std of their average forgetting on `known`."""
-    return {
-        "per_domain": _seed_mean(
-            [{d: forgetting(m, d, m.n_tasks - 1) for d in m.domain_ids} for m in runs]
-        ),
-        "average": _mean_std([average_forgetting(m, domains=known) for m in runs]),
-    }
-
-
-def _summarize(config: ExperimentConfig, rows: list[dict]) -> dict:
-    known = config.scenario.teacher_known_domains
-    matrices = _accuracy_matrices(rows, config.scenario, "grid")[config.scenario.ed_ratio]
-    n_tasks = config.scenario.n_teachers
-    summary: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "ed_ratio": config.scenario.ed_ratio,
-        "seeds": list(config.run.seeds),
-        "teacher_known_domains": list(known),
-        "n_tasks": n_tasks,
-        "methods": {},
-    }
-    for method in (m.method for m in config.methods):
-        runs = [matrices[method, seed] for seed in config.run.seeds]
-        summary["methods"][method] = {
-            "final_accuracy": {
-                str(d): _mean_std([m.final(d) for m in runs]) for d in runs[0].domain_ids
-            },
-            "mean_final_accuracy_known": _mean_std(
-                [float(np.mean([m.final(d) for d in known])) for m in runs]
-            ),
-            "average_forgetting": _forgetting_report(runs, known)["average"]
-            if n_tasks >= 2
-            else None,
-        }
-    return summary
 
 
 def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
@@ -766,40 +688,8 @@ def cmd_analyze(results_dir: Path) -> Path:
     if not path.exists():
         path = results_dir / "results.csv"
     rows = read_results_csv(path, spec)
-    matrices = _accuracy_matrices(rows, spec, str(path))
-
-    known = spec.teacher_known_domains
-    unseen = spec.unseen_domains
-    metrics_doc: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "teacher_known_domains": list(known),
-        "unseen_domains": list(unseen),
-        "forgetting": {},
-        "ukt": {},
-        "entropy": [],
-    }
-
-    base = matrices.get(0.0)
-    for ratio, mats in matrices.items():
-        with_base = base is not None and ratio != 0.0
-        runs: dict[str, list[AccuracyMatrix]] = {}
-        gains: dict[str, list[dict[int, float]]] = {}
-        for (method, seed), mat in mats.items():
-            if mat.n_tasks >= 2:
-                runs.setdefault(method, []).append(mat)
-            if with_base and (method, seed) in base:
-                gains.setdefault(method, []).append(ukt_gain(mat, base[method, seed], unseen))
-        metrics_doc["forgetting"][repr(ratio)] = {
-            method: _forgetting_report(ms, known) for method, ms in runs.items()
-        }
-        if with_base:
-            metrics_doc["ukt"][repr(ratio)] = {
-                method: {
-                    "per_domain": _seed_mean(g),
-                    "mean": float(np.mean([np.mean(list(x.values())) for x in g])),
-                }
-                for method, g in gains.items()
-            }
+    metrics_doc = {"schema_version": SCHEMA_VERSION, **metrics_report(rows, spec, str(path))}
+    metrics_doc["entropy"] = []
 
     # Teacher entropy profiles over every domain's test split, when teachers were trained.
     if has_teachers:
@@ -807,19 +697,8 @@ def cmd_analyze(results_dir: Path) -> Path:
         for t, path in enumerate(_teacher_paths(results_dir, spec)):
             model = _read_teacher(path, spec)
             for d, ts in sorted(test_sets.items()):
-                profile = entropy_histogram(model, ts.features, 1.0, bins=20)
-                metrics_doc["entropy"].append(
-                    {
-                        "teacher": t,
-                        "domain": d,
-                        "mean_entropy": profile.mean,
-                        "kurtosis": profile.kurtosis,
-                        "histogram": {
-                            "edges": [float(e) for e in profile.bin_edges],
-                            "counts": [int(c) for c in profile.counts],
-                        },
-                    }
-                )
+                profile = entropy_report(entropy_histogram(model, ts.features, 1.0, bins=20))
+                metrics_doc["entropy"].append({"teacher": t, "domain": d, **profile})
             del model  # freed before the next read, so one teacher is alive at a time
 
     curve_key = lambda r: (r["ed_ratio"], r["method"], r["seed"], r["domain"], r["task"])

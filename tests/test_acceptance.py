@@ -42,7 +42,6 @@ from cdbench import (
     train_teacher,
 )
 from cdbench.cli import (
-    _accuracy_matrices,
     _teacher_loaders,
     cmd_analyze,
     cmd_gen,
@@ -54,6 +53,7 @@ from cdbench.cli import (
     read_results_csv,
 )
 from cdbench.distill import teacher_entropy
+from cdbench.metrics import accuracy_matrices
 
 from conftest import max_relative_error
 
@@ -89,11 +89,12 @@ def benchmark_runs(benchmark_config, tmp_path_factory):
     cmd_teachers(config)
     sweep = cmd_sweep(config, jobs=2)
     spec = config.scenario
-    blocks = _accuracy_matrices(read_results_csv(sweep, spec), spec, str(sweep))
+    blocks = accuracy_matrices(read_results_csv(sweep, spec), spec, str(sweep))
     matrices = {
         (method, ratio, seed): matrix
         for ratio, block in blocks.items()
-        for (method, seed), matrix in block.items()
+        for method, runs in block.items()
+        for seed, matrix in runs.items()
     }
     elapsed = time.perf_counter() - start
     return {

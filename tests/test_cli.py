@@ -39,7 +39,7 @@ import cdbench.cli
 import cdbench.domains
 import cdbench.engine
 from cdbench.benchmark import train_benchmark_teacher
-from cdbench.distill import MethodConfig
+from cdbench.distill import METHODS, MethodConfig
 from cdbench.domains import DistillSet, LabeledSet, build_scenario, generate_domains
 from cdbench.engine import (
     RunConfig,
@@ -898,6 +898,42 @@ class TestRun:
         assert f"method kl, seed {seed}, task 0, epoch 0" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    def test_ls_at_two_classes_is_not_divergence(self, tmp_path, capsys):
+        # At two classes, ls standardizes every row to +-1, so a first batch
+        # that student and teacher rank alike has a loss near 1e-15 (7.91e-16
+        # at seed 3, task 1). A later epoch's 0.161 is no divergence.
+        doc = {
+            "schema_version": 1,
+            "scenario": {
+                "classes": 2,
+                "feature_dim": 4,
+                "n_domains": 4,
+                "shared_domains": [0],
+                "teacher_exclusive_domains": [[1], [2]],
+                "external_domains": [3],
+                "ed_ratio": 0.5,
+                "samples_per_class": 8,
+                "seed": 3,
+            },
+            "methods": ["ls"],
+            "run": {
+                "epochs": 2,
+                "batch_size": 8,
+                "learning_rate": 0.1,
+                "temperature": 3.0,
+                "teacher_epochs": 3,
+                "teacher_hidden": [8],
+                "student_hidden": [8],
+                "seeds": [3],
+            },
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = str(write_config(tmp_path, doc))
+        for stage in ("gen", "teachers", "run"):
+            assert main([stage, "--config", path]) == 0, capsys.readouterr().err
+        rows = read_results_csv(tmp_path / "out" / "results.csv", parse_config(doc).scenario)
+        assert len(rows) == 2 * 4
+
     def test_three_task_five_domain_grid(self, tmp_path):
         # 2 methods x 3 seeds x 3 tasks x 5 domains -> 90 rows
         doc = base_config(tmp_path / "out")
@@ -1424,6 +1460,25 @@ class TestAnalyze:
         # header + methods x seeds x domains x tasks
         assert len(curves) == 1 + 2 * 3 * 4 * 2
 
+    def test_summary_and_metrics_print_one_forgetting(self, tmp_path):
+        # Seeds listed out of order: both files average them in ascending
+        # order, so dkd's mean no longer reads -0.09722222222222222 in one
+        # and -0.09722222222222225 in the other.
+        doc = json.loads((CONFIG_DIR / "quick.json").read_text())
+        doc["methods"] = list(METHODS)
+        doc["output_dir"] = str(tmp_path / "out")
+        path = str(write_config(tmp_path, doc))
+        for argv in (["gen"], ["teachers"], ["run", "--seeds", "2,3,1"]):
+            assert main([*argv, "--config", path]) == 0
+        assert main(["analyze", "--out", doc["output_dir"]]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        for method in METHODS:
+            assert (
+                summary["methods"][method]["average_forgetting"]
+                == metrics["forgetting"]["0.5"][method]["average"]
+            ), method
+
     def test_single_task_results_have_empty_forgetting(self, tmp_path):
         out = tmp_path / "out"
         doc = base_config(out)
@@ -1694,8 +1749,9 @@ class TestAnalyzeTeachers:
         scenario = build_scenario(config.scenario)
         for record in entropy[2 * 13 : 3 * 13]:
             profile = entropy_histogram(model, scenario.test_sets[record["domain"]].features, 1.0, 20)
-            assert record["mean_entropy"] == profile.mean
-            assert record["kurtosis"] == profile.kurtosis
+            # metrics.json prints both statistics at 10 significant digits.
+            assert record["mean_entropy"] == float(f"{profile.mean:.10g}")
+            assert record["kurtosis"] == float(f"{profile.kurtosis:.10g}")
             assert record["histogram"]["counts"] == profile.counts.tolist()
 
     def test_missing_checkpoint_is_named(self, eleven_teacher_run, tmp_path, capsys):

@@ -288,6 +288,21 @@ class TestDistillTask:
                 MethodConfig("kl"), tiny_config,
             )
 
+    # An ls first batch at two classes can reach 1e-15 (see the CLI's ls test).
+    @pytest.mark.parametrize(
+        "first_loss, share, diverged",
+        [(7.91e-16, 0.99, False), (7.91e-16, 1.01, True), (1.5, 0.99, False), (1.5, 1.01, True)],
+    )
+    def test_divergence_limit_has_a_floor(self, first_loss, share, diverged):
+        # The limit is DIVERGENCE_FACTOR times the first-batch loss or the floor, the larger.
+        limit = engine.DIVERGENCE_FACTOR * max(first_loss, engine.DIVERGENCE_LOSS_FLOOR)
+        model = init_mlp(0, [2, 4, 2])
+        if diverged:
+            with pytest.raises(DivergenceError, match="^here diverged"):
+                engine._check_epoch(model, share * limit, first_loss, "here")
+        else:
+            engine._check_epoch(model, share * limit, first_loss, "here")
+
     # +-1e39 is finite in float64 but not in float32; NaN makes the loss NaN too.
     @pytest.mark.parametrize("value", [1e39, float("nan"), -1e39])
     def test_diverged_student_raises(self, value, tiny_scenario, tiny_config, tiny_teachers):

@@ -129,7 +129,8 @@ def reference(config, ratios, models):
             "methods": {},
         }
         for method in config.methods:
-            runs = [matrices[method.method, seed] for seed in config.run.seeds]
+            # Means over seeds sum in ascending seed order, whatever the config's order.
+            runs = [matrices[method.method, seed] for seed in sorted(config.run.seeds)]
             summary["methods"][method.method] = {
                 "final_accuracy": {
                     str(d): mean_std([m.final(d) for m in runs]) for d in range(spec.n_domains)

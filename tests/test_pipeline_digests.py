@@ -5,21 +5,25 @@ The pipeline runs `configs/quick.json` with all six methods through `gen`,
 `analyze` in one output directory. The `elapsed_seconds` column is wall
 time and is blanked before hashing.
 
-Float64 BLAS results can differ between CPU kernels and library builds, so
-the file keeps one digest set per OpenBLAS kernel, each with the Python,
-numpy and BLAS versions that made it. The test compares the set of the
-kernel it runs on, exactly; on a kernel with no recorded set it fails and
-names the kernels that have one.
+Float64 BLAS results can differ in their last bits between OpenBLAS's CPU
+kernels. No artifact of this pipeline prints those bits: `metrics.json`
+prints its entropy statistics at 10 significant digits, and under the
+kernels checked every other artifact came out the same too. So the file
+keeps one digest set, with the Python, numpy and BLAS versions that made
+it, and the test compares it on any kernel. A second test runs the pipeline
+in a child process whose environment alone sets OPENBLAS_CORETYPE=Prescott,
+a kernel that any x86-64 CPU runs, and compares its bytes with the same set.
 
 A change that means to alter an artifact's bytes regenerates the digests
 in the same commit and says why:
 
     PYTHONPATH=src python tests/test_pipeline_digests.py
 
-It records this machine's kernel, then each of RECORDED_KERNELS in a
-child process whose environment alone sets OPENBLAS_CORETYPE, and rewrites
-the file with those sets alone. A set is filed under the kernel OpenBLAS
-reports, which for Prescott is Katmai.
+It records the set on this machine's kernel and reruns the pipeline under
+each of CHECKED_KERNELS in a child process whose environment alone sets
+OPENBLAS_CORETYPE. It writes the file only if every kernel wrote the same
+bytes; otherwise it exits non-zero, naming each kernel and artifact that
+differs.
 """
 
 import contextlib
@@ -36,40 +40,25 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from cdbench.cli import main
+import cdbench
+from cdbench.cli import _OPENBLAS_NAMES, _openblas_function, main
 from cdbench.distill import METHODS
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "pipeline_digests.json"
 WALL_TIME_COLUMN = "elapsed_seconds"
-# The kernels recorded besides this machine's, as OPENBLAS_CORETYPE names them.
-RECORDED_KERNELS = ("Haswell", "Sandybridge", "Prescott")
-# OpenBLAS's core-name function, in the order blas_kernel tries them: numpy
-# 2's wheels bundle the first; the others are plain OpenBLAS's names, with
-# and without its 64-bit-integer suffix.
-CORENAME_FUNCTIONS = (
-    "scipy_openblas_get_corename64_",
-    "openblas_get_corename64_",
-    "openblas_get_corename",
-)
+# The kernels the recording checks besides this machine's, as
+# OPENBLAS_CORETYPE names them; OpenBLAS reports Prescott as Katmai.
+CHECKED_KERNELS = ("Haswell", "Sandybridge", "Prescott")
 
 
 def blas_kernel() -> str | None:
     """The kernel of the OpenBLAS in numpy.libs, such as "SkylakeX"; None without one."""
-    libs = []
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            libs.append(ctypes.CDLL(str(path)))
-        except OSError:
-            pass
-    for name in CORENAME_FUNCTIONS:
-        for lib in libs:
-            function = getattr(lib, name, None)
-            if function is not None:
-                function.argtypes, function.restype = [], ctypes.c_char_p
-                return function().decode()
-    return None
+    names = [name.format("get_corename") for name in _OPENBLAS_NAMES]
+    corename = _openblas_function(names, ([], ctypes.c_char_p))
+    return None if corename is None else corename().decode()
 
 
 def versions() -> dict:
@@ -131,48 +120,6 @@ def run_pipeline(tmp: Path) -> dict[str, dict[str, str]]:
     return trees
 
 
-def test_pipeline_artifacts_match_committed_digests(tmp_path):
-    trees = run_pipeline(tmp_path)
-    assert trees["run --jobs 2"] == trees["run"], "`run --jobs 2` wrote other bytes than `run`"
-
-    kernels = json.loads(DIGESTS.read_text())
-    now = versions()
-    recorded = kernels.get(str(now["blas_kernel"]))
-    if recorded is None:
-        raise AssertionError(
-            f"{DIGESTS.name} holds no digests for the OpenBLAS kernel {now['blas_kernel']!r}, "
-            f"only for {sorted(kernels)}; record them with "
-            "`PYTHONPATH=src python tests/test_pipeline_digests.py`"
-        )
-    actual = trees["analyze"]
-    expected = recorded["artifacts"]
-    differing = sorted(p for p in expected.keys() & actual.keys() if expected[p] != actual[p])
-    missing = sorted(expected.keys() - actual.keys())
-    extra = sorted(actual.keys() - expected.keys())
-    if differing or missing or extra:
-        lines = [
-            f"artifact bytes differ from the {now['blas_kernel']} digests in {DIGESTS.name}:",
-            f"  changed: {differing}",
-            f"  missing: {missing}",
-            f"  new: {extra}",
-        ]
-        if recorded["versions"] != now:
-            lines.append(
-                f"  the digests were recorded under {recorded['versions']}, this run uses {now}; "
-                "the difference may come from the environment rather than the code"
-            )
-        lines.append(
-            "  if the change is meant, regenerate with "
-            "`PYTHONPATH=src python tests/test_pipeline_digests.py` and say why"
-        )
-        raise AssertionError("\n".join(lines))
-    if recorded["versions"] != now:
-        warnings.warn(
-            f"{DIGESTS.name} was recorded under {recorded['versions']}; "
-            f"the artifacts still match under {now}"
-        )
-
-
 def record() -> dict:
     """This process's digest set: its versions and the artifacts after `analyze`.
 
@@ -185,20 +132,86 @@ def record() -> dict:
     return {"versions": versions(), "artifacts": trees["analyze"]}
 
 
+def record_under(kernel: str) -> dict:
+    """The digest set of a child process whose environment alone sets OPENBLAS_CORETYPE."""
+    src = str(Path(cdbench.__file__).resolve().parent.parent)  # the tree under test
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, __file__, "--print"],
+        env=dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=path),
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return json.loads(child.stdout)
+
+
+def differing(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    """The artifacts whose digests differ, or that one side lacks."""
+    return sorted(p for p in expected.keys() | actual.keys() if expected.get(p) != actual.get(p))
+
+
+def check_against_committed(digests: dict) -> None:
+    """Fail, naming the kernel and artifacts, unless `digests` holds the committed bytes."""
+    committed = json.loads(DIGESTS.read_text())
+    now, expected, actual = digests["versions"], committed["artifacts"], digests["artifacts"]
+    changed = sorted(p for p in expected.keys() & actual.keys() if expected[p] != actual[p])
+    missing = sorted(expected.keys() - actual.keys())
+    extra = sorted(actual.keys() - expected.keys())
+    if changed or missing or extra:
+        lines = [
+            f"artifact bytes under the {now['blas_kernel']} kernel differ from {DIGESTS.name}:",
+            f"  changed: {changed}",
+            f"  missing: {missing}",
+            f"  new: {extra}",
+        ]
+        if committed["versions"] != now:
+            lines.append(
+                f"  the digests were recorded under {committed['versions']}, this run uses "
+                f"{now}; the difference may come from the environment rather than the code"
+            )
+        lines.append(
+            "  if the change is meant, regenerate with "
+            "`PYTHONPATH=src python tests/test_pipeline_digests.py` and say why"
+        )
+        raise AssertionError("\n".join(lines))
+    # The set serves every kernel, so only the other versions are worth a warning.
+    recorded = {k: v for k, v in committed["versions"].items() if k != "blas_kernel"}
+    if recorded != {k: v for k, v in now.items() if k != "blas_kernel"}:
+        warnings.warn(
+            f"{DIGESTS.name} was recorded under {committed['versions']}; "
+            f"the artifacts still match under {now}"
+        )
+
+
+def test_pipeline_artifacts_match_committed_digests(tmp_path):
+    trees = run_pipeline(tmp_path)
+    assert trees["run --jobs 2"] == trees["run"], "`run --jobs 2` wrote other bytes than `run`"
+    check_against_committed({"versions": versions(), "artifacts": trees["analyze"]})
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OpenBLAS's Prescott kernel is an x86-64 kernel",
+)
+def test_prescott_kernel_writes_the_committed_bytes():
+    check_against_committed(record_under("Prescott"))
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--print"]:
         print(json.dumps(record()))
         sys.exit()
-    sets = [record()]
-    for kernel in RECORDED_KERNELS:
-        child = subprocess.run(
-            [sys.executable, __file__, "--print"],
-            env=dict(os.environ, OPENBLAS_CORETYPE=kernel),
-            check=True,
-            capture_output=True,
-            text=True,
+    digests = record()
+    problems = [
+        f"{kernel}: {path}"
+        for kernel in CHECKED_KERNELS
+        for path in differing(digests["artifacts"], record_under(kernel)["artifacts"])
+    ]
+    if problems:
+        sys.exit(
+            f"these artifacts differ from the bytes under {digests['versions']['blas_kernel']}, "
+            "so no digests were written:\n  " + "\n  ".join(problems)
         )
-        sets.append(json.loads(child.stdout))
-    document = {str(s["versions"]["blas_kernel"]): s for s in sets}
-    DIGESTS.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"wrote digests for the kernels {sorted(document)} to {DIGESTS}")
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}; {', '.join(CHECKED_KERNELS)} wrote the same bytes")
