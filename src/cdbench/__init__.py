@@ -29,11 +29,11 @@ from .domains import (
     write_domain_csv,
 )
 from .engine import (
-    FrozenTeacher,
     RunConfig,
     TaskLog,
     distill_task,
     evaluate,
+    frozen_logits,
     load_checkpoint,
     new_student,
     run_sequence,

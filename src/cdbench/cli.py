@@ -30,17 +30,17 @@ import numpy as np
 from .benchmark import train_benchmark_teacher
 from .distill import MethodConfig, teacher_entropy
 from .domains import (
+    CdScenario,
     DistillSet,
     LabeledSet,
     ScenarioSpec,
-    build_scenario,
+    distill_pools,
     generate_domains,
-    mix_distill_set,
+    mix_rows,
     write_domain_csv,
 )
 from .engine import (
     KL_LIKE_METHODS,
-    FrozenTeacher,
     RunConfig,
     deserialize_model,
     evaluate,
@@ -51,7 +51,7 @@ from .engine import (
 )
 from .errors import ConfigError, FormatError, InvalidArgumentError
 from .metrics import entropy_histogram, entropy_report, metrics_report, summary_report
-from .nn_core import MlpModel
+from .nn_core import Matrix, MlpModel
 
 SCHEMA_VERSION = 1
 # The names under which OpenBLAS may export a function, `{}` being its
@@ -267,7 +267,8 @@ def cmd_gen(config: ExperimentConfig) -> Path:
     spec = config.scenario
     # gen alone exports the train splits; a scenario keeps none.
     domains = generate_domains(spec)
-    distill_set = mix_distill_set(spec, domains)
+    pools = distill_pools(spec, domains)
+    external = pools.external_mask[mix_rows(pools, spec.ed_ratio)]
     domains_meta = []
     for m, ds in domains.items():
         rel_path = f"scenario/domain_{m}.csv"
@@ -280,9 +281,9 @@ def cmd_gen(config: ExperimentConfig) -> Path:
         "scenario": _scenario_to_json(spec),
         "domains": domains_meta,
         "distill": {
-            "size": len(distill_set),
-            "internal": int((~distill_set.external_mask).sum()),
-            "external": int(distill_set.external_mask.sum()),
+            "size": len(external),
+            "internal": int((~external).sum()),
+            "external": int(external.sum()),
         },
     }
     _write_json(out / "manifest.json", manifest)
@@ -486,50 +487,34 @@ def _check_teacher_report(out_dir: Path, spec: ScenarioSpec, settings: dict) -> 
 def _teacher_loaders(config: ExperimentConfig) -> list[Callable[[], MlpModel]]:
     """One loader per teacher checkpoint, `partial(_read_teacher, path, spec)`, in task order.
 
-    The teachers must be config's (_check_teacher_report). Every checkpoint
-    is then read, checked and dropped, one at a time, so a bad one fails
-    the stage before any cell starts.
+    The teachers must be config's (_check_teacher_report). run_grid calls
+    each loader once.
     """
     spec = config.scenario
     _check_teacher_report(config.output_dir, spec, config.run.teacher_settings)
-    loaders = [partial(_read_teacher, path, spec) for path in _teacher_paths(config.output_dir, spec)]
-    for load in loaders:
-        load()
-    return loaders
+    return [partial(_read_teacher, path, spec) for path in _teacher_paths(config.output_dir, spec)]
 
 
-def _filter_external_by_entropy(scenario, teachers, threshold: float, chunk: int):
-    """Drop external samples whose mean teacher entropy exceeds the threshold.
-
-    Screening candidate external data by the teachers' own predictive
-    uncertainty: `teachers` holds one loader per teacher, and each teacher
-    is loaded, run over `chunk` rows at a time and dropped before the next;
-    internal samples always stay.
-    """
-    ds = scenario.distill_set
-    if not ds.external_mask.any():
-        return scenario
-    ext = ds.features[ds.external_mask]
-    per_teacher = [teacher_entropy(frozen_logits(load(), ext, chunk), 1.0) for load in teachers]
-    keep_ext = np.mean(per_teacher, axis=0) <= threshold
-    keep = ~ds.external_mask
-    keep[np.flatnonzero(ds.external_mask)[keep_ext]] = True
-    filtered = DistillSet(ds.features[keep], ds.external_mask[keep])
-    return replace(scenario, distill_set=filtered)
+def _teacher_pass(pools: DistillSet, chunk: int, load: Callable[[], MlpModel]) -> Matrix:
+    """A teacher's logits over `pools`, from one load: a pass over the internal pool, then one
+    over the external pool, `chunk` rows at a time. The model is freed on return."""
+    model, n = load(), int((~pools.external_mask).sum())
+    internal, external = pools.features[:n], pools.features[n:]
+    return np.concatenate([frozen_logits(model, x, chunk) for x in (internal, external)])
 
 
 def _run_cell(
     plans: list[tuple], run: RunConfig, index: int, methods: tuple, seed: int
 ) -> tuple[list[dict], list[tuple]]:
     """One seed of `methods` at plans[index], sharing run_sequence's `shared`; maybe in a worker."""
-    scenario, teachers = plans[index]
+    scenario, teacher_logits = plans[index]
     ratio = scenario.spec.ed_ratio
     shared: dict = {}
     rows: list[dict] = []
     curve_rows: list[tuple] = []
     for method in methods:
         student = new_student(scenario.spec.feature_dim, scenario.spec.n_classes, run, seed)
-        for log in run_sequence(student, iter(teachers), scenario, method, run, seed, shared):
+        for log in run_sequence(student, iter(teacher_logits), scenario, method, run, seed, shared):
             t = log.task_index
             for d, acc in sorted(log.accuracies.items()):
                 row = (ratio, seed, method.method, t, t, d, acc, log.elapsed_seconds)
@@ -549,28 +534,40 @@ def run_grid(
 ) -> tuple[list[dict], list[tuple]]:
     """Run config's method x seed grid at each external-data ratio of `ratios`, in memory.
 
-    `teachers` holds one zero-argument loader per teacher, in task order.
-    Each ratio's plan is made once for all its cells: its scenario, with
-    its external rows screened, and one FrozenTeacher per teacher, so each
-    teacher is loaded and runs over that ratio's distillation set once in
-    each process that runs its cells. A teacher's model is loaded when its
-    pass is due and freed after it, so each process holds at most one. A
-    grid task is one seed of a group of methods at one ratio: kl,
-    self_distill and se2d (KL_LIKE_METHODS) form one group, since they
-    share task 0, and every other method is its own. The tasks of every
-    ratio, ratio by ratio, run through one _pool_map.
+    The scenario's domains are generated once, and its pools kept
+    (distill_pools). `teachers` holds one zero-argument loader per
+    teacher, in task order; each is called once, and its teacher runs over
+    each pool (_teacher_pass) at one BLAS thread, as every grid call does.
+    The entropy screen reads the external pool's logits. Each ratio's plan
+    gathers its rows (mix_rows, less those the screen drops) from the
+    pools and from each teacher's logits. A grid task is one seed of a
+    group of methods at one ratio: kl, self_distill and se2d
+    (KL_LIKE_METHODS) form one group, since they share task 0, and every
+    other method is its own. The tasks of every ratio, ratio by ratio, run
+    through one _pool_map, whose forked workers inherit the plans.
     Returns the result rows, keyed by RESULT_COLUMNS, and the per-epoch
     curve rows, each led by its ratio, both sorted by the order of
     `ratios`, then method, seed, task and domain.
     """
+    spec = config.scenario
+    domains = generate_domains(spec)
+    test_sets = {m: ds.test for m, ds in domains.items()}
+    pools = distill_pools(spec, domains)
+    del domains  # the train splits die before the first teacher pass
+    logits = _pool_map(partial(_teacher_pass, pools, config.run.batch_size), teachers, jobs=1)
+    # Screening drops the external rows whose mean teacher entropy exceeds the threshold.
+    keep = np.ones(len(pools), dtype=bool)
+    if config.external_entropy_max is not None:
+        ext = pools.external_mask
+        entropy = np.mean([teacher_entropy(z[ext], 1.0) for z in logits], axis=0)
+        keep[ext] = entropy <= config.external_entropy_max
     plans = []
     for ratio in ratios:
-        scenario = build_scenario(replace(config.scenario, ed_ratio=float(ratio)))
-        if config.external_entropy_max is not None:
-            scenario = _filter_external_by_entropy(
-                scenario, teachers, config.external_entropy_max, config.run.batch_size
-            )
-        plans.append((scenario, [FrozenTeacher(t, config.scenario.n_classes) for t in teachers]))
+        picked = mix_rows(pools, ratio)
+        picked = picked[keep[picked]]
+        scenario = CdScenario(replace(spec, ed_ratio=float(ratio)), test_sets, pools.take(picked))
+        plans.append((scenario, [z[picked] for z in logits]))
+    del pools, logits  # each plan holds copies of its rows
     kl_like = tuple(m for m in config.methods if m.method in KL_LIKE_METHODS)
     groups = ([kl_like] if kl_like else []) + [(m,) for m in config.methods if m not in kl_like]
     tasks = product(range(len(ratios)), groups, config.run.seeds)
@@ -697,7 +694,8 @@ def cmd_analyze(results_dir: Path) -> Path:
         for t, path in enumerate(_teacher_paths(results_dir, spec)):
             model = _read_teacher(path, spec)
             for d, ts in sorted(test_sets.items()):
-                profile = entropy_report(entropy_histogram(model, ts.features, 1.0, bins=20))
+                logits = frozen_logits(model, ts.features, len(ts))
+                profile = entropy_report(entropy_histogram(logits, 1.0, bins=20))
                 metrics_doc["entropy"].append({"teacher": t, "domain": d, **profile})
             del model  # freed before the next read, so one teacher is alive at a time
 

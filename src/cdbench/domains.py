@@ -97,6 +97,10 @@ class DistillSet:
     def __len__(self) -> int:
         return len(self.external_mask)
 
+    def take(self, rows: np.ndarray) -> "DistillSet":
+        """The set of these rows, in this order."""
+        return DistillSet(self.features[rows], self.external_mask[rows])
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -303,16 +307,37 @@ def _mix_selection(n_internal: int, n_external: int, ed_ratio: float) -> tuple[n
     return spaced(wanted_int, n_internal), np.arange(n_external)
 
 
+def _stacked(internal: Matrix, external: Matrix) -> DistillSet:
+    """The internal rows, then the external ones, as one set: the pools mix_rows draws from."""
+    mask = np.repeat([False, True], [len(internal), len(external)])
+    return DistillSet(np.concatenate([internal, external]), mask)
+
+
+def mix_rows(pools: DistillSet, ed_ratio: float) -> np.ndarray:
+    """The rows of `pools`, internal rows first (as _stacked stacks them), mixed at ed_ratio.
+
+    The one mixing rule: the set is pools.take(rows), and whatever is
+    row-aligned with the pools, such as a teacher's logits over them, is
+    mixed alike by these rows. Raises InvalidArgumentError if no row is
+    mixed, which only empty pools give.
+    """
+    n_external = int(pools.external_mask.sum())
+    n_internal = len(pools) - n_external
+    idx_i, idx_e = _mix_selection(n_internal, n_external, ed_ratio)
+    rows = np.concatenate([idx_i, n_internal + idx_e])
+    if len(rows) == 0:
+        raise InvalidArgumentError("scenario has an empty distillation set")
+    return rows
+
+
 def mix_ratio(internal: LabeledSet, external: LabeledSet, ed_ratio: float) -> DistillSet:
-    """Assemble the distillation set at the requested external-data fraction.
+    """Assemble the distillation set at the requested external-data fraction (mix_rows).
 
     An empty internal pool yields every external row at any ratio. Labels
     are stripped; only features and the external mask survive.
     """
-    idx_i, idx_e = _mix_selection(len(internal), len(external), ed_ratio)
-    features = np.concatenate([internal.features[idx_i], external.features[idx_e]])
-    mask = np.concatenate([np.zeros(len(idx_i), dtype=bool), np.ones(len(idx_e), dtype=bool)])
-    return DistillSet(features, mask)
+    pools = _stacked(internal.features, external.features)
+    return pools.take(mix_rows(pools, ed_ratio))
 
 
 def generate_spec_domain(spec: ScenarioSpec, domain_id: int) -> DomainDataset:
@@ -332,22 +357,20 @@ def generate_domains(spec: ScenarioSpec) -> dict[int, DomainDataset]:
     return {m: generate_spec_domain(spec, m) for m in range(spec.n_domains)}
 
 
-def mix_distill_set(spec: ScenarioSpec, domains: dict[int, DomainDataset]) -> DistillSet:
-    """The shared and external domains' train splits, mixed at spec.ed_ratio.
+def distill_pools(spec: ScenarioSpec, domains: dict[int, DomainDataset]) -> DistillSet:
+    """The rows every distillation set of the spec is mixed from, at any ratio (mix_rows).
 
-    `domains` holds the spec's domains (generate_domains). Raises
-    InvalidArgumentError if the set is empty.
+    These are the shared domains' train splits (internal), then the
+    external domains' (external), each in id order, with labels stripped.
+    `domains` holds the spec's domains (generate_domains).
     """
 
-    def pool(ids: tuple[int, ...]) -> LabeledSet:
+    def pool(ids: tuple[int, ...]) -> Matrix:
         if not ids:
-            return LabeledSet.empty(spec.feature_dim)
-        return LabeledSet.concat([domains[m].train for m in sorted(ids)])
+            return np.zeros((0, spec.feature_dim))
+        return np.concatenate([domains[m].train.features for m in sorted(ids)])
 
-    distill_set = mix_ratio(pool(spec.shared_domains), pool(spec.external_domains), spec.ed_ratio)
-    if len(distill_set) == 0:
-        raise InvalidArgumentError("scenario has an empty distillation set")
-    return distill_set
+    return _stacked(pool(spec.shared_domains), pool(spec.external_domains))
 
 
 def build_scenario(spec: ScenarioSpec) -> CdScenario:
@@ -356,8 +379,9 @@ def build_scenario(spec: ScenarioSpec) -> CdScenario:
     The train splits are freed on return.
     """
     domains = generate_domains(spec)
+    pools = distill_pools(spec, domains)
     test_sets = {m: ds.test for m, ds in domains.items()}
-    return CdScenario(spec, test_sets, mix_distill_set(spec, domains))
+    return CdScenario(spec, test_sets, pools.take(mix_rows(pools, spec.ed_ratio)))
 
 
 def balance_pair_stream(n_internal: int, n_external: int, batch_size: int, seed):

@@ -1,8 +1,9 @@
 """Training engine: teacher pretraining, the sequential distillation loop,
 evaluation, and binary checkpoints.
 
-A run owns its student model and optimizer state exclusively; teacher and
-checkpoint models are only ever read. Teachers are consumed through a
+A run owns its student model and optimizer state exclusively; checkpoint
+models are only ever read. A teacher reaches the student only through its
+logits over the distillation set, and those are consumed through a
 forward-only iterator so that code inside one task cannot reach back to an
 earlier teacher.
 """
@@ -13,7 +14,7 @@ import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -319,10 +320,10 @@ def train_teacher(
 def frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
     """Logits of a frozen model over every row, `chunk` rows per forward pass.
 
-    The one way the run path runs a model it does not train: teachers,
-    previous-task checkpoints and the entropy screen. Each pass's
-    ForwardCache is dropped before the next pass starts, so memory beyond
-    the result stays at one chunk's activations.
+    The one way to run a model that is not being trained: teachers over
+    the distillation pools and test splits, and previous-task checkpoints.
+    Each pass's ForwardCache is dropped before the next pass starts, so
+    memory beyond the result stays at one chunk's activations.
     """
     if chunk < 1:
         raise InvalidArgumentError(f"chunk must be >= 1, got {chunk}")
@@ -332,38 +333,9 @@ def frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
     return out
 
 
-class FrozenTeacher:
-    """A teacher, read when its pass is due, that serves its logits over one distillation set.
-
-    It is built from a zero-argument loader of the model and the model's
-    class count. The logits depend only on the teacher, the set and the
-    chunk size, not on the student, method or seed, so every grid cell that
-    shares one FrozenTeacher shares one pass over the set. The first call
-    loads the model, makes that pass and drops the loader, so the model is
-    freed once no one else holds it; a later call with another set
-    (matched by identity) or chunk size raises InvalidArgumentError.
-    """
-
-    def __init__(self, load: Callable[[], MlpModel], num_classes: int) -> None:
-        self._load: Callable[[], MlpModel] | None = load
-        self.num_classes = num_classes
-        self._seen: tuple[DistillSet, int] | None = None
-        self._logits: Matrix | None = None
-
-    def logits(self, distill_set: DistillSet, chunk: int) -> Matrix:
-        if self._seen is None:
-            self._logits = frozen_logits(self._load(), distill_set.features, chunk)
-            self._seen, self._load = (distill_set, chunk), None
-        elif self._seen[0] is not distill_set or self._seen[1] != chunk:
-            raise InvalidArgumentError(
-                "this teacher has served another distillation set or chunk size"
-            )
-        return self._logits
-
-
 def distill_task(
     student: MlpModel,
-    teacher: MlpModel | FrozenTeacher,
+    teacher_logits: Matrix,
     distill_set: DistillSet,
     method: MethodConfig,
     config: RunConfig,
@@ -375,14 +347,16 @@ def distill_task(
 ) -> tuple[MlpModel, TaskLog]:
     """Distill one teacher into the student over the fixed distillation set.
 
-    Teacher and checkpoint targets (dkd's teacher-side terms included) are
-    computed once per task, since both models are frozen within it. The
-    teacher's logits come from a FrozenTeacher, so a teacher shared that
-    way runs over the set once for every task that uses it. Each epoch
-    gathers its rows once, in batch order (features, targets, and mds's
-    entropies or the checkpoint's targets); each step takes a contiguous
-    slice of them and calls the method's public loss. Only the student is
-    updated. With internal and external rows, a se2d batch is one internal
+    The teacher arrives as its logits over the set, row i over
+    distill_set's row i, so the caller makes one pass of the teacher
+    (frozen_logits) for every task that shares it. Logits whose class
+    count is not the student's, or whose row count is not the set's, raise
+    InvalidArgumentError. Teacher and checkpoint targets (dkd's
+    teacher-side terms included) are computed once per task, since both
+    are frozen within it. Each epoch gathers its rows once, in batch order (features,
+    targets, and mds's entropies or the checkpoint's targets); each step
+    takes a contiguous slice of them and calls the method's public loss.
+    Only the student is updated. With internal and external rows, a se2d batch is one internal
     and one external batch concatenated; its teacher term sees both, and
     se2d_loss's `external` mask gives its checkpoint term the external one.
 
@@ -390,19 +364,21 @@ def distill_task(
     end of an epoch that fails _check_epoch against the task's first-batch
     loss.
     """
-    if not isinstance(teacher, FrozenTeacher):
-        # The default binds the model, not the name `teacher`, which is rebound here.
-        teacher = FrozenTeacher(lambda model=teacher: model, teacher.num_classes)
-    if student.num_classes != teacher.num_classes:
+    if teacher_logits.ndim != 2 or teacher_logits.shape[1] != student.num_classes:
         raise InvalidArgumentError(
-            f"student has {student.num_classes} classes, teacher has {teacher.num_classes}"
+            f"student has {student.num_classes} classes, "
+            f"teacher logits have shape {teacher_logits.shape}"
         )
     if len(distill_set) == 0:
         raise InvalidArgumentError("distillation set is empty")
+    if len(teacher_logits) != len(distill_set):
+        raise InvalidArgumentError(
+            f"teacher logits have {len(teacher_logits)} rows, "
+            f"the distillation set has {len(distill_set)}"
+        )
 
     features = distill_set.features
     name, t = method.method, config.temperature
-    teacher_logits = teacher.logits(distill_set, config.batch_size)
     make_targets = {"ls": ls_targets, "dkd": dkd_targets}.get(name, soft_targets)
     targets = make_targets(teacher_logits, t)
     entropies = teacher_entropy(teacher_logits, t) if name == "mds" else None
@@ -511,7 +487,7 @@ def _shares_kl_tasks(method: MethodConfig, t: int, distill_set: DistillSet) -> b
 
 def run_sequence(
     student: MlpModel,
-    teachers: Iterable[MlpModel | FrozenTeacher],
+    teacher_logits: Iterable[Matrix],
     scenario: CdScenario,
     method: MethodConfig,
     config: RunConfig,
@@ -520,24 +496,25 @@ def run_sequence(
 ) -> list[TaskLog]:
     """Distill a sequence of teachers into one student, evaluating after each task.
 
-    Teachers are pulled one at a time from a forward-only iterator; once a
-    task ends its teacher is unreachable. Checkpoint-based methods serialize
-    the student at each task end and distill from that frozen copy during
-    the next task. Each log's elapsed_seconds is its task's wall time: its
+    Each teacher is its logits over scenario.distill_set (distill_task),
+    pulled one at a time from a forward-only iterator; once a task ends
+    its teacher is unreachable. Checkpoint-based methods serialize the
+    student at each task end and distill from that frozen copy during the
+    next task. Each log's elapsed_seconds is its task's wall time: its
     distillation, its evaluation and the read of the previous checkpoint.
 
     `shared`, a dict that calls from the same student, seed, scenario,
-    config and teachers may pass in common, maps t to the student after
-    kl's tasks 0..t and task t's log. A task another call ran there
+    config and teacher logits may pass in common, maps t to the student
+    after kl's tasks 0..t and task t's log. A task another call ran there
     (_shares_kl_tasks) is not run again: the student copies those
     parameters in place, and the same log, elapsed_seconds included, is
     returned.
     """
-    teacher_stream: Iterator[MlpModel | FrozenTeacher] = iter(teachers)
+    teacher_stream: Iterator[Matrix] = iter(teacher_logits)
     logs: list[TaskLog] = []
     checkpoint: bytes | None = None
     shared = {} if shared is None else shared
-    for t, teacher in enumerate(teacher_stream):
+    for t, logits in enumerate(teacher_stream):
         key = t if _shares_kl_tasks(method, t, scenario.distill_set) else None
         if key is not None and key in shared:
             params, log = shared[key]
@@ -547,7 +524,7 @@ def run_sequence(
             prev_model = deserialize_model(checkpoint) if checkpoint is not None else None
             student, log = distill_task(
                 student,
-                teacher,
+                logits,
                 scenario.distill_set,
                 method,
                 config,

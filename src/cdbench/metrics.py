@@ -12,7 +12,7 @@ from .distill import teacher_entropy
 from .domains import ScenarioSpec
 from .engine import TaskLog
 from .errors import DegenerateVarianceError, FormatError, InvalidArgumentError
-from .nn_core import Matrix, MlpModel, forward
+from .nn_core import Matrix
 
 
 @dataclass
@@ -238,18 +238,15 @@ def kurtosis(values) -> float:
     return m4 / m2**2
 
 
-def entropy_histogram(
-    model: MlpModel, features: Matrix, temperature: float, bins: int
-) -> EntropyProfile:
-    """Per-sample predictive entropy with equal-width bins over [0, ln C]."""
+def entropy_histogram(logits: Matrix, temperature: float, bins: int) -> EntropyProfile:
+    """Per-row predictive entropy of a model's logits, with equal-width bins over [0, ln C]."""
     if bins < 2:
         raise InvalidArgumentError(f"need at least 2 bins, got {bins}")
-    features = np.asarray(features, dtype=float)
-    if len(features) == 0:
+    logits = np.asarray(logits, dtype=float)
+    if len(logits) == 0:
         raise InvalidArgumentError("cannot profile an empty dataset")
-    logits, _ = forward(model, features)
     ent = teacher_entropy(logits, temperature)
-    edges = np.linspace(0.0, np.log(model.num_classes), bins + 1)
+    edges = np.linspace(0.0, np.log(logits.shape[1]), bins + 1)
     counts, _ = np.histogram(ent, bins=edges)
     kurt = None
     if ent.size >= 4 and float(np.var(ent)) > 0.0:

@@ -25,6 +25,7 @@ from cdbench import (
     evaluate,
     forgetting,
     forward,
+    frozen_logits,
     generate_domain,
     generate_domains,
     init_mlp,
@@ -339,12 +340,14 @@ def test_criterion_7_scope_identity_with_empty_internal(benchmark_config):
         )
         for t in range(3)
     ]
+    features = scenario.distill_set.features
+    logits = [frozen_logits(teacher, features, config.batch_size) for teacher in teachers]
     outcomes = {}
     for method in ("se2d", "self_distill"):
         student = new_student(8, 4, config, 3)
         logs = run_sequence(
             student,
-            iter(teachers),
+            iter(logits),
             scenario,
             MethodConfig(method),
             config,
@@ -388,13 +391,14 @@ def test_criterion_9_entropy_and_kurtosis(benchmark_config, benchmark_runs):
     spec = benchmark_config.scenario
     scenario = build_scenario(spec)
     gaps = []
+
+    def mean_entropy(teacher, split):
+        return entropy_histogram(frozen_logits(teacher, split.features, len(split)), 1.0, 20).mean
+
     for t, teacher in enumerate(benchmark_runs["teachers"]):
-        own = [
-            entropy_histogram(teacher, scenario.test_sets[d].features, 1.0, 20).mean
-            for d in spec.teacher_domain_ids(t)
-        ]
+        own = [mean_entropy(teacher, scenario.test_sets[d]) for d in spec.teacher_domain_ids(t)]
         unrelated = generate_domain(t + 1, 9, 4, 8, 200, relation="unrelated")
-        far = entropy_histogram(teacher, unrelated.test.features, 1.0, 20).mean
+        far = mean_entropy(teacher, unrelated.test)
         assert far > float(np.mean(own)), (
             f"teacher {t}: unrelated entropy {far:.3f} not above own {np.mean(own):.3f}"
         )

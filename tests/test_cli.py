@@ -21,8 +21,8 @@ from cdbench.cli import (
     _apply_overrides,
     _atomic_write,
     _check_ratios,
-    _filter_external_by_entropy,
     _openblas_threads,
+    _teacher_pass,
     cmd_analyze,
     cmd_gen,
     cmd_run,
@@ -40,10 +40,11 @@ import cdbench.domains
 import cdbench.engine
 from cdbench.benchmark import train_benchmark_teacher
 from cdbench.distill import METHODS, MethodConfig
-from cdbench.domains import DistillSet, LabeledSet, build_scenario, generate_domains
+from cdbench.domains import LabeledSet, build_scenario, distill_pools, generate_domains
 from cdbench.engine import (
     RunConfig,
     deserialize_model,
+    frozen_logits,
     new_student,
     run_sequence,
     serialize_model,
@@ -611,6 +612,28 @@ class TestGridPool:
         finally:
             set_threads(before)
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_each_checkpoint_is_read_once_in_this_process(
+        self, out, tmp_path, monkeypatch, command
+    ):
+        # The workers inherit the teacher logits through the fork. Each read
+        # appends its process and file to a log, which a worker's read would
+        # reach too.
+        log, read_teacher = tmp_path / "reads.log", cdbench.cli._read_teacher
+
+        def read_logged(path, spec):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {path.name}\n")
+            return read_teacher(path, spec)
+
+        monkeypatch.setattr(cdbench.cli, "_read_teacher", read_logged)
+        argv = [command, "--config", str(write_config(tmp_path, base_config(out))), "--jobs", "2"]
+        if command == "sweep":
+            argv += ["--ratio", "0,0.5"]
+        assert main(argv) == 0
+        reads = [f"{os.getpid()} teacher_{t}.ckpt" for t in range(2)]
+        assert log.read_text().splitlines() == reads
+
     def test_dead_worker_fails_the_stage(self, out, tmp_path, capsys, monkeypatch):
         path = str(write_config(tmp_path, base_config(out)))
         monkeypatch.setattr(cdbench.cli, "_run_cell", die)
@@ -798,8 +821,7 @@ class TestRun:
     @pytest.mark.parametrize("command", ["run", "sweep", "screen"])
     def test_one_teacher_is_alive_at_each_teacher_pass(self, tmp_path, monkeypatch, command):
         # Every model _read_teacher returns is recorded. At each pass of a
-        # teacher, whether a grid's or the entropy screen's, the teacher
-        # being run is the only one alive.
+        # teacher, the teacher being run is the only one alive.
         doc = json.loads((CONFIG_DIR / "quick.json").read_text())
         doc["output_dir"] = str(tmp_path / "out")
         if command == "screen":
@@ -827,8 +849,8 @@ class TestRun:
         if command == "sweep":
             argv = ["sweep", "--config", path, "--ratio", "0,0.5"]
         assert main(argv) == 0
-        # 2 teachers: one pass each per grid, and per ratio, plus the screen's.
-        assert alive == [1] * {"run": 2, "sweep": 4, "screen": 4}[command]
+        # 2 teachers x 2 pools, at any number of ratios; the screen reads those logits.
+        assert alive == [1] * 4
 
     def test_run_holds_one_teacher_at_a_time(self, tmp_path):
         # One 6-128-128-3 teacher's parameters take 139 KiB as float64, more
@@ -1203,10 +1225,12 @@ def sequence_rows(config, teachers):
     """(method, seed, task, domain, accuracy) of one run_sequence per method and seed of config."""
     spec = config.scenario
     scenario = build_scenario(spec)
+    features, chunk = scenario.distill_set.features, config.run.batch_size
+    logits = [frozen_logits(teacher, features, chunk) for teacher in teachers]
     rows = []
     for method, seed in product(config.methods, config.run.seeds):
         student = new_student(spec.feature_dim, spec.n_classes, config.run, seed)
-        for log in run_sequence(student, teachers, scenario, method, config.run, seed=seed):
+        for log in run_sequence(student, logits, scenario, method, config.run, seed=seed):
             for d, acc in sorted(log.accuracies.items()):
                 rows.append((method.method, seed, log.task_index, d, acc))
     return rows
@@ -1219,14 +1243,18 @@ class TestGridCells:
         passes = []
 
         def counted(model, features, chunk):
-            passes.append(model)
+            passes.append((id(model), len(features)))
             return original(model, features, chunk)
 
         monkeypatch.setattr(cdbench.engine, "frozen_logits", counted)
-        run_grid(config, (config.scenario.ed_ratio,), loaders(teachers))
+        monkeypatch.setattr(cdbench.cli, "frozen_logits", counted)
+        run_grid(config, (0.0, config.scenario.ed_ratio), loaders(teachers))
+        pools = distill_pools(config.scenario, generate_domains(config.scenario))
+        n_external = int(pools.external_mask.sum())
         # kl and dkd read no checkpoint, so every pass is a teacher's: one
-        # each for the grid's four cells, not one per cell.
-        assert [id(m) for m in passes] == [id(t) for t in teachers]
+        # over each pool for the grid's eight cells at both ratios.
+        sizes = (len(pools) - n_external, n_external)
+        assert passes == [(id(t), n) for t in teachers for n in sizes]
 
     def test_rows_match_a_run_sequence_per_cell(self, three_teacher_grid):
         config, teachers = three_teacher_grid
@@ -1324,17 +1352,18 @@ class TestExternalEntropyFilter:
             parse_config(base_config(tmp_path, external_entropy_max=-1.0))
 
     def test_screen_holds_one_chunk_of_activations(self):
-        # The wide-serial scenario: 1,200 external rows and 512-wide
-        # teachers, run 256 rows at a time. One unchunked forward per
-        # teacher would hold 1,200x512 activations per hidden layer.
+        # The screen reads the logits of the teacher passes. On the
+        # wide-serial scenario, with 1,200 rows in each pool and 512-wide
+        # teachers run 256 rows at a time, a pass holds one chunk's
+        # activations; one unchunked forward per teacher and pool would
+        # hold 1,200x512 activations per hidden layer.
         spec = load_config(CONFIG_DIR / "benchmark.json").scenario
         spec = replace(spec, n_classes=10, feature_dim=32, samples_per_class=150)
-        scenario = build_scenario(spec)
-        assert scenario.distill_set.external_mask.sum() == 1200
+        pools = distill_pools(spec, generate_domains(spec))
+        assert pools.external_mask.sum() == len(pools) - 1200 == 1200
         teachers = [init_mlp(t, [32, 512, 512, 10]) for t in range(3)]
-        screen = lambda: _filter_external_by_entropy(scenario, loaders(teachers), 100.0, 256)
-        peak = traced_peak(screen)
-        assert peak < 3 * 2**20
+        passes = lambda: [_teacher_pass(pools, 256, load) for load in loaders(teachers)]
+        assert traced_peak(passes) < 3 * 2**20
 
 
 class TestSweep:
@@ -1386,8 +1415,10 @@ class TestSweep:
         ).read_bytes()
 
     def test_one_pool_serves_every_ratio(self, finished_run, tmp_path, monkeypatch):
-        # The workers inherit every ratio's scenario and teachers through the
-        # fork, so a task sends only its ratio's index, its methods and its seed.
+        # The workers inherit every ratio's scenario and teacher logits
+        # through the fork, so a task sends only its ratio's index, its
+        # methods and its seed. The teacher passes before it run in this
+        # process, one call per teacher.
         out = tmp_path / "out"
         shutil.copytree(finished_run[0], out)
         original, calls = cdbench.cli._pool_map, []
@@ -1399,8 +1430,10 @@ class TestSweep:
         monkeypatch.setattr(cdbench.cli, "_pool_map", recorded)
         path = str(write_config(tmp_path, base_config(out)))
         assert main(["sweep", "--config", path, "--ratio", "0,0.5", "--jobs", "2"]) == 0
-        assert len(calls) == 1
-        columns, jobs = calls[0]
+        assert len(calls) == 2
+        (teachers,), jobs = calls[0]
+        assert jobs == 1 and len(teachers) == 2
+        columns, jobs = calls[1]
         group = (MethodConfig("kl"), MethodConfig("se2d"))
         assert jobs == 2
         assert list(zip(*columns)) == list(product(range(2), [group], (1, 2, 3)))
@@ -1748,7 +1781,8 @@ class TestAnalyzeTeachers:
         model = deserialize_model((out / "checkpoints" / "teacher_2.ckpt").read_bytes())
         scenario = build_scenario(config.scenario)
         for record in entropy[2 * 13 : 3 * 13]:
-            profile = entropy_histogram(model, scenario.test_sets[record["domain"]].features, 1.0, 20)
+            logits = frozen_logits(model, scenario.test_sets[record["domain"]].features, 10**6)
+            profile = entropy_histogram(logits, 1.0, 20)
             # metrics.json prints both statistics at 10 significant digits.
             assert record["mean_entropy"] == float(f"{profile.mean:.10g}")
             assert record["kurtosis"] == float(f"{profile.kurtosis:.10g}")
@@ -1802,7 +1836,7 @@ class TestSingleScenarioPath:
         n = doc["scenario"]["n_domains"]
         # teachers generates every domain for its report, then each teacher's
         # shared and own domain again for its training rows.
-        assert counts == {"gen": n, "teachers": n + 2 * 2, "run": n, "analyze": n, "sweep": 2 * n}
+        assert counts == {"gen": n, "teachers": n + 2 * 2, "run": n, "analyze": n, "sweep": n}
 
     def test_only_gen_and_run_mix_the_distillation_set(self, tmp_path, monkeypatch):
         # teachers and analyze read the domains alone; gen and run mix the
@@ -1813,20 +1847,20 @@ class TestSingleScenarioPath:
         cmd_gen(config)
 
         def refused(*args):
-            raise AssertionError("mix_ratio called")
+            raise AssertionError("the mixing rule was called")
 
         def empty(*args):
-            return DistillSet(np.zeros((0, 6)), np.zeros(0, dtype=bool))
+            return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
 
-        monkeypatch.setattr(cdbench.domains, "mix_ratio", refused)
+        monkeypatch.setattr(cdbench.domains, "_mix_selection", refused)
         cmd_teachers(config)
-        monkeypatch.setattr(cdbench.domains, "mix_ratio", empty)
+        monkeypatch.setattr(cdbench.domains, "_mix_selection", empty)
         for stage in (cmd_gen, cmd_run):
             with pytest.raises(InvalidArgumentError, match="empty distillation set"):
                 stage(config)
         monkeypatch.undo()
         cmd_run(config)
-        monkeypatch.setattr(cdbench.domains, "mix_ratio", refused)
+        monkeypatch.setattr(cdbench.domains, "_mix_selection", refused)
         cmd_analyze(config.output_dir)
 
     def test_library_teachers_match_cli_checkpoints(self, finished_run):

@@ -1,5 +1,4 @@
 import math
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -35,8 +34,8 @@ from cdbench.distill import (
     self_distill_loss,
     teacher_entropy,
 )
-from cdbench.domains import DistillSet, LabeledSet, balance_pair_stream
-from cdbench.engine import deserialize_model, serialize_model
+from cdbench.domains import LabeledSet, balance_pair_stream
+from cdbench.engine import deserialize_model, frozen_logits, serialize_model
 from cdbench.nn_core import (
     Layer,
     MlpModel,
@@ -136,6 +135,11 @@ def per_batch_distill(student, teacher, distill_set, method, config, seed, prev_
             student, opt = optimizer_step(student, backward(student, cache, dlogits), opt)
             losses.append(loss)
     return student, losses
+
+
+def logits_of(teacher, distill_set, config):
+    """The teacher's logits over the set, from a pass as the grid makes it."""
+    return frozen_logits(teacher, distill_set.features, config.batch_size)
 
 
 @pytest.fixture(scope="module")
@@ -238,8 +242,9 @@ class TestDistillTask:
         spec = tiny_scenario.spec
         teacher = init_mlp(4, [spec.feature_dim, 16, 16, spec.n_classes])
         student = teacher.copy()
+        ds = tiny_scenario.distill_set
         student, log = distill_task(
-            student, teacher, tiny_scenario.distill_set, MethodConfig("kl"),
+            student, logits_of(teacher, ds, tiny_config), ds, MethodConfig("kl"),
             tiny_config, task_index=0, seed=0,
         )
         assert log.epoch_losses[0] == 0.0
@@ -256,8 +261,9 @@ class TestDistillTask:
         )
         teacher = tiny_teachers[0]
         student = new_student(6, 3, cfg, seed=3)
+        ds = tiny_scenario.distill_set
         student, _ = distill_task(
-            student, teacher, tiny_scenario.distill_set, MethodConfig("kl"),
+            student, logits_of(teacher, ds, cfg), ds, MethodConfig("kl"),
             cfg, task_index=0, seed=3,
         )
         # shared domain 0 is the teacher-known domain present in the distillation set
@@ -271,8 +277,9 @@ class TestDistillTask:
         results = []
         for method in (MethodConfig("kl"), MethodConfig("mds")):
             student = new_student(6, 3, config, seed=4)
+            ds = tiny_scenario.distill_set
             student, log = distill_task(
-                student, tiny_teachers[0], tiny_scenario.distill_set, method,
+                student, logits_of(tiny_teachers[0], ds, config), ds, method,
                 config, task_index=0, seed=4,
             )
             results.append((student, log.epoch_losses))
@@ -282,9 +289,20 @@ class TestDistillTask:
     def test_class_count_mismatch_rejected(self, tiny_scenario, tiny_config):
         teacher = init_mlp(0, [6, 8, 5])
         student = init_mlp(1, [6, 8, 3])
-        with pytest.raises(InvalidArgumentError):
+        ds = tiny_scenario.distill_set
+        with pytest.raises(InvalidArgumentError, match="student has 3 classes"):
             distill_task(
-                student, teacher, tiny_scenario.distill_set,
+                student, logits_of(teacher, ds, tiny_config), ds,
+                MethodConfig("kl"), tiny_config,
+            )
+
+    def test_logits_of_another_set_rejected(self, tiny_scenario, tiny_config, tiny_teachers):
+        # Teacher logits line up with the set's rows; one row short is refused.
+        ds = tiny_scenario.distill_set
+        logits = logits_of(tiny_teachers[0], ds, tiny_config)[1:]
+        with pytest.raises(InvalidArgumentError, match=f"{len(ds) - 1} rows"):
+            distill_task(
+                new_student(6, 3, tiny_config, seed=1), logits, ds,
                 MethodConfig("kl"), tiny_config,
             )
 
@@ -308,9 +326,10 @@ class TestDistillTask:
     def test_diverged_student_raises(self, value, tiny_scenario, tiny_config, tiny_teachers):
         student = new_student(6, 3, tiny_config, seed=2)
         student.layers[-1].bias[0] = value
+        ds = tiny_scenario.distill_set
         with pytest.raises(DivergenceError, match="method kl, seed 2, task 4, epoch 0"):
             distill_task(
-                student, tiny_teachers[0], tiny_scenario.distill_set, MethodConfig("kl"),
+                student, logits_of(tiny_teachers[0], ds, tiny_config), ds, MethodConfig("kl"),
                 tiny_config, task_index=4, seed=2,
             )
 
@@ -325,8 +344,9 @@ class TestDistillTask:
             new_student(6, 3, cfg, seed=6), tiny_teachers[0], tiny_scenario.distill_set,
             mc, cfg, seed=6, prev_student=prev,
         )
+        ds = tiny_scenario.distill_set
         got, log = distill_task(
-            new_student(6, 3, cfg, seed=6), tiny_teachers[0], tiny_scenario.distill_set,
+            new_student(6, 3, cfg, seed=6), logits_of(tiny_teachers[0], ds, cfg), ds,
             mc, cfg, task_index=0, seed=6, prev_student=prev,
         )
         # Gathering precomputed rows replaces a forward pass over a batch; the
@@ -343,27 +363,28 @@ class TestDistillTask:
     def test_frozen_models_forwarded_once_per_task(
         self, method, epochs, monkeypatch, tiny_scenario, tiny_config, tiny_teachers
     ):
+        # The teacher arrives as logits; the checkpoint runs once over its rows.
         cfg = RunConfig(**{**tiny_config.__dict__, "epochs": epochs})
-        teacher = tiny_teachers[0]
+        distill_set = tiny_scenario.distill_set
+        teacher_logits = logits_of(tiny_teachers[0], distill_set, cfg)
         prev = new_student(6, 3, cfg, seed=2)
-        calls = {id(teacher): 0, id(prev): 0}
+        calls = []
 
         def counting_forward(model, batch, *args, **kwargs):
-            if id(model) in calls:
-                calls[id(model)] += 1
+            if model is prev:
+                calls.append(len(batch))
             return forward(model, batch, *args, **kwargs)
 
         monkeypatch.setattr(engine, "forward", counting_forward)
         distill_task(
-            new_student(6, 3, cfg, seed=2), teacher, tiny_scenario.distill_set,
+            new_student(6, 3, cfg, seed=2), teacher_logits, distill_set,
             MethodConfig(method), cfg, prev_student=prev,
         )
-        distill_set = tiny_scenario.distill_set
         n_ext = int(distill_set.external_mask.sum())
         assert 0 < n_ext < len(distill_set)  # se2d takes the paired path
         prev_rows = {"self_distill": len(distill_set), "se2d": n_ext}.get(method, 0)
-        assert calls[id(teacher)] == math.ceil(len(distill_set) / cfg.batch_size)
-        assert calls[id(prev)] == math.ceil(prev_rows / cfg.batch_size)
+        assert len(calls) == math.ceil(prev_rows / cfg.batch_size)
+        assert sum(calls) == prev_rows
 
     @pytest.mark.parametrize("method", METHODS)
     def test_each_method_calls_its_public_loss(
@@ -389,9 +410,10 @@ class TestDistillTask:
         for name in calls:
             monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
         prev = new_student(6, 3, tiny_config, seed=3)
+        ds = tiny_scenario.distill_set
         distill_task(
-            new_student(6, 3, tiny_config, seed=2), tiny_teachers[0], tiny_scenario.distill_set,
-            MethodConfig(method), tiny_config, prev_student=prev,
+            new_student(6, 3, tiny_config, seed=2), logits_of(tiny_teachers[0], ds, tiny_config),
+            ds, MethodConfig(method), tiny_config, prev_student=prev,
         )
         assert {name for name, n in calls.items() if n} == expected[method]
 
@@ -406,8 +428,9 @@ class TestDistillTask:
             eval_every_epoch=True,
         )
         student = new_student(6, 3, cfg, seed=7)
+        ds = tiny_scenario.distill_set
         _, log = distill_task(
-            student, tiny_teachers[0], tiny_scenario.distill_set,
+            student, logits_of(tiny_teachers[0], ds, cfg), ds,
             MethodConfig("kl"), cfg, task_index=0, seed=7,
             test_sets=tiny_scenario.test_sets,
         )
@@ -417,10 +440,11 @@ class TestDistillTask:
 
 def run_methods(methods, teachers, scenario, config, seed):
     """method -> (final student, accuracies and epoch losses of every task) of run_sequence."""
+    logits = [logits_of(teacher, scenario.distill_set, config) for teacher in teachers]
     outcomes = {}
     for method in methods:
         student = new_student(6, 3, config, seed)
-        logs = run_sequence(student, iter(teachers), scenario, MethodConfig(method), config, seed=seed)
+        logs = run_sequence(student, iter(logits), scenario, MethodConfig(method), config, seed=seed)
         outcomes[method] = (student, [l.accuracies for l in logs], [l.epoch_losses for l in logs])
     return outcomes
 
@@ -448,8 +472,9 @@ class TestRunSequence:
 
     def test_accepts_pure_iterator_and_consumes_forward_only(self, tiny_scenario, tiny_config, tiny_teachers):
         student = new_student(6, 3, tiny_config, seed=9)
+        ds = tiny_scenario.distill_set
         logs = run_sequence(
-            student, (t for t in tiny_teachers), tiny_scenario,
+            student, (logits_of(t, ds, tiny_config) for t in tiny_teachers), tiny_scenario,
             MethodConfig("kl"), tiny_config, seed=9,
         )
         assert [log.task_index for log in logs] == [0, 1]
@@ -465,8 +490,9 @@ class TestRunSequence:
         outs = {}
         for method in ("kl", "self_distill"):
             student = new_student(6, 3, tiny_config, seed=10)
+            logits = [logits_of(t, tiny_scenario.distill_set, tiny_config) for t in tiny_teachers]
             logs = run_sequence(
-                student, iter(tiny_teachers), tiny_scenario,
+                student, iter(logits), tiny_scenario,
                 MethodConfig(method), tiny_config, seed=10,
             )
             outs[method] = [log.epoch_losses for log in logs]
@@ -482,60 +508,19 @@ class TestRunSequence:
             teacher_hidden=(16, 16),
             student_hidden=(16, 16),
         )
+        logits = [logits_of(t, tiny_scenario.distill_set, cfg) for t in tiny_teachers]
         for method in ("kl", "ls", "dkd", "mds", "self_distill", "se2d"):
             for seed in (1, 2, 3):
                 student = new_student(6, 3, cfg, seed=seed)
                 logs = run_sequence(
-                    student, iter(tiny_teachers), tiny_scenario,
+                    student, iter(logits), tiny_scenario,
                     MethodConfig(method), cfg, seed=seed,
                 )
                 for log in logs:
                     assert log.epoch_losses[-1] <= log.epoch_losses[0], (method, seed)
 
 
-class TestFrozenTeacher:
-    def test_one_pass_per_set_and_chunk(self, tiny_scenario, tiny_teachers, monkeypatch):
-        original = engine.frozen_logits
-        calls = []
-
-        def counted(model, features, chunk):
-            calls.append(chunk)
-            return original(model, features, chunk)
-
-        monkeypatch.setattr(engine, "frozen_logits", counted)
-        ds = tiny_scenario.distill_set
-        frozen = engine.FrozenTeacher(lambda: tiny_teachers[0], 3)
-        first = frozen.logits(ds, 16)
-        assert frozen.logits(ds, 16) is first
-        assert first.tobytes() == original(tiny_teachers[0], ds.features, 16).tobytes()
-        # An equal set that is another object, or another chunk size, is refused.
-        twin = DistillSet(ds.features.copy(), ds.external_mask.copy())
-        for other, chunk in ((twin, 16), (ds, 8)):
-            with pytest.raises(InvalidArgumentError, match="another distillation set"):
-                frozen.logits(other, chunk)
-        assert calls == [16]
-
-    def test_model_is_freed_after_its_pass(self, tiny_scenario, tiny_teachers):
-        model = tiny_teachers[0].copy()
-        model_ref = weakref.ref(model)
-        frozen = engine.FrozenTeacher(lambda model=model: model, 3)
-        del model
-        frozen.logits(tiny_scenario.distill_set, 16)
-        assert model_ref() is None
-
-    def test_loads_its_model_at_the_first_pass_alone(self, tiny_scenario, tiny_teachers):
-        loads = []
-
-        def load():
-            loads.append(1)
-            return tiny_teachers[0]
-
-        frozen = engine.FrozenTeacher(load, 3)
-        assert loads == []
-        for _ in range(2):
-            frozen.logits(tiny_scenario.distill_set, 16)
-        assert loads == [1]
-
+class TestFrozenLogits:
     def test_pass_holds_one_chunk_of_activations(self):
         # Two 256x512 hidden activations are 2 MB; a cache kept alive into
         # the next chunk's forward would double them.

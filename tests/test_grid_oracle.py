@@ -2,8 +2,9 @@
 
 For each (ratio, method, seed) the reference builds its own scenario and
 student, screens the external rows by teacher entropy in plain numpy, and
-calls `run_sequence` over the checkpoints' models, with no `shared` dict,
-no pool and no FrozenTeacher. Whatever schedule the grid runs its tasks in,
+calls `run_sequence` over the logits of its own pass of each checkpoint's
+model over that set, with no `shared` dict, no pool and no logits shared
+with another cell. Whatever schedule the grid runs its tasks in,
 and whatever it shares between them, `sweep` must write the reference's
 rows, summaries and per-epoch curves, `elapsed_seconds` aside.
 """
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from cdbench.cli import RESULT_COLUMNS, cmd_gen, cmd_sweep, cmd_teachers, parse_config
 from cdbench.distill import METHODS
 from cdbench.domains import DistillSet, build_scenario
-from cdbench.engine import deserialize_model, new_student, run_sequence
+from cdbench.engine import deserialize_model, frozen_logits, new_student, run_sequence
 from cdbench.metrics import accuracy_matrix, average_forgetting
 from cdbench.nn_core import forward
 
@@ -109,8 +110,10 @@ def reference(config, ratios, models):
         rows, curves, matrices = [], [], {}
         for method, seed in product(config.methods, config.run.seeds):
             scenario = screened(build_scenario(spec), models, config.external_entropy_max)
+            features, chunk = scenario.distill_set.features, config.run.batch_size
+            logits = [frozen_logits(model, features, chunk) for model in models]
             student = new_student(spec.feature_dim, spec.n_classes, config.run, seed)
-            logs = run_sequence(student, models, scenario, method, config.run, seed)
+            logs = run_sequence(student, logits, scenario, method, config.run, seed)
             matrices[method.method, seed] = accuracy_matrix(logs)
             for log in logs:
                 t = log.task_index

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from cdbench.cli import main
+from cdbench.cli import main, parse_config
+from cdbench.domains import distill_pools, generate_domains
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -50,6 +52,13 @@ def test_tracer_reads_its_positional_arguments(tmp_path):
     assert [cell["method"] for cell in got["cells"]] == ["se2d"]
     steps = got["counts"]["engine.distill_task.steps"]
     assert steps > 0
-    # One trained forward per step; the teachers and the checkpoint are frozen.
-    assert got["stats"]["nn_core.forward.trained"][0] == steps
+    # One trained forward per step. The tracer labels a forward frozen only
+    # under distill_task, where se2d's checkpoint runs, so it counts the
+    # teacher passes made before the grid, one forward per chunk of each
+    # pool, as trained too.
+    spec = parse_config(doc).scenario
+    pools = distill_pools(spec, generate_domains(spec))
+    n_external = int(pools.external_mask.sum())
+    chunks = sum(math.ceil(n / doc["run"]["batch_size"]) for n in (len(pools) - n_external, n_external))
+    assert got["stats"]["nn_core.forward.trained"][0] == steps + spec.n_teachers * chunks
     assert got["stats"]["nn_core.forward.frozen"][0] > 0
