@@ -23,9 +23,10 @@ from .domains import (
     ScenarioSpec,
     balance_pair_stream,
     build_scenario,
+    distill_pools,
     generate_domain,
     generate_domains,
-    mix_ratio,
+    mix_rows,
     write_domain_csv,
 )
 from .engine import (
@@ -34,10 +35,8 @@ from .engine import (
     distill_task,
     evaluate,
     frozen_logits,
-    load_checkpoint,
     new_student,
     run_sequence,
-    save_checkpoint,
     train_teacher,
 )
 from .errors import (

@@ -47,7 +47,7 @@ from .engine import (
     frozen_logits,
     new_student,
     run_sequence,
-    save_checkpoint,
+    serialize_model,
 )
 from .errors import ConfigError, FormatError, InvalidArgumentError
 from .metrics import entropy_histogram, entropy_report, metrics_report, summary_report
@@ -359,9 +359,12 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     """Pretrain one teacher per task and write checkpoints plus a quality report.
 
     The teachers train through _pool_map, one worker per usable core up to
-    one per teacher; both of its ways write the same bytes.
+    one per teacher; both of its ways write the same bytes. The old report
+    goes before the first teacher trains, so a stage that fails leaves no
+    report vouching for checkpoints it may have replaced.
     """
     _require_manifest(config)
+    (config.output_dir / "teacher_report.json").unlink(missing_ok=True)
     spec = config.scenario
     # Each teacher generates its own training rows; the report needs only the test splits.
     test_sets = {m: ds.test for m, ds in generate_domains(spec).items()}
@@ -445,7 +448,7 @@ def _make_teacher(
     """
     teacher = train_benchmark_teacher(spec, run, t)
     # The teacher passed the divergence check, so serialize_model accepts it.
-    save_checkpoint(teacher, path)
+    _atomic_write(path, serialize_model(teacher))
     domain_ids = spec.teacher_domain_ids(t)
     accs = {str(d): evaluate(teacher, ts) for d, ts in sorted(test_sets.items())}
     in_domain = min(accs[str(d)] for d in domain_ids)
@@ -540,11 +543,12 @@ def run_grid(
     each pool (_teacher_pass) at one BLAS thread, as every grid call does.
     The entropy screen reads the external pool's logits. Each ratio's plan
     gathers its rows (mix_rows, less those the screen drops) from the
-    pools and from each teacher's logits. A grid task is one seed of a
-    group of methods at one ratio: kl, self_distill and se2d
-    (KL_LIKE_METHODS) form one group, since they share task 0, and every
-    other method is its own. The tasks of every ratio, ratio by ratio, run
-    through one _pool_map, whose forked workers inherit the plans.
+    pools and from each teacher's logits; a plan the screen empties raises
+    InvalidArgumentError, naming its ratio, before any task runs. A grid
+    task is one seed of a group of methods at one ratio: kl, self_distill
+    and se2d (KL_LIKE_METHODS) form one group, since they share task 0,
+    and every other method is its own. The tasks of every ratio, ratio by
+    ratio, run through one _pool_map, whose forked workers inherit the plans.
     Returns the result rows, keyed by RESULT_COLUMNS, and the per-epoch
     curve rows, each led by its ratio, both sorted by the order of
     `ratios`, then method, seed, task and domain.
@@ -565,6 +569,11 @@ def run_grid(
     for ratio in ratios:
         picked = mix_rows(pools, ratio)
         picked = picked[keep[picked]]
+        if len(picked) == 0:
+            raise InvalidArgumentError(
+                f"at ed_ratio {ratio}, external_entropy_max {config.external_entropy_max} "
+                "screens out every row of the distillation set"
+            )
         scenario = CdScenario(replace(spec, ed_ratio=float(ratio)), test_sets, pools.take(picked))
         plans.append((scenario, [z[picked] for z in logits]))
     del pools, logits  # each plan holds copies of its rows

@@ -72,10 +72,6 @@ class LabeledSet:
             np.concatenate([s.labels for s in sets]),
         )
 
-    @staticmethod
-    def empty(feature_dim: int) -> "LabeledSet":
-        return LabeledSet(np.zeros((0, feature_dim)), np.zeros(0, dtype=int))
-
 
 @dataclass(frozen=True)
 class DomainDataset:
@@ -307,14 +303,8 @@ def _mix_selection(n_internal: int, n_external: int, ed_ratio: float) -> tuple[n
     return spaced(wanted_int, n_internal), np.arange(n_external)
 
 
-def _stacked(internal: Matrix, external: Matrix) -> DistillSet:
-    """The internal rows, then the external ones, as one set: the pools mix_rows draws from."""
-    mask = np.repeat([False, True], [len(internal), len(external)])
-    return DistillSet(np.concatenate([internal, external]), mask)
-
-
 def mix_rows(pools: DistillSet, ed_ratio: float) -> np.ndarray:
-    """The rows of `pools`, internal rows first (as _stacked stacks them), mixed at ed_ratio.
+    """The rows of `pools`, internal rows first (as distill_pools stacks them), mixed at ed_ratio.
 
     The one mixing rule: the set is pools.take(rows), and whatever is
     row-aligned with the pools, such as a teacher's logits over them, is
@@ -328,16 +318,6 @@ def mix_rows(pools: DistillSet, ed_ratio: float) -> np.ndarray:
     if len(rows) == 0:
         raise InvalidArgumentError("scenario has an empty distillation set")
     return rows
-
-
-def mix_ratio(internal: LabeledSet, external: LabeledSet, ed_ratio: float) -> DistillSet:
-    """Assemble the distillation set at the requested external-data fraction (mix_rows).
-
-    An empty internal pool yields every external row at any ratio. Labels
-    are stripped; only features and the external mask survive.
-    """
-    pools = _stacked(internal.features, external.features)
-    return pools.take(mix_rows(pools, ed_ratio))
 
 
 def generate_spec_domain(spec: ScenarioSpec, domain_id: int) -> DomainDataset:
@@ -364,13 +344,12 @@ def distill_pools(spec: ScenarioSpec, domains: dict[int, DomainDataset]) -> Dist
     external domains' (external), each in id order, with labels stripped.
     `domains` holds the spec's domains (generate_domains).
     """
-
-    def pool(ids: tuple[int, ...]) -> Matrix:
-        if not ids:
-            return np.zeros((0, spec.feature_dim))
-        return np.concatenate([domains[m].train.features for m in sorted(ids)])
-
-    return _stacked(pool(spec.shared_domains), pool(spec.external_domains))
+    internal = [domains[m].train.features for m in sorted(spec.shared_domains)]
+    external = [domains[m].train.features for m in sorted(spec.external_domains)]
+    mask = np.repeat([False, True], [sum(map(len, internal)), sum(map(len, external))])
+    # The empty block gives the set its width when neither pool has a domain.
+    features = np.concatenate([np.zeros((0, spec.feature_dim)), *internal, *external])
+    return DistillSet(features, mask)
 
 
 def build_scenario(spec: ScenarioSpec) -> CdScenario:

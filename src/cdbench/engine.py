@@ -1,5 +1,5 @@
 """Training engine: teacher pretraining, the sequential distillation loop,
-evaluation, and binary checkpoints.
+evaluation, and the binary checkpoint format (cli owns the files).
 
 A run owns its student model and optimizer state exclusively; checkpoint
 models are only ever read. A teacher reaches the student only through its
@@ -13,7 +13,6 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -256,19 +255,11 @@ def deserialize_model(data: bytes) -> MlpModel:
     return MlpModel(layers)
 
 
-def save_checkpoint(model: MlpModel, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_model(model))
-
-
-def load_checkpoint(path: str | Path) -> MlpModel:
-    return deserialize_model(Path(path).read_bytes())
-
-
 def evaluate(model: MlpModel, test_set: LabeledSet) -> float:
     """Fraction of argmax-correct predictions (ties resolve to the lowest class)."""
     if len(test_set) == 0:
         raise InvalidArgumentError("cannot evaluate on an empty test set")
-    logits, _ = forward(model, test_set.features)
+    logits = frozen_logits(model, test_set.features, len(test_set))
     return float((np.argmax(logits, axis=1) == test_set.labels).mean())
 
 
@@ -321,7 +312,8 @@ def frozen_logits(model: MlpModel, features: Matrix, chunk: int) -> Matrix:
     """Logits of a frozen model over every row, `chunk` rows per forward pass.
 
     The one way to run a model that is not being trained: teachers over
-    the distillation pools and test splits, and previous-task checkpoints.
+    the distillation pools and test splits, previous-task checkpoints, and
+    evaluate's one pass over a test split.
     Each pass's ForwardCache is dropped before the next pass starts, so
     memory beyond the result stays at one chunk's activations.
     """

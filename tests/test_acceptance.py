@@ -31,12 +31,10 @@ from cdbench import (
     init_mlp,
     kl_kd_loss,
     kurtosis,
-    load_checkpoint,
     ls_kd_loss,
     mds_filter,
     new_student,
     run_sequence,
-    save_checkpoint,
     se2d_loss,
     self_distill_loss,
     softmax_t,
@@ -54,6 +52,7 @@ from cdbench.cli import (
     read_results_csv,
 )
 from cdbench.distill import teacher_entropy
+from cdbench.engine import deserialize_model, serialize_model
 from cdbench.metrics import accuracy_matrices
 
 from conftest import max_relative_error
@@ -467,12 +466,12 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
 
     model = init_mlp(77, [6, 16, 3])
     ckpt = tmp_path / "round.ckpt"
-    save_checkpoint(model, ckpt)
-    loaded = load_checkpoint(ckpt)
+    ckpt.write_bytes(serialize_model(model))
+    loaded = deserialize_model(ckpt.read_bytes())
     for a, b in zip(model.layers, loaded.layers):
         assert np.array_equal(a.weight.astype(np.float32).astype(float), b.weight)
         assert np.array_equal(a.bias.astype(np.float32).astype(float), b.bias)
-    save_checkpoint(loaded, ckpt)
-    again = load_checkpoint(ckpt)
+    ckpt.write_bytes(serialize_model(loaded))
+    again = deserialize_model(ckpt.read_bytes())
     assert params_equal(loaded, again)
     print(f"PASS criterion 10: {len(snapshots[0])} artifacts byte-identical; round-trips lossless")

@@ -1100,6 +1100,37 @@ class TestStaleTeachers:
         assert "scenario.classes" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    @pytest.mark.usefixtures("serial_teachers")
+    def test_failed_teachers_stage_leaves_no_report(
+        self, finished_run, tmp_path, capsys, monkeypatch
+    ):
+        # A rerun at other settings replaces teacher 0, then teacher 1
+        # diverges: the first run's report must not vouch for the mix.
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        first = str(write_config(tmp_path, base_config(out)))
+        doc = base_config(out)
+        doc["run"]["teacher_epochs"] = 16
+        other = tmp_path / "other"
+        other.mkdir()
+        second = str(write_config(other, doc))
+        train = cdbench.cli.train_benchmark_teacher
+
+        def diverging_teacher_1(spec, run, t):
+            if t == 1:
+                raise DivergenceError("teacher 1, epoch 0: the teacher diverged")
+            return train(spec, run, t)
+
+        monkeypatch.setattr(cdbench.cli, "train_benchmark_teacher", diverging_teacher_1)
+        assert main(["teachers", "--config", second]) == 4
+        ckpt = "checkpoints/teacher_0.ckpt"
+        assert (out / ckpt).read_bytes() != (finished_run[0] / ckpt).read_bytes()
+        assert not (out / "teacher_report.json").exists()
+        capsys.readouterr()
+        for command in ("run", "sweep", "analyze"):
+            assert main(stage_argv(command, first, out)) == 2
+            assert "no teacher report" in capsys.readouterr().err
+
     def test_other_ed_ratio_keeps_the_teachers(self, finished_run, tmp_path):
         # No teacher reads ed_ratio, so a `gen` at another ratio keeps them.
         out = tmp_path / "out"
@@ -1240,21 +1271,29 @@ class TestGridCells:
     def test_each_teacher_runs_over_the_set_once_per_grid(self, three_teacher_grid, monkeypatch):
         config, teachers = three_teacher_grid
         original = cdbench.engine.frozen_logits
-        passes = []
+        passes, evaluated = [], []
 
         def counted(model, features, chunk):
-            passes.append((id(model), len(features)))
+            if sys._getframe(1).f_code.co_name == "evaluate":
+                evaluated.append((features.tobytes(), chunk == len(features)))
+            else:
+                passes.append((id(model), len(features)))
             return original(model, features, chunk)
 
         monkeypatch.setattr(cdbench.engine, "frozen_logits", counted)
         monkeypatch.setattr(cdbench.cli, "frozen_logits", counted)
         run_grid(config, (0.0, config.scenario.ed_ratio), loaders(teachers))
-        pools = distill_pools(config.scenario, generate_domains(config.scenario))
+        domains = generate_domains(config.scenario)
+        pools = distill_pools(config.scenario, domains)
         n_external = int(pools.external_mask.sum())
-        # kl and dkd read no checkpoint, so every pass is a teacher's: one
-        # over each pool for the grid's eight cells at both ratios.
+        # kl and dkd read no checkpoint, so every pass outside evaluate is a
+        # teacher's: one over each pool for the grid's eight cells at both ratios.
         sizes = (len(pools) - n_external, n_external)
         assert passes == [(id(t), n) for t in teachers for n in sizes]
+        # Every other pass is evaluate's: one chunk over a test split.
+        splits = {ds.test.features.tobytes() for ds in domains.values()}
+        assert evaluated
+        assert all(data in splits and whole for data, whole in evaluated)
 
     def test_rows_match_a_run_sequence_per_cell(self, three_teacher_grid):
         config, teachers = three_teacher_grid
@@ -1339,6 +1378,21 @@ class TestExternalEntropyFilter:
         cmd_teachers(config)
         cmd_run(config)
         assert (tmp_path / "out" / "results.csv").exists()
+
+    def test_screen_that_empties_the_set_names_its_cause(self, tmp_path, capsys, monkeypatch):
+        # Without a shared domain the set is external rows alone; a screen
+        # that drops them all leaves nothing, refused before any grid task.
+        doc = base_config(tmp_path / "out", external_entropy_max=1e-9)
+        doc["scenario"]["shared_domains"] = []
+        path = str(write_config(tmp_path, doc))
+        assert main(["gen", "--config", path]) == 0
+        assert main(["teachers", "--config", path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cdbench.cli, "_run_cell", None)  # a grid task would raise TypeError
+        assert main(["run", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "ed_ratio 0.5" in err and "external_entropy_max 1e-09" in err, err
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_seeds_override_keeps_threshold(self, tmp_path):
         config = parse_config(base_config(tmp_path / "out", external_entropy_max=0.5))

@@ -12,11 +12,11 @@ from cdbench import (
     evaluate,
     generate_domain,
     generate_domains,
-    mix_ratio,
+    mix_rows,
     train_teacher,
     write_domain_csv,
 )
-from cdbench.domains import DomainDataset, LabeledSet, _mix_selection
+from cdbench.domains import DistillSet, DomainDataset, LabeledSet, _mix_selection
 
 
 def row_set(features):
@@ -202,41 +202,51 @@ def labeled(n, dim=4, seed=0):
     return LabeledSet(rng.normal(size=(n, dim)), rng.integers(0, 3, size=n))
 
 
+def mixed(n_internal, n_external, ratio, dim=4):
+    """The set mix_rows makes at `ratio` from stacked pools of these sizes."""
+    internal, external = labeled(n_internal, dim), labeled(n_external, dim, seed=1)
+    pools = DistillSet(
+        np.concatenate([internal.features, external.features]),
+        np.repeat([False, True], [n_internal, n_external]),
+    )
+    return pools.take(mix_rows(pools, ratio))
+
+
 class TestMixRatio:
     def test_half_ratio(self):
-        out = mix_ratio(labeled(100), labeled(150, seed=1), 0.5)
+        out = mixed(100, 150, 0.5)
         assert len(out) == 200
         assert out.external_mask.sum() == 100
 
     def test_zero_ratio(self):
-        out = mix_ratio(labeled(100), labeled(50, seed=1), 0.0)
+        out = mixed(100, 50, 0.0)
         assert len(out) == 100 and not out.external_mask.any()
 
     def test_two_thirds_ratio(self):
-        out = mix_ratio(labeled(100), labeled(300, seed=1), 2.0 / 3.0)
+        out = mixed(100, 300, 2.0 / 3.0)
         assert out.external_mask.sum() == 200 and len(out) == 300
 
     def test_larger_internal_pool_is_thinned(self):
-        out = mix_ratio(labeled(100), labeled(100, seed=1), 2.0 / 3.0)
+        out = mixed(100, 100, 2.0 / 3.0)
         kept_internal = int((~out.external_mask).sum())
         assert out.external_mask.sum() == 100 and kept_internal == 50
 
     def test_ratio_within_one_sample(self):
         for ratio in (0.1, 0.25, 1 / 3, 0.5, 0.75):
-            out = mix_ratio(labeled(97), labeled(113, seed=1), ratio)
+            out = mixed(97, 113, ratio)
             achieved = out.external_mask.sum() / len(out)
             assert abs(achieved - ratio) <= 1.0 / len(out) + 1e-12
 
     @pytest.mark.parametrize("ratio", [0.0, 0.5])
     def test_empty_internal_pool_keeps_every_external_row(self, ratio):
         external = labeled(30, seed=1)
-        out = mix_ratio(LabeledSet.empty(4), external, ratio)
+        out = mixed(0, 30, ratio)
         assert len(out) == 30 and out.external_mask.all()
         assert np.array_equal(out.features, external.features)
 
     def test_ratio_one_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            mix_ratio(labeled(10), labeled(10, seed=1), 1.0)
+            mixed(10, 10, 1.0)
 
     def test_selection_is_deterministic(self):
         a = _mix_selection(100, 100, 0.4)

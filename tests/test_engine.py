@@ -18,10 +18,8 @@ from cdbench import (
     distill_task,
     evaluate,
     generate_domain,
-    load_checkpoint,
     new_student,
     run_sequence,
-    save_checkpoint,
     train_teacher,
 )
 from cdbench.distill import (
@@ -187,7 +185,7 @@ class TestTrainTeacher:
 
     def test_empty_training_set_rejected(self, tiny_config):
         with pytest.raises(InvalidArgumentError):
-            train_teacher(LabeledSet.empty(6), tiny_config)
+            train_teacher(LabeledSet(np.zeros((0, 6)), np.zeros(0, dtype=int)), tiny_config)
 
     def test_deterministic(self, tiny_config):
         ds = generate_domain(3, 0, 3, 6, 12)
@@ -564,15 +562,15 @@ class TestEvaluate:
     def test_empty_test_set_rejected(self):
         model = init_mlp(0, [2, 2])
         with pytest.raises(InvalidArgumentError):
-            evaluate(model, LabeledSet.empty(2))
+            evaluate(model, LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
 
 class TestCheckpoints:
     def test_round_trip_at_single_precision(self, tmp_path):
         model = init_mlp(21, [5, 7, 4])
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
+        path.write_bytes(serialize_model(model))
+        loaded = deserialize_model(path.read_bytes())
         for a, b in zip(model.layers, loaded.layers):
             assert np.array_equal(a.weight.astype(np.float32).astype(float), b.weight)
             assert np.array_equal(a.bias.astype(np.float32).astype(float), b.bias)
@@ -607,8 +605,8 @@ class TestCheckpoints:
         teacher = train_teacher(ds.train, desk_config, seed=4)
         before = evaluate(teacher, ds.test)
         path = tmp_path / "t.ckpt"
-        save_checkpoint(teacher, path)
-        after = evaluate(load_checkpoint(path), ds.test)
+        path.write_bytes(serialize_model(teacher))
+        after = evaluate(deserialize_model(path.read_bytes()), ds.test)
         assert abs(before - after) <= 1e-6
 
     def test_parse_reads_the_payload_in_place(self):
@@ -623,7 +621,7 @@ class TestCheckpoints:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTCKPT1" + b"\x00" * 16)
         with pytest.raises(FormatError, match="magic"):
-            load_checkpoint(path)
+            deserialize_model(path.read_bytes())
 
     def test_version_mismatch(self, tmp_path):
         model = init_mlp(0, [2, 2])
@@ -632,7 +630,7 @@ class TestCheckpoints:
         path = tmp_path / "v99.ckpt"
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="version"):
-            load_checkpoint(path)
+            deserialize_model(path.read_bytes())
 
     def test_truncation(self, tmp_path):
         model = init_mlp(0, [3, 2])
@@ -640,14 +638,14 @@ class TestCheckpoints:
         path = tmp_path / "cut.ckpt"
         path.write_bytes(data[: len(data) - 5])
         with pytest.raises(FormatError, match="truncated"):
-            load_checkpoint(path)
+            deserialize_model(path.read_bytes())
 
     def test_trailing_bytes(self, tmp_path):
         model = init_mlp(0, [3, 2])
         path = tmp_path / "fat.ckpt"
         path.write_bytes(serialize_model(model) + b"extra")
         with pytest.raises(FormatError, match="trailing"):
-            load_checkpoint(path)
+            deserialize_model(path.read_bytes())
 
     @pytest.mark.parametrize(
         "shapes, bad",

@@ -12,7 +12,7 @@ from cdbench import (
     kurtosis,
     ukt_gain,
 )
-from cdbench.engine import TaskLog
+from cdbench.engine import TaskLog, deserialize_model, serialize_model
 
 
 def matrix(rows, domain_ids=None):
@@ -175,10 +175,8 @@ def test_accuracy_matrix_matches_checkpoint_re_evaluation(tmp_path):
         evaluate,
         frozen_logits,
         generate_domain,
-        load_checkpoint,
         new_student,
         run_sequence,
-        save_checkpoint,
         train_teacher,
     )
 
@@ -221,7 +219,7 @@ def test_accuracy_matrix_matches_checkpoint_re_evaluation(tmp_path):
     )
     m = accuracy_matrix(logs)
     path = tmp_path / "final_student.ckpt"
-    save_checkpoint(student, path)
-    reloaded = load_checkpoint(path)
+    path.write_bytes(serialize_model(student))
+    reloaded = deserialize_model(path.read_bytes())
     for d, test_set in scenario.test_sets.items():
         assert abs(m.final(d) - evaluate(reloaded, test_set)) <= 1e-6
