@@ -358,10 +358,12 @@ def _openblas_threads(action: str):
 def cmd_teachers(config: ExperimentConfig) -> Path:
     """Pretrain one teacher per task and write checkpoints plus a quality report.
 
-    The teachers train through _pool_map, one worker per usable core up to
-    one per teacher; both of its ways write the same bytes. The old report
-    goes before the first teacher trains, so a stage that fails leaves no
-    report vouching for checkpoints it may have replaced.
+    With more than one usable core, each teacher trains in its own forked
+    _pool_map worker, so the OS shares every core among all of them and no
+    core idles behind a partial last round; with one, they train in this
+    process. Both ways write the same bytes. The old report goes before the
+    first teacher trains, so a stage that fails leaves no report vouching
+    for checkpoints it may have replaced.
     """
     _require_manifest(config)
     (config.output_dir / "teacher_report.json").unlink(missing_ok=True)
@@ -372,7 +374,8 @@ def cmd_teachers(config: ExperimentConfig) -> Path:
     paths = _teacher_paths(config.output_dir, spec)
     make = partial(_make_teacher, spec, test_sets, config.run)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    entries = _pool_map(make, range(spec.n_teachers), paths, jobs=cores)
+    jobs = spec.n_teachers if cores > 1 else 1
+    entries = _pool_map(make, range(spec.n_teachers), paths, jobs=jobs)
     report = {
         "schema_version": SCHEMA_VERSION,
         "floor": config.run.teacher_accuracy_floor,
@@ -461,11 +464,12 @@ def _make_teacher(
     }
 
 
-def _check_teacher_report(out_dir: Path, spec: ScenarioSpec, settings: dict) -> None:
+def _check_teacher_report(out_dir: Path, spec: ScenarioSpec, settings: dict) -> dict:
     """Refuse out_dir's teachers unless teacher_report.json records these settings and `spec`.
 
     The settings are checked first. The scenario's ed_ratio is exempt: no
-    teacher reads it, since each generates only its own domains.
+    teacher reads it, since each generates only its own domains. Returns
+    the settings the report records.
     """
     path = out_dir / "teacher_report.json"
     missing = f"no teacher report at {path}; run `cdbench teachers` first"
@@ -485,6 +489,7 @@ def _check_teacher_report(out_dir: Path, spec: ScenarioSpec, settings: dict) -> 
                     f"{section}.{name} is {value!r}, but the teachers were trained with "
                     f"{recorded.get(name)!r}; rerun `cdbench teachers`"
                 )
+    return report.get("settings", {})
 
 
 def _teacher_loaders(config: ExperimentConfig) -> list[Callable[[], MlpModel]]:
@@ -689,7 +694,13 @@ def cmd_analyze(results_dir: Path) -> Path:
     # analyze has no run settings to check the teachers against, only the scenario.
     has_teachers = (results_dir / "checkpoints").exists()
     if has_teachers:
-        _check_teacher_report(results_dir, spec, {})
+        # The teachers' batch size, which run's teacher pass also takes as its chunk.
+        chunk = _check_teacher_report(results_dir, spec, {}).get("batch_size")
+        if type(chunk) is not int or chunk < 1:
+            raise FormatError(
+                f"{results_dir / 'teacher_report.json'}: settings.batch_size "
+                "is not a positive integer"
+            )
     path = results_dir / "sweep.csv"
     if not path.exists():
         path = results_dir / "results.csv"
@@ -697,13 +708,14 @@ def cmd_analyze(results_dir: Path) -> Path:
     metrics_doc = {"schema_version": SCHEMA_VERSION, **metrics_report(rows, spec, str(path))}
     metrics_doc["entropy"] = []
 
-    # Teacher entropy profiles over every domain's test split, when teachers were trained.
+    # Teacher entropy profiles over every domain's test split, `chunk` rows per pass, when
+    # teachers were trained.
     if has_teachers:
         test_sets = {m: ds.test for m, ds in generate_domains(spec).items()}
         for t, path in enumerate(_teacher_paths(results_dir, spec)):
             model = _read_teacher(path, spec)
             for d, ts in sorted(test_sets.items()):
-                logits = frozen_logits(model, ts.features, len(ts))
+                logits = frozen_logits(model, ts.features, chunk)
                 profile = entropy_report(entropy_histogram(logits, 1.0, bins=20))
                 metrics_doc["entropy"].append({"teacher": t, "domain": d, **profile})
             del model  # freed before the next read, so one teacher is alive at a time

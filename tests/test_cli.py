@@ -461,11 +461,8 @@ class TestTeachers:
     def test_holds_one_teacher_at_a_time(self, tmp_path):
         # One 6-128-128-3 teacher's parameters take 139 KiB as float64, more
         # than the slack, so keeping a teacher while the next one trains fails.
-        doc = base_config(tmp_path / "out")
-        doc["scenario"].update(
-            n_domains=5, teacher_exclusive_domains=[[1], [2], [3]], external_domains=[4]
-        )
-        doc["run"].update(teacher_epochs=2, teacher_hidden=[128, 128])
+        doc = three_teacher_config(tmp_path / "out")
+        doc["run"]["teacher_hidden"] = [128, 128]
         config = parse_config(doc)
         cmd_gen(config)
         spec = config.scenario
@@ -571,6 +568,106 @@ class TestTeacherPool:
         assert main(["run", "--config", path]) == 2
 
 
+def three_teacher_config(out):
+    """base_config with three teachers trained for 2 epochs, at `out`."""
+    doc = base_config(out)
+    doc["scenario"].update(
+        n_domains=5, teacher_exclusive_domains=[[1], [2], [3]], external_domains=[4]
+    )
+    doc["run"]["teacher_epochs"] = 2
+    return doc
+
+
+def teacher_bytes(out):
+    """The report's and each checkpoint's bytes of a finished `teachers` stage at `out`."""
+    paths = [out / "teacher_report.json", *sorted((out / "checkpoints").iterdir())]
+    return {path.relative_to(out): path.read_bytes() for path in paths}
+
+
+def usable_cores(monkeypatch, n):
+    """Make cmd_teachers see `n` usable cores, whatever this machine has."""
+    monkeypatch.setattr(cdbench.cli.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def blas_setter():
+    """Skip a test of the forked pool where _pool_map has no OpenBLAS setter and stays serial."""
+    if _openblas_threads("set") is None:
+        pytest.skip("needs an OpenBLAS thread setter")
+
+
+class TestTeacherWorkers:
+    """With more than one usable core, each teacher trains in its own forked worker."""
+
+    @pytest.mark.usefixtures("blas_setter")
+    def test_each_teacher_trains_in_its_own_worker(self, tmp_path, monkeypatch):
+        # Three teachers on two cores. Each training call leaves a file named
+        # by its teacher and process, since forked workers share no list, and
+        # then waits for the other two, so they must train side by side.
+        log, make = tmp_path / "trained", cdbench.cli._make_teacher
+        log.mkdir()
+
+        def recorded(spec, test_sets, run, t, path):
+            (log / f"{t} {os.getpid()}").touch()
+            deadline = time.monotonic() + 5.0
+            while len(list(log.iterdir())) < spec.n_teachers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return make(spec, test_sets, run, t, path)
+
+        monkeypatch.setattr(cdbench.cli, "_make_teacher", recorded)
+        usable_cores(monkeypatch, 2)
+        config = parse_config(three_teacher_config(tmp_path / "pool"))
+        cmd_gen(config)
+        cmd_teachers(config)
+        calls = sorted(name.split() for name in os.listdir(log))
+        assert [t for t, _ in calls] == ["0", "1", "2"]
+        pids = {int(pid) for _, pid in calls}
+        assert len(pids) == 3 and os.getpid() not in pids
+        usable_cores(monkeypatch, 1)
+        serial = parse_config(three_teacher_config(tmp_path / "serial"))
+        cmd_gen(serial)
+        cmd_teachers(serial)
+        assert len(os.listdir(log)) == 6
+        pooled = teacher_bytes(tmp_path / "pool")
+        assert len(pooled) == 4 and pooled == teacher_bytes(tmp_path / "serial")
+
+    def test_one_usable_core_trains_in_this_process(self, tmp_path, monkeypatch):
+        train_teacher, trained_here = cdbench.benchmark.train_teacher, []
+
+        def recorded(*args, **kwargs):
+            trained_here.append(os.getpid())
+            return train_teacher(*args, **kwargs)
+
+        monkeypatch.setattr(cdbench.benchmark, "train_teacher", recorded)
+        usable_cores(monkeypatch, 1)
+        config = parse_config(three_teacher_config(tmp_path / "out"))
+        cmd_gen(config)
+        cmd_teachers(config)
+        assert trained_here == [os.getpid()] * 3
+
+    @pytest.mark.usefixtures("blas_setter")
+    def test_diverging_worker_fails_the_stage(self, tmp_path, capsys, monkeypatch):
+        # Teacher 1's training raises in its worker; train_benchmark_teacher
+        # names the teacher, and the error crosses back to this process.
+        train_teacher = cdbench.benchmark.train_teacher
+
+        def diverging(train, run, seed, n_classes):
+            if seed % 1000 == 1:
+                assert os.getpid() != TEST_PID, "teacher 1 trained in the test process"
+                raise DivergenceError("epoch 0: the teacher diverged")
+            return train_teacher(train, run, seed=seed, n_classes=n_classes)
+
+        monkeypatch.setattr(cdbench.benchmark, "train_teacher", diverging)
+        usable_cores(monkeypatch, 2)
+        path = str(write_config(tmp_path, three_teacher_config(tmp_path / "out")))
+        assert main(["gen", "--config", path]) == 0
+        capsys.readouterr()
+        assert main(["teachers", "--config", path]) == 4
+        assert "teacher 1, epoch 0: the teacher diverged" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "teacher_report.json").exists()
+        assert main(["run", "--config", path]) == 2
+
+
 @pytest.mark.usefixtures("pool_available")
 class TestGridPool:
     """With two cores and an OpenBLAS setter, `run --jobs 2` runs its cells in forked workers."""
@@ -648,11 +745,8 @@ def three_wide_teachers(out):
     Returns the config and the largest tracemalloc peak of reading one
     teacher's checkpoint.
     """
-    doc = base_config(out)
-    doc["scenario"].update(
-        n_domains=5, teacher_exclusive_domains=[[1], [2], [3]], external_domains=[4]
-    )
-    doc["run"].update(teacher_epochs=2, teacher_hidden=[128, 128])
+    doc = three_teacher_config(out)
+    doc["run"]["teacher_hidden"] = [128, 128]
     config = parse_config(doc)
     cmd_gen(config)
     cmd_teachers(config)
@@ -1849,6 +1943,38 @@ class TestAnalyzeTeachers:
         (out / "checkpoints" / "teacher_5.ckpt").unlink()
         assert main(["analyze", "--out", str(out)]) == 2
         assert "teacher_5.ckpt" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+    def test_entropy_pass_takes_the_teachers_batch_size(self, finished_run, tmp_path, monkeypatch):
+        # As run's teacher pass does, so a pass holds one batch's activations
+        # and not a whole test split's.
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        chunks, frozen = [], cdbench.cli.frozen_logits
+
+        def recorded(model, features, chunk):
+            chunks.append(chunk)
+            return frozen(model, features, chunk)
+
+        monkeypatch.setattr(cdbench.cli, "frozen_logits", recorded)
+        cmd_analyze(out)
+        # 2 teachers x 4 test splits, each pass at the recorded batch_size.
+        assert chunks == [16] * 8
+
+    @pytest.mark.parametrize("batch_size", [0, "16", True, None])
+    def test_unusable_recorded_batch_size_is_a_data_error(
+        self, finished_run, tmp_path, capsys, batch_size
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run[0], out)
+        (out / "metrics.json").unlink(missing_ok=True)
+        report = json.loads((out / "teacher_report.json").read_text())
+        report["settings"]["batch_size"] = batch_size
+        if batch_size is None:
+            del report["settings"]["batch_size"]
+        (out / "teacher_report.json").write_text(json.dumps(report))
+        assert main(["analyze", "--out", str(out)]) == 3
+        assert "teacher_report.json: settings.batch_size" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
     def test_no_checkpoint_dir_gives_empty_entropy(self, eleven_teacher_run, tmp_path):

@@ -4,7 +4,9 @@
 one way to run a frozen model; `_mix_selection` is reached only through
 `mix_rows`, the one mixing rule; and a stage writes a file only through
 `cli._atomic_write`, so an interrupted stage leaves no partial file. The
-one exception is `gen`'s CSV export, which no stage reads back.
+one exception is `gen`'s CSV export, which no stage reads back. Every
+worker pool is built by `cli._pool_map`, which sets each worker to one
+BLAS thread.
 """
 
 import ast
@@ -60,6 +62,10 @@ def test_forward_runs_only_in_the_training_loops_and_frozen_logits():
 
 def test_only_mix_rows_selects_rows_at_a_ratio():
     assert callers("_mix_selection") == {("domains.py", "mix_rows")}
+
+
+def test_only_pool_map_builds_a_process_pool():
+    assert callers("ProcessPoolExecutor") == {("cli.py", "_pool_map")}
 
 
 def writes(call: ast.Call) -> bool:
