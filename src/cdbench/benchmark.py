@@ -6,7 +6,7 @@ scenario seed (`spec.seed * 1000 + t`) rather than from the run grid.
 
 from __future__ import annotations
 
-from .domains import LabeledSet, ScenarioSpec, generate_spec_domain
+from .domains import LabeledSet, ScenarioSpec, generate_domain
 from .engine import RunConfig, train_teacher
 from .errors import DivergenceError
 from .nn_core import MlpModel
@@ -19,9 +19,7 @@ def train_benchmark_teacher(spec: ScenarioSpec, config: RunConfig, t: int) -> Ml
     concatenated in id order, live while it trains. A DivergenceError from
     training names the teacher.
     """
-    train = LabeledSet.concat(
-        [generate_spec_domain(spec, m).train for m in spec.teacher_domain_ids(t)]
-    )
+    train = LabeledSet.concat([generate_domain(spec, m).train for m in spec.teacher_domain_ids(t)])
     try:
         return train_teacher(train, config, seed=spec.seed * 1000 + t, n_classes=spec.n_classes)
     except DivergenceError as exc:

@@ -179,7 +179,8 @@ def _scenario_to_json(spec: ScenarioSpec) -> dict:
 
 
 def _ratio_tag(ratio: float) -> str:
-    return f"{ratio:.4f}".rstrip("0").rstrip(".").replace(".", "_") or "0"
+    # abs: -0.0 is ratio 0 and names its directory.
+    return f"{abs(ratio):.4f}".rstrip("0").rstrip(".").replace(".", "_") or "0"
 
 
 def _check_ratios(ratios: tuple[float, ...]) -> None:

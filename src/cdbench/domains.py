@@ -132,14 +132,15 @@ class ScenarioSpec:
         return tuple(sorted(unseen - set(self.external_domains)))
 
     def __post_init__(self) -> None:
-        if self.n_classes < 2 or self.feature_dim < 2 or self.n_domains < 1:
-            raise InvalidArgumentError("need n_classes >= 2, feature_dim >= 2, n_domains >= 1")
+        # feature_dim >= n_classes, checked below, makes feature_dim >= 2 too.
+        least = {"n_classes": 2, "n_domains": 1, "samples_per_class": 4, "seed": 0}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise InvalidArgumentError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.feature_dim < self.n_classes:
             raise InvalidArgumentError(
                 f"feature_dim ({self.feature_dim}) must be >= n_classes ({self.n_classes})"
             )
-        if self.samples_per_class < 4:
-            raise InvalidArgumentError("need at least 4 samples per class per domain")
         if not self.teacher_exclusive_domains:
             raise InvalidArgumentError("need at least one teacher")
         if not (0.0 <= self.ed_ratio < 1.0):
@@ -148,10 +149,14 @@ class ScenarioSpec:
             raise InvalidArgumentError(
                 f"external_relation must be one of {RELATIONS}, got {self.external_relation!r}"
             )
-        all_ids = set(self.shared_domains) | set(self.external_domains)
-        for excl in self.teacher_exclusive_domains:
-            all_ids |= set(excl)
-        bad = [i for i in all_ids if not (0 <= i < self.n_domains)]
+        lists = {"shared_domains": self.shared_domains, "external_domains": self.external_domains}
+        for t, excl in enumerate(self.teacher_exclusive_domains):
+            lists[f"teacher_exclusive_domains[{t}]"] = excl
+        for name, ids in lists.items():
+            repeated = [m for i, m in enumerate(ids) if m in ids[:i]]
+            if repeated:
+                raise InvalidArgumentError(f"{name} lists domain {repeated[0]} twice")
+        bad = [i for i in set().union(*lists.values()) if not (0 <= i < self.n_domains)]
         if bad:
             raise InvalidArgumentError(f"domain ids {bad} outside [0, {self.n_domains})")
         external = set(self.external_domains)
@@ -164,6 +169,8 @@ class ScenarioSpec:
         shared = set(self.shared_domains)
         seen: set[int] = set()
         for t, excl in enumerate(self.teacher_exclusive_domains):
+            if not excl and not shared:
+                raise InvalidArgumentError(f"teacher {t} has no training domain, shared or exclusive")
             eset = set(excl)
             if eset & shared:
                 raise InvalidArgumentError(f"teacher {t} exclusive domains overlap shared domains")
@@ -238,34 +245,20 @@ def _domain_transform(
     return np.deg2rad(angle_a), np.deg2rad(angle_b), shift
 
 
-def generate_domain(
-    seed: int,
-    domain_id: int,
-    n_classes: int,
-    feature_dim: int,
-    n_per_class: int,
-    relation: str = "related",
-) -> DomainDataset:
-    """Sample one domain: rotated/shifted class means plus unit Gaussian noise.
+def generate_domain(spec: ScenarioSpec, domain_id: int) -> DomainDataset:
+    """Domain `domain_id` of the spec: rotated/shifted class means plus unit Gaussian noise.
 
-    The same (seed, domain_id, relation) always produces bit-identical data.
+    External domains take spec.external_relation and every other domain is
+    related. The same spec and domain_id always produce bit-identical data.
     """
-    if n_classes < 2:
-        raise InvalidArgumentError(f"need at least 2 classes, got {n_classes}")
-    if feature_dim < 2 or feature_dim < n_classes:
-        raise InvalidArgumentError(
-            f"feature_dim must be >= max(2, n_classes) for the simplex layout, got {feature_dim}"
-        )
-    if n_per_class < 4:
-        raise InvalidArgumentError(f"need n_per_class >= 4, got {n_per_class}")
-    if relation not in RELATIONS:
-        raise InvalidArgumentError(f"relation must be one of {RELATIONS}, got {relation!r}")
-
+    relation = spec.external_relation if domain_id in spec.external_domains else "related"
+    seed, n_classes, feature_dim = spec.seed, spec.n_classes, spec.feature_dim
     angle_a, angle_b, shift = _domain_transform(seed, domain_id, n_classes, feature_dim, relation)
     means = _rotate_rows(_base_class_means(n_classes, feature_dim), angle_a, angle_b) + shift
     rng = np.random.default_rng([_SAMPLES_TAG, seed, domain_id, RELATIONS.index(relation)])
 
     # Each class splits 80/20 on its own, keeping both splits non-empty.
+    n_per_class = spec.samples_per_class
     n_train = max(1, min(n_per_class - 1, int(round(TRAIN_FRACTION * n_per_class))))
     train_feats, train_labels, test_feats, test_labels = [], [], [], []
     for c in range(n_classes):
@@ -320,21 +313,9 @@ def mix_rows(pools: DistillSet, ed_ratio: float) -> np.ndarray:
     return rows
 
 
-def generate_spec_domain(spec: ScenarioSpec, domain_id: int) -> DomainDataset:
-    """Domain `domain_id` of the spec: external domains take spec.external_relation."""
-    return generate_domain(
-        spec.seed,
-        domain_id,
-        spec.n_classes,
-        spec.feature_dim,
-        spec.samples_per_class,
-        relation=spec.external_relation if domain_id in spec.external_domains else "related",
-    )
-
-
 def generate_domains(spec: ScenarioSpec) -> dict[int, DomainDataset]:
     """Generate every domain of the spec once, keyed by id in id order."""
-    return {m: generate_spec_domain(spec, m) for m in range(spec.n_domains)}
+    return {m: generate_domain(spec, m) for m in range(spec.n_domains)}
 
 
 def distill_pools(spec: ScenarioSpec, domains: dict[int, DomainDataset]) -> DistillSet:

@@ -133,6 +133,8 @@ class RunConfig:
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
         if repeated:
             raise InvalidArgumentError(f"seed {repeated[0]} is listed twice")
+        if min(self.seeds) < 0:
+            raise InvalidArgumentError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.teacher_epochs < 0:
             raise InvalidArgumentError(f"teacher_epochs must be >= 0, got {self.teacher_epochs}")
         if self.optimizer not in OPTIMIZER_KINDS:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cdbench import RunConfig
+from cdbench import RunConfig, ScenarioSpec
 
 
 def finite_difference_logits(loss_fn, logits, h=1e-5):
@@ -34,6 +34,25 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
+
+
+def domain_spec(seed, n_classes, feature_dim, samples_per_class, unrelated=()):
+    """A ten-domain scenario of these data settings whose one teacher knows domain 0.
+
+    The domains in `unrelated` are its external ones, of relation
+    "unrelated"; generate_domain makes every other domain related.
+    """
+    return ScenarioSpec(
+        n_classes=n_classes,
+        feature_dim=feature_dim,
+        n_domains=10,
+        shared_domains=(),
+        teacher_exclusive_domains=((0,),),
+        external_domains=tuple(unrelated),
+        samples_per_class=samples_per_class,
+        seed=seed,
+        external_relation="unrelated",
+    )
 
 
 def loaders(models):

@@ -55,7 +55,7 @@ from cdbench.distill import teacher_entropy
 from cdbench.engine import deserialize_model, serialize_model
 from cdbench.metrics import accuracy_matrices
 
-from conftest import max_relative_error
+from conftest import domain_spec, max_relative_error
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
 KNOWN_DOMAINS = (0, 1, 2, 3)
@@ -396,7 +396,7 @@ def test_criterion_9_entropy_and_kurtosis(benchmark_config, benchmark_runs):
 
     for t, teacher in enumerate(benchmark_runs["teachers"]):
         own = [mean_entropy(teacher, scenario.test_sets[d]) for d in spec.teacher_domain_ids(t)]
-        unrelated = generate_domain(t + 1, 9, 4, 8, 200, relation="unrelated")
+        unrelated = generate_domain(domain_spec(t + 1, 4, 8, 200, unrelated=(9,)), 9)
         far = mean_entropy(teacher, unrelated.test)
         assert far > float(np.mean(own)), (
             f"teacher {t}: unrelated entropy {far:.3f} not above own {np.mean(own):.3f}"

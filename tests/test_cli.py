@@ -261,6 +261,15 @@ class TestConfigValidation:
             ("run", "teacher_learning_rate", -0.5),
             ("run", "teacher_learning_rate", 0),
             ("scenario", "classes", 8),  # more classes than feature_dim 6
+            ("scenario", "classes", 1),
+            ("scenario", "feature_dim", 1),
+            ("scenario", "samples_per_class", 3),
+            ("scenario", "external_relation", "sideways"),
+            ("scenario", "seed", -3),
+            ("scenario", "shared_domains", [0, 0]),
+            ("scenario", "external_domains", [3, 3]),
+            ("scenario", "teacher_exclusive_domains", [[1, 1], [2]]),
+            ("run", "seeds", [1, -1]),
         ],
     )
     def test_boolean_in_numeric_field_rejected(self, tmp_path, capsys, section, key, value):
@@ -290,6 +299,25 @@ class TestConfigValidation:
         assert main(["gen", "--config", str(write_config(tmp_path, doc))]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_teacher_without_a_domain_is_refused(self, tmp_path, capsys):
+        doc = base_config(tmp_path / "out")
+        doc["scenario"].update(shared_domains=[], teacher_exclusive_domains=[[1], []])
+        assert main(["gen", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert "teacher 1 has no training domain" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seeds_flag_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["run", "--config", str(path), "--seeds", "-1"]) == 2
+        assert "--seeds: seeds must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_zero_ratio_repeats_ratio_zero(self, tmp_path, capsys):
+        # -0.0 == 0.0, so the two would write one grid twice.
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["sweep", "--config", str(path), "--ratio", "0,-0"]) == 2
+        err = capsys.readouterr().err
+        assert "sweep ratio -0.0 repeats an earlier ratio's directory ratio_0\n" in err
 
     def test_repeated_seeds_flag_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -491,7 +519,8 @@ class TestTeachers:
             starts.append((type(train), len(splits), sum(ref() is not None for ref in splits)))
             return train_teacher(train, *args, **kwargs)
 
-        monkeypatch.setattr(cdbench.domains, "generate_domain", generate_recorded)
+        for module in (cdbench.domains, cdbench.benchmark):
+            monkeypatch.setattr(module, "generate_domain", generate_recorded)
         monkeypatch.setattr(cdbench.benchmark, "train_teacher", train_checked)
         cmd_teachers(config)
         # The report's 4 domains, then each teacher's shared and own domain.

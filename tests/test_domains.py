@@ -1,5 +1,6 @@
 import csv
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from cdbench import (
     write_domain_csv,
 )
 from cdbench.domains import DistillSet, DomainDataset, LabeledSet, _mix_selection
+
+from conftest import domain_spec
 
 
 def row_set(features):
@@ -37,15 +40,15 @@ def distill_parts(scenario):
 
 class TestGenerateDomain:
     def test_bit_identical_regeneration(self):
-        a = generate_domain(3, 1, 4, 8, 20)
-        b = generate_domain(3, 1, 4, 8, 20)
+        a = generate_domain(domain_spec(3, 4, 8, 20), 1)
+        b = generate_domain(domain_spec(3, 4, 8, 20), 1)
         assert np.array_equal(a.train.features, b.train.features)
         assert np.array_equal(a.test.features, b.test.features)
         assert np.array_equal(a.train.labels, b.train.labels)
 
     def test_domains_share_labels_but_not_means(self):
-        a = generate_domain(3, 0, 4, 8, 50)
-        b = generate_domain(3, 1, 4, 8, 50)
+        a = generate_domain(domain_spec(3, 4, 8, 50), 0)
+        b = generate_domain(domain_spec(3, 4, 8, 50), 1)
         assert sorted(a.train.labels.tolist()) == sorted(b.train.labels.tolist())
         mean_gap = 0.0
         for c in range(4):
@@ -55,43 +58,20 @@ class TestGenerateDomain:
         assert mean_gap > 1.0
 
     def test_split_sizes_and_disjointness(self):
-        ds = generate_domain(0, 0, 3, 6, 10)
+        ds = generate_domain(domain_spec(0, 3, 6, 10), 0)
         assert len(ds.train) == 24 and len(ds.test) == 6
         assert not (row_set(ds.train.features) & row_set(ds.test.features))
         for part in (ds.train, ds.test):
             assert set(part.labels.tolist()) == {0, 1, 2}
 
     def test_generated_domain_is_learnable(self, desk_config):
-        ds = generate_domain(5, 0, 4, 8, 100)
+        ds = generate_domain(domain_spec(5, 4, 8, 100), 0)
         teacher = train_teacher(ds.train, desk_config, seed=9)
         assert evaluate(teacher, ds.test) >= 0.90
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(n_classes=1),
-            dict(feature_dim=1),
-            dict(feature_dim=3),  # below n_classes
-            dict(n_per_class=3),
-            dict(relation="sideways"),
-        ],
-    )
-    def test_degenerate_arguments(self, kwargs):
-        base = dict(seed=0, domain_id=0, n_classes=4, feature_dim=8, n_per_class=10)
-        base.update(kwargs)
-        with pytest.raises(InvalidArgumentError):
-            generate_domain(
-                base["seed"],
-                base["domain_id"],
-                base["n_classes"],
-                base["feature_dim"],
-                base["n_per_class"],
-                relation=base.get("relation", "related"),
-            )
-
     def test_unrelated_domain_differs_from_related(self):
-        rel = generate_domain(4, 2, 4, 8, 20)
-        unrel = generate_domain(4, 2, 4, 8, 20, relation="unrelated")
+        rel = generate_domain(domain_spec(4, 4, 8, 20), 2)
+        unrel = generate_domain(domain_spec(4, 4, 8, 20, unrelated=(2,)), 2)
         assert not np.array_equal(rel.train.features, unrel.train.features)
 
 
@@ -107,6 +87,46 @@ def spec_for(ratio=0.5, seed=1, samples=20, shared=(0,), external=(4,)):
         samples_per_class=samples,
         seed=seed,
     )
+
+
+class TestScenarioSpecRules:
+    # The spec's rules are the generator's: generate_domain checks nothing itself.
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (dict(n_classes=1), "n_classes"),
+            (dict(feature_dim=1), "feature_dim"),
+            (dict(feature_dim=3), "feature_dim"),  # below n_classes
+            (dict(samples_per_class=3), "samples_per_class"),
+            (dict(external_relation="sideways"), "external_relation"),
+            (dict(seed=-3), "seed must be >= 0, got -3"),
+            (dict(shared_domains=(0, 0)), "shared_domains lists domain 0 twice"),
+            (dict(external_domains=(4, 4)), "external_domains lists domain 4 twice"),
+            (
+                dict(teacher_exclusive_domains=((1,), (2, 2), (3,))),
+                "teacher_exclusive_domains[1] lists domain 2 twice",
+            ),
+            (
+                dict(shared_domains=(), teacher_exclusive_domains=((1,), (), (3,))),
+                "teacher 1 has no training domain",
+            ),
+        ],
+        ids=[
+            "n_classes-1",
+            "feature_dim-1",
+            "feature_dim-below-classes",
+            "samples_per_class-3",
+            "relation-sideways",
+            "seed-negative",
+            "shared-repeated",
+            "external-repeated",
+            "exclusive-repeated",
+            "teacher-without-domain",
+        ],
+    )
+    def test_bad_field_is_refused_naming_it(self, change, named):
+        with pytest.raises(InvalidArgumentError, match=re.escape(named)):
+            replace(spec_for(), **change)
 
 
 class TestBuildScenario:
@@ -286,7 +306,7 @@ class TestBalancePairStream:
 
 class TestCsv:
     def test_round_trip_preserves_samples(self, tmp_path):
-        ds = generate_domain(2, 1, 3, 4, 10)
+        ds = generate_domain(domain_spec(2, 3, 4, 10), 1)
         path = tmp_path / "domain.csv"
         write_domain_csv(ds, path)
         with open(path, newline="", encoding="utf-8") as fh:
@@ -318,7 +338,7 @@ class TestCsv:
             LabeledSet([[-1.5, 1e-300, 3.0, -0.0], [5e-324, -2.5e300, 0.1, 7.0]], [2, 0]),
             LabeledSet([[1.0 / 3.0, -1e-7, 123456789.0, 2.0**-40]], [1]),
         )
-        for ds in (crafted, generate_domain(2, 1, 3, 4, 10)):
+        for ds in (crafted, generate_domain(domain_spec(2, 3, 4, 10), 1)):
             path = tmp_path / "domain.csv"
             write_domain_csv(ds, path)
             assert path.read_bytes() == self.csv_writer_bytes(ds, tmp_path / "reference.csv")

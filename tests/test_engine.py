@@ -44,7 +44,7 @@ from cdbench.nn_core import (
     optimizer_step,
 )
 
-from conftest import traced_peak
+from conftest import domain_spec, traced_peak
 
 
 def model_params_equal(a, b):
@@ -145,10 +145,7 @@ def tiny_teachers(tiny_scenario, tiny_config):
     spec = tiny_scenario.spec
     out = []
     for t in range(spec.n_teachers):
-        datasets = [
-            generate_domain(spec.seed, m, spec.n_classes, spec.feature_dim, spec.samples_per_class)
-            for m in spec.teacher_domain_ids(t)
-        ]
+        datasets = [generate_domain(spec, m) for m in spec.teacher_domain_ids(t)]
         train = LabeledSet.concat([ds.train for ds in datasets])
         out.append(train_teacher(train, tiny_config, seed=100 + t))
     return out
@@ -156,15 +153,16 @@ def tiny_teachers(tiny_scenario, tiny_config):
 
 class TestTrainTeacher:
     def test_single_domain_reaches_floor(self, desk_config):
-        ds = generate_domain(7, 0, 4, 8, 100)
+        ds = generate_domain(domain_spec(7, 4, 8, 100), 0)
         teacher = train_teacher(ds.train, desk_config, seed=1)
         assert evaluate(teacher, ds.test) >= 0.90
 
     def test_near_chance_on_unrelated_domain(self, desk_config):
-        datasets = [generate_domain(7, 0, 4, 8, 100), generate_domain(7, 1, 4, 8, 100)]
+        spec = domain_spec(7, 4, 8, 100)
+        datasets = [generate_domain(spec, 0), generate_domain(spec, 1)]
         train = LabeledSet.concat([ds.train for ds in datasets])
         teacher = train_teacher(train, desk_config, seed=1)
-        unrelated = generate_domain(7, 9, 4, 8, 100, relation="unrelated")
+        unrelated = generate_domain(domain_spec(7, 4, 8, 100, unrelated=(9,)), 9)
         assert evaluate(teacher, unrelated.test) <= 0.25 + 0.15
 
     def test_zero_epochs_returns_initialization(self, tiny_config):
@@ -176,7 +174,7 @@ class TestTrainTeacher:
             teacher_hidden=(8,),
             student_hidden=(8,),
         )
-        ds = generate_domain(3, 0, 3, 6, 10)
+        ds = generate_domain(domain_spec(3, 3, 6, 10), 0)
         teacher = train_teacher(ds.train, cfg, seed=5)
         # untouched initialization: zero biases and fan-in-bounded weights
         assert all(np.all(l.bias == 0.0) for l in teacher.layers)
@@ -188,7 +186,7 @@ class TestTrainTeacher:
             train_teacher(LabeledSet(np.zeros((0, 6)), np.zeros(0, dtype=int)), tiny_config)
 
     def test_deterministic(self, tiny_config):
-        ds = generate_domain(3, 0, 3, 6, 12)
+        ds = generate_domain(domain_spec(3, 3, 6, 12), 0)
         a = train_teacher(ds.train, tiny_config, seed=2)
         b = train_teacher(ds.train, tiny_config, seed=2)
         assert model_params_equal(a, b)
@@ -601,7 +599,7 @@ class TestCheckpoints:
         assert model_params_equal(first, second)
 
     def test_re_evaluation_matches(self, tmp_path, desk_config):
-        ds = generate_domain(8, 0, 4, 8, 50)
+        ds = generate_domain(domain_spec(8, 4, 8, 50), 0)
         teacher = train_teacher(ds.train, desk_config, seed=4)
         before = evaluate(teacher, ds.test)
         path = tmp_path / "t.ckpt"

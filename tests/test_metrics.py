@@ -204,7 +204,7 @@ def test_accuracy_matrix_matches_checkpoint_re_evaluation(tmp_path):
     teachers = [
         train_teacher(
             LabeledSet.concat(
-                [generate_domain(spec.seed, m, 3, 6, 30).train for m in spec.teacher_domain_ids(t)]
+                [generate_domain(spec, m).train for m in spec.teacher_domain_ids(t)]
             ),
             config,
             seed=200 + t,

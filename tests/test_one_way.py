@@ -2,11 +2,13 @@
 
 `forward` runs only in the two training loops and in `frozen_logits`, the
 one way to run a frozen model; `_mix_selection` is reached only through
-`mix_rows`, the one mixing rule; and a stage writes a file only through
-`cli._atomic_write`, so an interrupted stage leaves no partial file. The
-one exception is `gen`'s CSV export, which no stage reads back. Every
-worker pool is built by `cli._pool_map`, which sets each worker to one
-BLAS thread.
+`mix_rows`, the one mixing rule; `generate_domain` is the one generator,
+so it alone draws a domain's transform and, outside the spec's own
+checks, reads the spec's `external_relation`; and a stage writes a file
+only through `cli._atomic_write`, so an interrupted stage leaves no
+partial file. The one exception is `gen`'s CSV export, which no stage
+reads back. Every worker pool is built by `cli._pool_map`, which sets
+each worker to one BLAS thread.
 """
 
 import ast
@@ -34,13 +36,18 @@ def functions(tree: ast.Module):
             yield "<module>", node
 
 
-def calls():
-    """(file, function, call) for every call in the package."""
+def nodes(kind: type):
+    """(file, function, node) for every syntax node of this kind in the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         for where, node in functions(ast.parse(path.read_text(encoding="utf-8"))):
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call):
-                    yield path.name, where, call
+            for sub in ast.walk(node):
+                if isinstance(sub, kind):
+                    yield path.name, where, sub
+
+
+def calls():
+    """(file, function, call) for every call in the package."""
+    return nodes(ast.Call)
 
 
 def callers(name: str) -> set[tuple[str, str]]:
@@ -62,6 +69,19 @@ def test_forward_runs_only_in_the_training_loops_and_frozen_logits():
 
 def test_only_mix_rows_selects_rows_at_a_ratio():
     assert callers("_mix_selection") == {("domains.py", "mix_rows")}
+
+
+def test_only_generate_domain_reads_the_external_relation():
+    readers = {
+        (file, where)
+        for file, where, node in nodes(ast.Attribute)
+        if node.attr == "external_relation" and not where.startswith("ScenarioSpec.")
+    }
+    assert readers == {("domains.py", "generate_domain")}
+
+
+def test_only_generate_domain_draws_a_domain_transform():
+    assert callers("_domain_transform") == {("domains.py", "generate_domain")}
 
 
 def test_only_pool_map_builds_a_process_pool():
